@@ -8,6 +8,19 @@ widen the hidden layers (1 -> C -> C -> C) and the head to C * width inputs.
 
 Gradients are exact analytic derivatives; the ReLU subgradient at zero is
 taken to be zero.
+
+There are two forward paths.  ``forward`` and ``conv1d_forward`` evaluate
+one window with ``np.correlate``; the compare report is computed with
+them, so their rounding is part of that report.  The batched path
+(``forward_cached``, ``backward_cached`` and the ``forward_batch`` /
+``backward_batch`` wrappers) loops over kernel taps only: for tap m one
+``np.matmul`` contracts the input-channel axis of the whole batch.  Each
+pre-activation is the bias plus the taps in order, so with one channel
+every term is a single exact product and the batched sums round exactly as
+an elementwise loop would.  With more channels the channel sum inside the
+matmul may round differently.  The two paths can differ in the last bit.
+Training reads the batched path only: one ``forward_cached`` keeps the
+padded inputs and pre-activations that ``backward_cached`` then reads.
 """
 
 from __future__ import annotations
@@ -15,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,12 +72,6 @@ class ConvLayer:
     def width(self) -> int:
         return self.kernel.shape[2]
 
-    @property
-    def padding(self) -> tuple[int, int]:
-        """Zero cells added (left, right); even kernels put the extra cell on the left."""
-        k = self.kernel.shape[2]
-        return (k // 2, (k - 1) // 2)
-
 
 def conv1d_forward(x, layer: ConvLayer):
     """Length-preserving cross-correlation with symmetric zero padding.
@@ -89,9 +97,18 @@ def conv1d_forward(x, layer: ConvLayer):
     return out
 
 
+def _zero_padded(x: np.ndarray, k: int) -> np.ndarray:
+    """``x`` with ``k - 1`` zero cells added on its last axis, ``k // 2`` of them
+    on the left: even kernels put the extra cell on the left."""
+    width = x.shape[-1]
+    padded = np.zeros(x.shape[:-1] + (width + k - 1,))
+    padded[..., k // 2 : k // 2 + width] = x
+    return padded
+
+
 def _correlate(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    out_ch, in_ch, _ = layer.kernel.shape
-    padded = np.pad(x, ((0, 0), layer.padding))
+    out_ch, in_ch, k = layer.kernel.shape
+    padded = _zero_padded(x, k)
     out = np.empty((out_ch, x.shape[1]))
     for o in range(out_ch):
         acc = np.full(x.shape[1], layer.bias[o])
@@ -163,35 +180,57 @@ class CnnModel:
         parts.append(np.array([self.head_bias]))
         return np.concatenate(parts)
 
+    def param_views(self, vec: np.ndarray) -> "ParamViews":
+        """Views of a flat float64 parameter vector, shaped like this model's parameters.
+
+        Writing through a view writes into ``vec``, and the views follow
+        every later in-place change of ``vec``.
+        """
+        if vec.dtype != np.float64 or vec.shape != (self.num_params,):
+            raise ValueError(f"expected {self.num_params} parameters, got {vec.shape}")
+        if not vec.flags.c_contiguous:
+            raise ValueError("parameter views need a contiguous vector")
+        pos = 0
+
+        def take(shape: tuple[int, ...]) -> np.ndarray:
+            nonlocal pos
+            size = math.prod(shape)
+            view = vec[pos : pos + size].reshape(shape)
+            pos += size
+            return view
+
+        kernels, biases = [], []
+        for layer in self.layers:
+            kernels.append(take(layer.kernel.shape))
+            biases.append(take(layer.bias.shape))
+        head = take(self.head_weights.shape)
+        return ParamViews(tuple(kernels), tuple(biases), head, take((1,)))
+
     def from_vector(self, vec: np.ndarray) -> "CnnModel":
         """Rebuild a model of this shape from a flat parameter vector."""
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got {vec.shape}")
-        pos = 0
-        layers = []
-        for layer in self.layers:
-            n = layer.kernel.size
-            kernel = vec[pos : pos + n].reshape(layer.kernel.shape)
-            pos += n
-            bias = vec[pos : pos + layer.bias.size]
-            pos += layer.bias.size
-            layers.append(ConvLayer(kernel, bias))
-        head = vec[pos : pos + self.head_weights.size]
-        pos += self.head_weights.size
+        p = self.param_views(np.ascontiguousarray(vec, dtype=np.float64))
+        layers = tuple(ConvLayer(k, b) for k, b in zip(p.kernels, p.biases))
         return CnnModel(
-            tuple(layers), head, float(vec[pos]), self.channels, self.input_width
+            layers, p.head_weights, float(p.head_bias[0]), self.channels, self.input_width
         )
 
     def weight_mask(self) -> np.ndarray:
         """1.0 for kernel and head weights, 0.0 for biases, in vector order."""
-        parts = []
-        for layer in self.layers:
-            parts.append(np.ones(layer.kernel.size))
-            parts.append(np.zeros(layer.bias.size))
-        parts.append(np.ones(self.head_weights.size))
-        parts.append(np.zeros(1))
-        return np.concatenate(parts)
+        mask = np.ones(self.num_params)
+        p = self.param_views(mask)
+        for bias in p.biases:
+            bias[:] = 0.0
+        p.head_bias[:] = 0.0
+        return mask
+
+
+class ParamViews(NamedTuple):
+    """Parameter arrays in network order; ``head_bias`` has shape (1,)."""
+
+    kernels: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+    head_weights: np.ndarray
+    head_bias: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -213,136 +252,131 @@ class GradientSet:
         return np.concatenate(parts)
 
 
-def _forward_pass(model: CnnModel, window) -> tuple[list, np.ndarray, float]:
-    """Run the network, keeping per-layer caches for backpropagation."""
+def _check_batch(model: CnnModel, windows) -> np.ndarray:
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 2 or windows.shape[1] != model.input_width:
+        raise ValueError(
+            f"batch of shape {windows.shape} does not match input width {model.input_width}"
+        )
+    return windows
+
+
+def _check_window(model: CnnModel, window) -> np.ndarray:
     x = np.asarray(window, dtype=np.float64)
     if x.shape != (model.input_width,):
         raise ValueError(
             f"window of shape {x.shape} does not match input width {model.input_width}"
         )
-    act = x.reshape(1, -1)
-    caches = []
-    for layer in model.layers:
-        padded = np.pad(act, ((0, 0), layer.padding))
-        pre = _correlate(act, layer)
-        caches.append((padded, pre))
-        act = np.maximum(pre, 0.0)
-    features = act.ravel()
-    out = float(model.head_weights @ features + model.head_bias)
-    return caches, features, out
+    return x
+
+
+def _params(model: CnnModel) -> ParamViews:
+    return model.param_views(model.to_vector())
 
 
 def forward(model: CnnModel, window) -> float:
-    """Scalar network output for one input window."""
-    return _forward_pass(model, window)[2]
+    """Scalar network output for one input window.
+
+    Evaluated with ``np.correlate``, bias first, so it may differ from
+    ``forward_batch`` in the last bit; the compare report is pinned to it.
+    """
+    act = _check_window(model, window).reshape(1, -1)
+    for layer in model.layers:
+        act = np.maximum(_correlate(act, layer), 0.0)
+    return float(model.head_weights @ act.ravel() + model.head_bias)
 
 
 def backward(model: CnnModel, window, upstream: float = 1.0) -> GradientSet:
-    """Exact gradient of ``forward`` w.r.t. every parameter, scaled by ``upstream``.
+    """Exact gradient of the network output w.r.t. every parameter, scaled by ``upstream``.
 
-    The forward pass is recomputed internally, so no prior call is needed.
+    A batch of one through ``backward_batch``, so no prior call is needed.
     """
-    caches, features, _ = _forward_pass(model, window)
-    upstream = float(upstream)
-    g_head_w = upstream * features
-    g_head_b = upstream
-    d_act = (upstream * model.head_weights).reshape(model.channels, model.input_width)
-    g_kernels: list[np.ndarray] = []
-    g_biases: list[np.ndarray] = []
-    for layer, (padded, pre) in zip(reversed(model.layers), reversed(caches)):
-        d_pre = d_act * (pre > 0.0)
-        out_ch, in_ch, k = layer.kernel.shape
-        g_kernel = np.empty_like(layer.kernel)
-        for o in range(out_ch):
-            for c in range(in_ch):
-                g_kernel[o, c] = np.correlate(padded[c], d_pre[o], "valid")
-        g_bias = d_pre.sum(axis=1)
-        d_padded = np.zeros_like(padded)
-        for o in range(out_ch):
-            for c in range(in_ch):
-                d_padded[c] += np.convolve(d_pre[o], layer.kernel[o, c])
-        left, _ = layer.padding
-        d_act = d_padded[:, left : left + pre.shape[1]]
-        g_kernels.append(g_kernel)
-        g_biases.append(g_bias)
-    g_kernels.reverse()
-    g_biases.reverse()
-    return GradientSet(tuple(g_kernels), tuple(g_biases), g_head_w, g_head_b)
+    x = _check_window(model, window)
+    g = model.param_views(backward_batch(model, x.reshape(1, -1), [float(upstream)]))
+    return GradientSet(g.kernels, g.biases, g.head_weights, float(g.head_bias[0]))
 
 
-def _batch_forward_pass(model: CnnModel, windows: np.ndarray):
-    """Forward over a (n, width) batch, keeping caches; same math as the
-    single-window pass with the batch axis carried along."""
-    n = windows.shape[0]
-    act = windows.reshape(n, 1, model.input_width)
-    caches = []
-    for layer in model.layers:
-        out_ch, in_ch, k = layer.kernel.shape
-        width = act.shape[2]
-        padded = np.pad(act, ((0, 0), (0, 0), layer.padding))
-        pre = np.empty((n, out_ch, width))
-        for o in range(out_ch):
-            acc = np.full((n, width), layer.bias[o])
-            for c in range(in_ch):
-                for m in range(k):
-                    acc += layer.kernel[o, c, m] * padded[:, c, m : m + width]
-            pre[:, o, :] = acc
-        caches.append((padded, pre))
+@dataclass(frozen=True)
+class BatchForward:
+    """A batched forward pass: outputs plus the caches ``backward_cached`` reads.
+
+    Per layer, ``padded`` holds the zero-padded input, shape
+    (n, in_ch, width + k - 1), and ``pre`` the pre-activation, shape
+    (n, out_ch, width).
+    """
+
+    padded: tuple[np.ndarray, ...]
+    pre: tuple[np.ndarray, ...]
+    features: np.ndarray
+    outputs: np.ndarray
+
+
+def forward_cached(params: ParamViews, windows: np.ndarray) -> BatchForward:
+    """Forward over a (n, width) float64 batch, keeping the backward caches."""
+    n, width = windows.shape
+    act = windows.reshape(n, 1, width)
+    padded_all, pre_all = [], []
+    for kernel, bias in zip(params.kernels, params.biases):
+        padded = _zero_padded(act, kernel.shape[2])
+        pre = np.empty((n, kernel.shape[0], width))
+        pre[...] = bias[:, None]
+        for m, tap in enumerate(kernel.transpose(2, 0, 1).copy()):
+            pre += np.matmul(tap, padded[:, :, m : m + width])
+        padded_all.append(padded)
+        pre_all.append(pre)
         act = np.maximum(pre, 0.0)
     features = act.reshape(n, -1)
-    outputs = features @ model.head_weights + model.head_bias
-    return caches, features, outputs
+    outputs = features @ params.head_weights + params.head_bias
+    return BatchForward(tuple(padded_all), tuple(pre_all), features, outputs)
+
+
+def backward_cached(
+    params: ParamViews, fwd: BatchForward, upstreams: np.ndarray, grads: ParamViews
+) -> None:
+    """Write into ``grads`` the sum of per-window gradients scaled by ``upstreams``.
+
+    ``fwd`` must be the forward pass of ``params``; nothing is recomputed.
+    """
+    n = upstreams.size
+    grads.head_weights[:] = fwd.features.T @ upstreams
+    grads.head_bias[:] = upstreams.sum()
+    d_act = (upstreams[:, None] * params.head_weights[None, :]).reshape(fwd.pre[-1].shape)
+    for i in reversed(range(len(params.kernels))):
+        kernel, padded, pre = params.kernels[i], fwd.padded[i], fwd.pre[i]
+        out_ch, in_ch, k = kernel.shape
+        width = pre.shape[2]
+        d_pre = d_act * (pre > 0.0)
+        # Both reductions add in the order the elementwise loops did, which
+        # keeps the one-channel gradient bit for bit: the bias sums an
+        # (n, out_ch, width) array, and each (out, in) kernel tap sums its
+        # n * width products as one contiguous row, pairwise like np.sum.
+        grads.biases[i][:] = d_pre.sum(axis=(0, 2))
+        d_rows = d_pre.transpose(1, 0, 2).reshape(out_ch, 1, n * width)
+        for m in range(k):
+            x_rows = padded[:, :, m : m + width].transpose(1, 0, 2).reshape(1, in_ch, n * width)
+            grads.kernels[i][:, :, m] = (d_rows * x_rows).sum(axis=-1)
+        if i:
+            d_padded = np.zeros_like(padded)
+            for m, tap in enumerate(kernel.transpose(2, 1, 0).copy()):
+                d_padded[:, :, m : m + width] += np.matmul(tap, d_pre)
+            d_act = d_padded[:, :, k // 2 : k // 2 + width]
 
 
 def forward_batch(model: CnnModel, windows) -> np.ndarray:
     """Network outputs for a (n, width) batch of windows."""
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[1] != model.input_width:
-        raise ValueError(
-            f"batch of shape {windows.shape} does not match input width {model.input_width}"
-        )
-    return _batch_forward_pass(model, windows)[2]
+    return forward_cached(_params(model), _check_batch(model, windows)).outputs
 
 
 def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
     """Sum of per-window gradients scaled by per-window upstreams, as a flat vector."""
-    windows = np.asarray(windows, dtype=np.float64)
+    windows = _check_batch(model, windows)
     upstreams = np.asarray(upstreams, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[1] != model.input_width:
-        raise ValueError(
-            f"batch of shape {windows.shape} does not match input width {model.input_width}"
-        )
     if upstreams.shape != (windows.shape[0],):
         raise ValueError("one upstream scalar per window is required")
-    caches, features, _ = _batch_forward_pass(model, windows)
-    g_head_w = features.T @ upstreams
-    g_head_b = float(upstreams.sum())
-    d_act = upstreams[:, None] * model.head_weights[None, :]
-    d_act = d_act.reshape(windows.shape[0], model.channels, model.input_width)
-    g_kernels: list[np.ndarray] = []
-    g_biases: list[np.ndarray] = []
-    for layer, (padded, pre) in zip(reversed(model.layers), reversed(caches)):
-        out_ch, in_ch, k = layer.kernel.shape
-        width = pre.shape[2]
-        d_pre = d_act * (pre > 0.0)
-        g_kernel = np.empty_like(layer.kernel)
-        for o in range(out_ch):
-            for c in range(in_ch):
-                for m in range(k):
-                    g_kernel[o, c, m] = np.sum(d_pre[:, o, :] * padded[:, c, m : m + width])
-        g_bias = d_pre.sum(axis=(0, 2))
-        d_padded = np.zeros_like(padded)
-        for o in range(out_ch):
-            for c in range(in_ch):
-                for m in range(k):
-                    d_padded[:, c, m : m + width] += layer.kernel[o, c, m] * d_pre[:, o, :]
-        left, _ = layer.padding
-        d_act = d_padded[:, :, left : left + width]
-        g_kernels.append(g_kernel)
-        g_biases.append(g_bias)
-    g_kernels.reverse()
-    g_biases.reverse()
-    return GradientSet(tuple(g_kernels), tuple(g_biases), g_head_w, g_head_b).to_vector()
+    params = _params(model)
+    grad = np.empty(model.num_params)
+    backward_cached(params, forward_cached(params, windows), upstreams, model.param_views(grad))
+    return grad
 
 
 def init_weights(

@@ -5,6 +5,14 @@ and the value one step after it.  Updates are full batch: the loss is the
 root-mean-square error over all pairs plus an L2 penalty on the weights,
 and one Adam step is taken per update.  Validation RMSE drives early
 stopping with best-snapshot restoration.
+
+``train`` fuses the steps of an update: the training forward pass that
+gives one update's train RMSE also gives the next update's gradient, so an
+update costs one backward and two forward passes (training and validation
+windows).  With one channel its results are bit for bit those of the
+unfused composition of ``forward_batch``, ``backward_batch`` and
+``adam_step``.  A non-finite train or validation RMSE stops training with
+an error that names the update.
 """
 
 from __future__ import annotations
@@ -14,7 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cnn import CnnModel, backward_batch, forward_batch
+from .cnn import (
+    BatchForward,
+    CnnModel,
+    ParamViews,
+    backward_cached,
+    forward_batch,
+    forward_cached,
+)
 from .series import TimeSeries
 
 DEFAULT_SEED = 56934
@@ -177,6 +192,14 @@ class TrainConfig:
             raise ValueError("l2_lambda must be nonnegative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {beta}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -211,16 +234,23 @@ def predict_dataset(model: CnnModel, ds: WindowDataset) -> np.ndarray:
     return forward_batch(model, ds.inputs)
 
 
+def _data_gradient(
+    params: ParamViews, fwd: BatchForward, targets: np.ndarray, grads: ParamViews
+) -> None:
+    """Write the gradient of the RMSE of ``fwd.outputs`` against ``targets`` into ``grads``."""
+    resid = fwd.outputs - targets
+    rmse = math.sqrt(float(np.mean(resid**2)))
+    upstreams = resid / (resid.size * rmse) if rmse > 0.0 else np.zeros_like(resid)
+    backward_cached(params, fwd, upstreams, grads)
+
+
 def _loss_gradient(model: CnnModel, ds: WindowDataset, l2_lambda: float) -> np.ndarray:
     """Gradient of ``loss_with_l2`` over the whole dataset, as a flat vector."""
-    preds = forward_batch(model, ds.inputs)
-    resid = preds - ds.targets
-    n = resid.size
-    rmse = math.sqrt(float(np.mean(resid**2)))
-    grad = np.zeros(model.num_params)
-    if rmse > 0.0:
-        grad += backward_batch(model, ds.inputs, resid / (n * rmse))
-    grad += (2.0 * l2_lambda) * model.weight_mask() * model.to_vector()
+    vec = model.to_vector()
+    params = model.param_views(vec)
+    grad = np.empty_like(vec)
+    _data_gradient(params, forward_cached(params, ds.inputs), ds.targets, model.param_views(grad))
+    grad += (2.0 * l2_lambda) * model.weight_mask() * vec
     return grad
 
 
@@ -235,10 +265,25 @@ def train(
     Stops after ``cfg.max_updates`` updates, or once validation RMSE has
     failed to improve for ``cfg.patience`` consecutive updates.  The
     returned model is the snapshot with the lowest validation RMSE.
+
+    The loop works on one flat parameter vector through views made once.
+    Each update runs one backward pass, from the caches of the forward pass
+    that gave the previous update's train RMSE, one Adam step, one cached
+    forward pass on the training windows and one on the validation windows.
+
+    Raises
+    ------
+    ValueError
+        When a train or validation RMSE is not finite; the message names
+        the update, counted from 1.
     """
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("training and validation datasets must be nonempty")
     params = model.to_vector()
+    views = model.param_views(params)
+    grad = np.empty_like(params)
+    grad_views = model.param_views(grad)
+    l2_scale = (2.0 * cfg.l2_lambda) * model.weight_mask()
     state = AdamState.initial(
         params.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps
     )
@@ -249,23 +294,34 @@ def train(
     best_update = 0
     stale = 0
     stop_reason = STOP_MAX_UPDATES
-    current = model
-    for update in range(cfg.max_updates):
-        grads = _loss_gradient(current, train_ds, cfg.l2_lambda)
-        params, state = adam_step(params, grads, state)
-        current = model.from_vector(params)
-        train_curve.append(rmse_loss(predict_dataset(current, train_ds), train_ds.targets))
-        val_curve.append(rmse_loss(predict_dataset(current, val_ds), val_ds.targets))
-        if val_curve[-1] < best_val:
-            best_val = val_curve[-1]
-            best_params = params.copy()
-            best_update = update
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                stop_reason = STOP_EARLY
-                break
+    # Overflow and NaN are reported by the finiteness check below instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd = forward_cached(views, train_ds.inputs)
+        for update in range(cfg.max_updates):
+            _data_gradient(views, fwd, train_ds.targets, grad_views)
+            grad += l2_scale * params
+            new_params, state = adam_step(params, grad, state)
+            params[:] = new_params
+            fwd = forward_cached(views, train_ds.inputs)
+            train_rmse = rmse_loss(fwd.outputs, train_ds.targets)
+            val_rmse = rmse_loss(forward_cached(views, val_ds.inputs).outputs, val_ds.targets)
+            if not (math.isfinite(train_rmse) and math.isfinite(val_rmse)):
+                raise ValueError(
+                    f"training diverged at update {update + 1}: train RMSE "
+                    f"{train_rmse}, validation RMSE {val_rmse}"
+                )
+            train_curve.append(train_rmse)
+            val_curve.append(val_rmse)
+            if val_rmse < best_val:
+                best_val = val_rmse
+                best_params = params.copy()
+                best_update = update
+                stale = 0
+            else:
+                stale += 1
+                if stale >= cfg.patience:
+                    stop_reason = STOP_EARLY
+                    break
     trace = TrainingTrace(np.array(train_curve), np.array(val_curve), stop_reason, best_update)
     return model.from_vector(best_params), trace
 

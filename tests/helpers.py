@@ -42,6 +42,52 @@ def forward_oracle(model, window):
     return float(model.head_weights @ act.ravel() + model.head_bias)
 
 
+def batch_loops_oracle(model, windows, upstreams):
+    """Batched outputs and summed upstream-scaled gradient by elementwise loops.
+
+    Every conv sum runs over (out, in, tap) one product at a time, bias
+    first, and each kernel gradient is one ``np.sum`` over an (n, width)
+    product array.  With one channel the library's batched path must
+    reproduce these bits exactly.
+    """
+    windows = np.asarray(windows, dtype=float)
+    n, width = windows.shape
+    act = windows.reshape(n, 1, width)
+    caches = []
+    for layer in model.layers:
+        out_ch, in_ch, k = layer.kernel.shape
+        left = k // 2
+        padded = np.zeros((n, in_ch, width + k - 1))
+        padded[:, :, left : left + width] = act
+        pre = np.empty((n, out_ch, width))
+        for o in range(out_ch):
+            acc = np.full((n, width), layer.bias[o])
+            for c in range(in_ch):
+                for m in range(k):
+                    acc += layer.kernel[o, c, m] * padded[:, c, m : m + width]
+            pre[:, o, :] = acc
+        caches.append((padded, pre))
+        act = np.maximum(pre, 0.0)
+    features = act.reshape(n, -1)
+    outputs = features @ model.head_weights + model.head_bias
+    upstreams = np.asarray(upstreams, dtype=float)
+    d_act = (upstreams[:, None] * model.head_weights[None, :]).reshape(act.shape)
+    parts = [features.T @ upstreams, [upstreams.sum()]]
+    for layer, (padded, pre) in zip(reversed(model.layers), reversed(caches)):
+        out_ch, in_ch, k = layer.kernel.shape
+        d_pre = d_act * (pre > 0.0)
+        g_kernel = np.empty_like(layer.kernel)
+        d_padded = np.zeros_like(padded)
+        for o in range(out_ch):
+            for c in range(in_ch):
+                for m in range(k):
+                    g_kernel[o, c, m] = np.sum(d_pre[:, o, :] * padded[:, c, m : m + width])
+                    d_padded[:, c, m : m + width] += layer.kernel[o, c, m] * d_pre[:, o, :]
+        d_act = d_padded[:, :, k // 2 : k // 2 + width]
+        parts = [g_kernel.ravel(), d_pre.sum(axis=(0, 2))] + parts
+    return outputs, np.concatenate(parts)
+
+
 def preactivation_margin(model, window):
     """Smallest |preactivation| across all layers; gates finite-difference
     checks away from ReLU kinks."""

@@ -287,6 +287,41 @@ class TestSafety:
         assert code == 1
         assert ":2" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"train_lr": "-1"}, "lr must be positive"),
+            ({"train_beta2": "1"}, "beta2 must lie in"),
+            ({"train_lr": "1e300"}, "training diverged at update 1:"),
+        ],
+    )
+    def test_bad_training_is_one_line_diagnostic(self, tmp_path, capsys, setting, message):
+        conf = fast_conf(tmp_path)
+        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
+        prepared = str(tmp_path / "prepared")
+        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", prepared]
+        assert main(argv) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "train",
+                "--config",
+                fast_conf(tmp_path, **setting),
+                "--prepared",
+                prepared,
+                "--model-out",
+                str(tmp_path / "model.json"),
+                "--trace-out",
+                str(tmp_path / "trace.csv"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("clockpred: error:") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_config_via_environment(self, tmp_path, monkeypatch):
         conf = fast_conf(tmp_path, gen_n=9)
         monkeypatch.setenv("CLOCKPRED_CONFIG", conf)

@@ -18,7 +18,13 @@ from clockpred.cnn import (
     model_to_json,
     relu,
 )
-from tests.helpers import conv_oracle, fd_gradient, forward_oracle, kink_free_instance
+from tests.helpers import (
+    batch_loops_oracle,
+    conv_oracle,
+    fd_gradient,
+    forward_oracle,
+    kink_free_instance,
+)
 
 
 class TestRelu:
@@ -200,6 +206,25 @@ class TestBatchPaths:
         for w, u in zip(windows, ups):
             total += backward(model, w, u).to_vector()
         npt.assert_allclose(backward_batch(model, windows, ups), total, atol=1e-12)
+
+
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_batch_paths_match_elementwise_loops(self, channels):
+        rng = np.random.default_rng(108 + channels)
+        for trial in range(5):
+            model = init_weights(trial, channels=channels)
+            model = model.from_vector(model.to_vector() + rng.normal(0, 0.3, model.num_params))
+            windows = rng.uniform(-1, 1, (int(rng.integers(1, 160)), 5))
+            ups = rng.normal(size=windows.shape[0])
+            outputs, grad = batch_loops_oracle(model, windows, ups)
+            got_outputs = forward_batch(model, windows)
+            got_grad = backward_batch(model, windows, ups)
+            if channels == 1:
+                npt.assert_array_equal(got_outputs, outputs)
+                npt.assert_array_equal(got_grad, grad)
+            else:
+                npt.assert_allclose(got_outputs, outputs, rtol=0, atol=1e-12)
+                npt.assert_allclose(got_grad, grad, rtol=0, atol=1e-12)
 
 
 class TestInitWeights:

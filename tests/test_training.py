@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from clockpred.cnn import CnnModel, ConvLayer, init_weights
+from clockpred.cnn import CnnModel, ConvLayer, backward_batch, forward_batch, init_weights
 from clockpred.series import TimeSeries, prepare
 from clockpred.synthetic import SyntheticClockSpec, generate
 from clockpred.training import (
@@ -317,6 +317,119 @@ class TestTrain:
         ds = make_windows(s, range(0, 12))
         with pytest.raises(ValueError, match="nonempty"):
             train(init_weights(0), ds, WindowDataset(np.zeros((0, 5)), np.zeros(0), range(0)), TrainConfig())
+
+
+def unfused_train(model, train_ds, val_ds, cfg):
+    """The training loop written out from the public pieces, one step at a time.
+
+    Every update recomputes the training forward pass for the gradient,
+    rebuilds the model from the flat vector, and evaluates both RMSEs.
+    """
+    params = model.to_vector()
+    mask = model.weight_mask()
+    state = AdamState.initial(
+        params.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps
+    )
+    current = model
+    train_curve, val_curve = [], []
+    best_val, best_params, best_update, stale = math.inf, params.copy(), 0, 0
+    stop_reason = STOP_MAX_UPDATES
+    for update in range(cfg.max_updates):
+        resid = forward_batch(current, train_ds.inputs) - train_ds.targets
+        rmse = math.sqrt(float(np.mean(resid**2)))
+        grad = np.zeros(params.size)
+        if rmse > 0.0:
+            grad += backward_batch(current, train_ds.inputs, resid / (resid.size * rmse))
+        grad += (2.0 * cfg.l2_lambda) * mask * params
+        params, state = adam_step(params, grad, state)
+        current = model.from_vector(params)
+        train_curve.append(rmse_loss(forward_batch(current, train_ds.inputs), train_ds.targets))
+        val_curve.append(rmse_loss(forward_batch(current, val_ds.inputs), val_ds.targets))
+        if val_curve[-1] < best_val:
+            best_val, best_params, best_update, stale = val_curve[-1], params.copy(), update, 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                stop_reason = STOP_EARLY
+                break
+    trace = TrainingTrace(np.array(train_curve), np.array(val_curve), stop_reason, best_update)
+    return model.from_vector(best_params), trace
+
+
+def frozen_windows():
+    prep = prepare(generate(SyntheticClockSpec()), fit_on_full=True)
+    return (
+        make_windows(prep.residual_norm, prep.split.train_range),
+        make_windows(prep.residual_norm, prep.split.val_range),
+    )
+
+
+class TestFusedTrain:
+    @pytest.mark.parametrize(
+        "cfg, stop_reason",
+        [
+            (TrainConfig(max_updates=50, patience=50), STOP_MAX_UPDATES),
+            (TrainConfig(max_updates=200, patience=5, lr=0.05), STOP_EARLY),
+        ],
+    )
+    def test_bit_identical_to_unfused_loop_at_one_channel(self, cfg, stop_reason):
+        train_ds, val_ds = frozen_windows()
+        model0 = init_weights(56934)
+        fused, trace = train(model0, train_ds, val_ds, cfg)
+        ref, ref_trace = unfused_train(model0, train_ds, val_ds, cfg)
+        assert trace.stop_reason == ref_trace.stop_reason == stop_reason
+        assert trace.best_update == ref_trace.best_update
+        npt.assert_array_equal(trace.train_rmse, ref_trace.train_rmse)
+        npt.assert_array_equal(trace.val_rmse, ref_trace.val_rmse)
+        npt.assert_array_equal(fused.to_vector(), ref.to_vector())
+
+    def test_matches_unfused_loop_at_two_channels(self):
+        train_ds, val_ds = frozen_windows()
+        model0 = init_weights(11, channels=2)
+        cfg = TrainConfig(max_updates=50, patience=50)
+        fused, trace = train(model0, train_ds, val_ds, cfg)
+        ref, ref_trace = unfused_train(model0, train_ds, val_ds, cfg)
+        assert trace.best_update == ref_trace.best_update
+        npt.assert_allclose(trace.train_rmse, ref_trace.train_rmse, rtol=0, atol=1e-12)
+        npt.assert_allclose(trace.val_rmse, ref_trace.val_rmse, rtol=0, atol=1e-12)
+        npt.assert_allclose(fused.to_vector(), ref.to_vector(), rtol=0, atol=1e-12)
+
+
+class TestFailLoudly:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr", 0.0),
+            ("lr", -1.0),
+            ("lr", math.nan),
+            ("beta1", 1.0),
+            ("beta1", -0.1),
+            ("beta2", 1.0),
+            ("beta2", 2.0),
+            ("eps", 0.0),
+            ("eps", -1e-8),
+        ],
+    )
+    def test_config_rejects_bad_optimizer_settings(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_config_accepts_boundary_betas(self):
+        TrainConfig(beta1=0.0, beta2=0.0)
+
+    def test_divergence_names_the_update(self):
+        train_ds, val_ds = frozen_windows()
+        cfg = TrainConfig(max_updates=10, patience=10, lr=1e300)
+        with pytest.raises(ValueError, match="update 1:"):
+            train(init_weights(56934), train_ds, val_ds, cfg)
+
+    def test_non_finite_validation_names_the_update(self):
+        train_ds, val_ds = frozen_windows()
+        targets = val_ds.targets.copy()
+        targets[3] = math.nan
+        bad_val = WindowDataset(val_ds.inputs, targets, val_ds.source_range)
+        with pytest.raises(ValueError, match="update 1: .*validation RMSE nan"):
+            train(init_weights(56934), train_ds, bad_val, TrainConfig(max_updates=5))
 
 
 class TestTrainingTrace:
