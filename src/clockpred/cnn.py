@@ -216,12 +216,13 @@ class CnnModel:
 
     def weight_mask(self) -> np.ndarray:
         """1.0 for kernel and head weights, 0.0 for biases, in vector order."""
-        mask = np.ones(self.num_params)
-        p = self.param_views(mask)
-        for bias in p.biases:
-            bias[:] = 0.0
-        p.head_bias[:] = 0.0
-        return mask
+        parts = []
+        for layer in self.layers:
+            parts.append(np.ones(layer.kernel.size))
+            parts.append(np.zeros(layer.bias.size))
+        parts.append(np.ones(self.head_weights.size))
+        parts.append(np.zeros(1))
+        return np.concatenate(parts)
 
 
 class ParamViews(NamedTuple):

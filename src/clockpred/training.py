@@ -188,8 +188,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_updates < 1:
             raise ValueError("max_updates must be at least 1")
-        if self.l2_lambda < 0.0:
-            raise ValueError("l2_lambda must be nonnegative")
+        if not self.l2_lambda >= 0.0:
+            raise ValueError(f"l2_lambda must be nonnegative, got {self.l2_lambda}")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if not self.lr > 0.0:

@@ -408,6 +408,7 @@ class TestFailLoudly:
             ("beta2", 2.0),
             ("eps", 0.0),
             ("eps", -1e-8),
+            ("l2_lambda", math.nan),
         ],
     )
     def test_config_rejects_bad_optimizer_settings(self, field, value):
