@@ -153,36 +153,58 @@ def cmd_prepare(
     return manifest
 
 
+def _read_json(path: Path, build):
+    """Build a value from the JSON document at ``path``.
+
+    A missing key, a value of the wrong type or a value its constructor
+    rejects becomes a ``ValueError`` that names the path.
+    """
+    try:
+        return build(json.loads(path.read_text(encoding="utf-8")))
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: malformed document: {err}") from None
+
+
+def _split_from_doc(doc) -> tuple[series.DataSplit, bool]:
+    parts = series.DataSplit(
+        train_range=range(*doc["train"]),
+        val_range=range(*doc["val"]),
+        test_range=range(*doc["test"]),
+        fractions=tuple(doc["fractions"]),
+    )
+    return parts, bool(doc["fit_on_full"])
+
+
 def load_prepared(prepared_dir) -> PreparedSeries:
-    """Reassemble a :class:`PreparedSeries` from a prepare output directory."""
+    """Reassemble a :class:`PreparedSeries` from a prepare output directory.
+
+    Raises
+    ------
+    ValueError
+        When a document in the directory is malformed; the message names
+        its path.
+    """
     prepared_dir = Path(prepared_dir)
-    split_doc = json.loads((prepared_dir / "split.json").read_text(encoding="utf-8"))
-    trend_doc = json.loads((prepared_dir / "trend.json").read_text(encoding="utf-8"))
-    scale_doc = json.loads((prepared_dir / "scale.json").read_text(encoding="utf-8"))
-    interval = _infer_interval(prepared_dir)
+    parts, fit_on_full = _read_json(prepared_dir / "split.json", _split_from_doc)
+    trend = _read_json(prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**doc))
+    scale = _read_json(
+        prepared_dir / "scale.json", lambda doc: series.NormalizationScale(doc["d_max_abs"])
+    )
+    interval = _read_json(
+        prepared_dir / "manifest.json", lambda doc: int(doc["config"]["gen_interval"])
+    )
     full = series.read_series(prepared_dir / "series.csv", interval)
     residual = series.read_series(prepared_dir / "residual.csv", interval)
-    scale = series.NormalizationScale(scale_doc["d_max_abs"])
-    parts = series.DataSplit(
-        train_range=range(*split_doc["train"]),
-        val_range=range(*split_doc["val"]),
-        test_range=range(*split_doc["test"]),
-        fractions=tuple(split_doc["fractions"]),
-    )
     return PreparedSeries(
         series=full,
         residual_norm=residual.with_values(residual.values / scale.d_max_abs),
-        trend=series.QuadraticTrend(**trend_doc),
+        trend=trend,
         scale=scale,
         split=parts,
-        fit_on_full=bool(split_doc["fit_on_full"]),
+        fit_on_full=fit_on_full,
     )
-
-
-def _infer_interval(prepared_dir: Path) -> int:
-    manifest_path = prepared_dir / "manifest.json"
-    doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    return int(doc["config"]["gen_interval"])
 
 
 def cmd_train(

@@ -311,6 +311,15 @@ class BatchForward:
     features: np.ndarray
     outputs: np.ndarray
 
+    def first(self, n: int) -> "BatchForward":
+        """The pass restricted to the first ``n`` windows, as views of these caches."""
+        return BatchForward(
+            tuple(p[:n] for p in self.padded),
+            tuple(p[:n] for p in self.pre),
+            self.features[:n],
+            self.outputs[:n],
+        )
+
 
 def forward_cached(params: ParamViews, windows: np.ndarray) -> BatchForward:
     """Forward over a (n, width) float64 batch, keeping the backward caches."""

@@ -9,6 +9,14 @@ random-walk-FM spectral densities q1 and q2: over a step of tau days
               [q2*tau**2/2,           q2*tau     ]]
 
 Only the phase is observed (H = [1, 0]) with measurement variance R.
+
+The window filter is split in two.  ``kf_gains`` runs the covariance
+recursion, which depends on the parameters, the interval and the window
+width but not on the data, and returns one gain per sample.
+``kf_one_ahead_batch`` then runs the state recursion over a whole matrix
+of windows with those gains; ``kf_one_ahead`` is its batch of one.
+``KalmanModel`` with ``kf_predict``/``kf_update`` is the plain
+single-step covariance recursion, which the tests use as a reference.
 """
 
 from __future__ import annotations
@@ -163,26 +171,36 @@ def _process_noise_factor(q1: float, q2: float, tau: float) -> np.ndarray:
     )
 
 
-def kf_one_ahead(window, interval: float, params: KalmanParams = KalmanParams()) -> float:
-    """Filter a window of phase samples and extrapolate one interval ahead.
+def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams()) -> np.ndarray:
+    """Measurement-update gains of the window filter, shape (width, 2).
 
-    The state mean starts from the first two points (phase = w[0],
-    frequency = (w[1] - w[0]) / tau) under a diffuse covariance, so the
-    crude start carries almost no weight once the measurements are folded
-    in.  The covariance is propagated in square-root form (Potter update,
-    QR prediction): with a diffuse start the plain recursion grinds the
-    post-collapse variances against 12+ decades of dynamic range, which
-    costs around half the mantissa.
+    Row k is the (phase, frequency) gain applied to the k-th innovation.
+    The gains depend on the noise parameters, the interval and the width,
+    never on the data.  The covariance is propagated in square-root form
+    (Potter update, QR prediction; Bierman 1977): with a diffuse start the
+    plain recursion grinds the post-collapse variances against 12+ decades
+    of dynamic range, which costs around half the mantissa.
+
+    Raises
+    ------
+    ValueError
+        If the width is below two, or an innovation variance is not
+        positive, which can only happen with R = 0 and a degenerate phase
+        variance.
     """
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 1 or w.size < 2:
-        raise ValueError("window must be a 1D sequence of at least two samples")
+    if width < 2:
+        raise ValueError(f"a window needs at least two samples, got {width}")
     tau = float(interval)
-    state = np.array([w[0], (w[1] - w[0]) / tau])
     root = np.diag([math.sqrt(params.p0), math.sqrt(params.p0)])
     transition = transition_matrix(tau)
-    noise_factor = _process_noise_factor(params.q1, params.q2, tau)
-    for z in w:
+    # [F S | Q^(1/2)], re-triangularized by QR at each prediction.
+    stacked = np.empty((2, 5))
+    stacked[:, 2:] = _process_noise_factor(params.q1, params.q2, tau)
+    gains = np.empty((width, 2))
+    for k in range(width):
+        if k:
+            stacked[:, :2] = transition @ root
+            root = np.linalg.qr(stacked.T, mode="r").T
         # Potter measurement update on the factor (H = [1, 0]).
         a = root[0, :]
         innovation_var = float(a @ a) + params.r
@@ -190,12 +208,48 @@ def kf_one_ahead(window, interval: float, params: KalmanParams = KalmanParams())
             raise ValueError(
                 f"degenerate update: innovation variance {innovation_var} is not positive"
             )
-        gain = root @ a / innovation_var
-        state = state + gain * (float(z) - state[0])
+        root_a = root @ a
+        gains[k] = root_a / innovation_var
         shrink = 1.0 / (innovation_var + math.sqrt(innovation_var * params.r))
-        root = root - shrink * np.outer(root @ a, a)
-        # Prediction: stack [F S | Q^(1/2)] and re-triangularize.
-        state = transition @ state
-        stacked = np.hstack([transition @ root, noise_factor])
-        root = np.linalg.qr(stacked.T, mode="r").T
-    return float(state[0])
+        root = root - shrink * np.outer(root_a, a)
+    return gains
+
+
+def kf_one_ahead_batch(
+    windows, interval: float, params: KalmanParams = KalmanParams()
+) -> np.ndarray:
+    """Filter each row of an (n, width) window matrix and extrapolate one interval ahead.
+
+    The state mean starts from the first two points (phase = w[0],
+    frequency = (w[1] - w[0]) / tau) under a diffuse covariance, so the
+    crude start carries almost no weight once the measurements are folded
+    in.  The gains come from one :func:`kf_gains` call; then every step
+    updates all rows at once with elementwise arithmetic, so each row is
+    computed independently of the others.  The prediction is written out
+    as ``phase + tau * freq`` rather than as a matrix product, whose BLAS
+    summation could round differently.
+    """
+    w = np.asarray(windows, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError(f"windows must form an (n, width) matrix, got shape {w.shape}")
+    tau = float(interval)
+    gains = kf_gains(w.shape[1], tau, params).tolist()
+    phase = w[:, 0].copy()
+    freq = (w[:, 1] - w[:, 0]) / tau
+    for k, (g_phase, g_freq) in enumerate(gains):
+        innovation = w[:, k] - phase
+        phase += g_phase * innovation
+        freq += g_freq * innovation
+        phase += tau * freq
+    return phase
+
+
+def kf_one_ahead(window, interval: float, params: KalmanParams = KalmanParams()) -> float:
+    """Filter one window of phase samples and extrapolate one interval ahead.
+
+    A batch of one through :func:`kf_one_ahead_batch`.
+    """
+    w = np.asarray(window, dtype=np.float64)
+    if w.ndim != 1 or w.size < 2:
+        raise ValueError("window must be a 1D sequence of at least two samples")
+    return float(kf_one_ahead_batch(w.reshape(1, -1), interval, params)[0])

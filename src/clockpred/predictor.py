@@ -4,6 +4,11 @@ Each test point is predicted from the 5 actual points before it; earlier
 predictions are never fed back in.  Normalized predictions are mapped back
 to nanoseconds by undoing the scale and re-adding the quadratic trend, and
 both methods are scored with the root-mean-square prediction error.
+
+The windows form one (n, width) matrix, built once per comparison.  A
+window callable is applied to its rows one at a time; the Kalman
+baseline with fixed ``KalmanParams`` filters the whole matrix in one
+batched call.
 """
 
 from __future__ import annotations
@@ -13,9 +18,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cnn import CnnModel, forward
-from .kalman import KalmanParams, kf_one_ahead
+from .kalman import KalmanParams, kf_one_ahead, kf_one_ahead_batch
 from .series import NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries
 from .training import rmse_loss
 
@@ -32,17 +38,12 @@ def eligible_indices(test_range: range, width: int = 5) -> list[int]:
     return [i for i in test_range if i >= width]
 
 
-def rolling_predict(
-    predict_fn: Callable[[np.ndarray], float],
-    series_norm: TimeSeries,
-    test_range: range,
-    width: int = 5,
-) -> np.ndarray:
-    """One prediction per eligible test index, in ascending epoch order.
+def window_matrix(series_norm: TimeSeries, test_range: range, width: int = 5) -> np.ndarray:
+    """The read-only (n, width) matrix of windows, one row per eligible test index.
 
-    ``predict_fn`` receives the ``width`` actual values preceding the target
-    index; windows may reach back before ``test_range`` but never contain a
-    prior prediction.
+    Row j holds the ``width`` actual values preceding the j-th eligible
+    index, in ascending epoch order; windows may reach back before
+    ``test_range`` but never contain a prior prediction.
     """
     if test_range.stop > len(series_norm):
         raise ValueError(f"test range {test_range} out of bounds")
@@ -51,9 +52,26 @@ def rolling_predict(
         raise ValueError(
             f"test range {test_range} is too short: no index has {width} predecessors"
         )
-    return np.array(
-        [float(predict_fn(series_norm.values[i - width : i])) for i in indices]
-    )
+    windows = sliding_window_view(series_norm.values, width)[np.subtract(indices, width)]
+    windows.flags.writeable = False
+    return windows
+
+
+def _predict_rows(predict_fn: Callable[[np.ndarray], float], windows: np.ndarray) -> np.ndarray:
+    return np.array([float(predict_fn(window)) for window in windows])
+
+
+def rolling_predict(
+    predict_fn: Callable[[np.ndarray], float],
+    series_norm: TimeSeries,
+    test_range: range,
+    width: int = 5,
+) -> np.ndarray:
+    """One prediction per eligible test index, in ascending epoch order.
+
+    ``predict_fn`` receives each row of :func:`window_matrix` in turn.
+    """
+    return _predict_rows(predict_fn, window_matrix(series_norm, test_range, width))
 
 
 def reconstruct(
@@ -142,17 +160,19 @@ def compare(
 
     ``cnn_method`` may be a :class:`CnnModel` or any window callable;
     ``kf_method`` may be a :class:`KalmanParams` or any window callable.
+    The window matrix is built once.  Callables see its rows one at a
+    time; ``KalmanParams`` filter all rows in one batched call, whose
+    predictions equal the per-window filter's bit for bit.
     """
     if test_range is None:
         test_range = prepared.split.test_range
+    windows = window_matrix(prepared.residual_norm, test_range, width)
     cnn_fn = cnn_method if callable(cnn_method) else cnn_window_predictor(cnn_method)
-    kf_fn = (
-        kf_method
-        if callable(kf_method)
-        else kalman_window_predictor(kf_method, prepared.series.interval)
-    )
-    cnn_norm = rolling_predict(cnn_fn, prepared.residual_norm, test_range, width)
-    kf_norm = rolling_predict(kf_fn, prepared.residual_norm, test_range, width)
+    cnn_norm = _predict_rows(cnn_fn, windows)
+    if callable(kf_method):
+        kf_norm = _predict_rows(kf_method, windows)
+    else:
+        kf_norm = kf_one_ahead_batch(windows, prepared.series.interval, kf_method)
     indices = eligible_indices(test_range, width)
     epochs = prepared.series.epochs[indices]
     actual = prepared.series.values[indices]

@@ -6,12 +6,12 @@ root-mean-square error over all pairs plus an L2 penalty on the weights,
 and one Adam step is taken per update.  Validation RMSE drives early
 stopping with best-snapshot restoration.
 
-``train`` fuses the steps of an update: the training forward pass that
-gives one update's train RMSE also gives the next update's gradient, so an
-update costs one backward and two forward passes (training and validation
-windows).  With one channel its results are bit for bit those of the
-unfused composition of ``forward_batch``, ``backward_batch`` and
-``adam_step``.  A non-finite train or validation RMSE stops training with
+``train`` fuses the steps of an update: the forward pass that gives one
+update's train RMSE also gives the next update's gradient, and it runs
+over the training and validation windows stacked, so an update costs one
+backward and one forward pass.  With one channel its results are bit for
+bit those of the unfused composition of ``forward_batch``,
+``backward_batch`` and ``adam_step``.  A non-finite train or validation RMSE stops training with
 an error that names the update.
 """
 
@@ -142,6 +142,15 @@ class AdamState:
         return cls(np.zeros(n_params), np.zeros(n_params), 0, lr, beta1, beta2, eps)
 
 
+def _adam_update(params, grads, m, v, t: int, lr, beta1, beta2, eps) -> None:
+    """Adam step number ``t``, written in place into ``params``, ``m`` and ``v``."""
+    m[:] = beta1 * m + (1.0 - beta1) * grads
+    v[:] = beta2 * v + (1.0 - beta2) * grads**2
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def adam_step(params, grads, state: AdamState) -> tuple[np.ndarray, AdamState]:
     """One Adam update.
 
@@ -155,12 +164,8 @@ def adam_step(params, grads, state: AdamState) -> tuple[np.ndarray, AdamState]:
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"state {state.m.shape}"
         )
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads**2
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    new_params, m, v, t = params.copy(), state.m.copy(), state.v.copy(), state.t + 1
+    _adam_update(new_params, grads, m, v, t, state.lr, state.beta1, state.beta2, state.eps)
     return new_params, replace(state, m=m, v=v, t=t)
 
 
@@ -235,11 +240,13 @@ def predict_dataset(model: CnnModel, ds: WindowDataset) -> np.ndarray:
 
 
 def _data_gradient(
-    params: ParamViews, fwd: BatchForward, targets: np.ndarray, grads: ParamViews
+    params: ParamViews, fwd: BatchForward, targets: np.ndarray, rmse: float, grads: ParamViews
 ) -> None:
-    """Write the gradient of the RMSE of ``fwd.outputs`` against ``targets`` into ``grads``."""
+    """Write the gradient of the RMSE of ``fwd.outputs`` against ``targets`` into ``grads``.
+
+    ``rmse`` must be that RMSE, as ``rmse_loss`` gives it.
+    """
     resid = fwd.outputs - targets
-    rmse = math.sqrt(float(np.mean(resid**2)))
     upstreams = resid / (resid.size * rmse) if rmse > 0.0 else np.zeros_like(resid)
     backward_cached(params, fwd, upstreams, grads)
 
@@ -249,7 +256,9 @@ def _loss_gradient(model: CnnModel, ds: WindowDataset, l2_lambda: float) -> np.n
     vec = model.to_vector()
     params = model.param_views(vec)
     grad = np.empty_like(vec)
-    _data_gradient(params, forward_cached(params, ds.inputs), ds.targets, model.param_views(grad))
+    fwd = forward_cached(params, ds.inputs)
+    rmse = rmse_loss(fwd.outputs, ds.targets)
+    _data_gradient(params, fwd, ds.targets, rmse, model.param_views(grad))
     grad += (2.0 * l2_lambda) * model.weight_mask() * vec
     return grad
 
@@ -266,10 +275,11 @@ def train(
     failed to improve for ``cfg.patience`` consecutive updates.  The
     returned model is the snapshot with the lowest validation RMSE.
 
-    The loop works on one flat parameter vector through views made once.
-    Each update runs one backward pass, from the caches of the forward pass
-    that gave the previous update's train RMSE, one Adam step, one cached
-    forward pass on the training windows and one on the validation windows.
+    The loop works on one flat parameter vector through views made once,
+    and keeps the Adam moments in place.  Each update runs one backward
+    pass, through the training rows of the forward pass that gave the
+    previous update's train RMSE, one Adam step, and one cached forward
+    pass over the training and validation windows stacked.
 
     Raises
     ------
@@ -284,9 +294,10 @@ def train(
     grad = np.empty_like(params)
     grad_views = model.param_views(grad)
     l2_scale = (2.0 * cfg.l2_lambda) * model.weight_mask()
-    state = AdamState.initial(
-        params.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps
-    )
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    n_train = len(train_ds)
+    inputs = np.concatenate([train_ds.inputs, val_ds.inputs])
     train_curve: list[float] = []
     val_curve: list[float] = []
     best_val = math.inf
@@ -297,14 +308,15 @@ def train(
     # Overflow and NaN are reported by the finiteness check below instead.
     with np.errstate(over="ignore", invalid="ignore"):
         fwd = forward_cached(views, train_ds.inputs)
+        train_rmse = rmse_loss(fwd.outputs, train_ds.targets)
         for update in range(cfg.max_updates):
-            _data_gradient(views, fwd, train_ds.targets, grad_views)
+            _data_gradient(views, fwd, train_ds.targets, train_rmse, grad_views)
             grad += l2_scale * params
-            new_params, state = adam_step(params, grad, state)
-            params[:] = new_params
-            fwd = forward_cached(views, train_ds.inputs)
+            _adam_update(params, grad, m, v, update + 1, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
+            both = forward_cached(views, inputs)
+            fwd = both.first(n_train)
             train_rmse = rmse_loss(fwd.outputs, train_ds.targets)
-            val_rmse = rmse_loss(forward_cached(views, val_ds.inputs).outputs, val_ds.targets)
+            val_rmse = rmse_loss(both.outputs[n_train:], val_ds.targets)
             if not (math.isfinite(train_rmse) and math.isfinite(val_rmse)):
                 raise ValueError(
                     f"training diverged at update {update + 1}: train RMSE "

@@ -169,6 +169,39 @@ def adam_reference(param, grad, m, v, t, lr, beta1, beta2, eps):
     return param - lr * m_hat / (math.sqrt(v_hat) + eps), m, v, t
 
 
+def kf_one_ahead_oracle(window, interval, params):
+    """The per-window square-root Kalman filter, transcribed as it stood
+    before the gains were split out of the state recursion.
+
+    One window at a time: Potter measurement update and QR prediction of
+    the covariance factor interleaved with the state mean, which is
+    propagated as ``F @ state``.
+    """
+    w = np.asarray(window, dtype=np.float64)
+    tau = float(interval)
+    state = np.array([w[0], (w[1] - w[0]) / tau])
+    root = np.diag([math.sqrt(params.p0), math.sqrt(params.p0)])
+    transition = np.array([[1.0, tau], [0.0, 1.0]])
+    s2, st = math.sqrt(params.q2), math.sqrt(tau)
+    noise_factor = np.array(
+        [
+            [math.sqrt(params.q1 * tau), s2 * tau * st / math.sqrt(3.0), 0.0],
+            [0.0, s2 * st * math.sqrt(3.0) / 2.0, s2 * st / 2.0],
+        ]
+    )
+    for z in w:
+        a = root[0, :]
+        innovation_var = float(a @ a) + params.r
+        gain = root @ a / innovation_var
+        state = state + gain * (float(z) - state[0])
+        shrink = 1.0 / (innovation_var + math.sqrt(innovation_var * params.r))
+        root = root - shrink * np.outer(root @ a, a)
+        state = transition @ state
+        stacked = np.hstack([transition @ root, noise_factor])
+        root = np.linalg.qr(stacked.T, mode="r").T
+    return float(state[0])
+
+
 def ols_line_extrapolation(window, interval):
     """Closed-form least-squares line through the window, one step ahead."""
     w = np.asarray(window, dtype=float)

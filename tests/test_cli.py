@@ -76,6 +76,13 @@ def run_pipeline(tmp_path, conf):
     )
 
 
+def _without(text, key, within=None):
+    """The JSON document ``text`` with ``key`` deleted, optionally from a nested object."""
+    doc = json.loads(text)
+    del (doc[within] if within else doc)[key]
+    return json.dumps(doc)
+
+
 class TestGenerate:
     def test_default_spec_row_count(self, tmp_path):
         conf = fast_conf(tmp_path)
@@ -320,6 +327,49 @@ class TestSafety:
         err = capsys.readouterr().err
         assert err.startswith("clockpred: error:") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("split.json", lambda doc: _without(doc, "val"), "missing key 'val'"),
+            ("trend.json", lambda doc: json.dumps(list(json.loads(doc).values())), "malformed"),
+            (
+                "manifest.json",
+                lambda doc: _without(doc, "gen_interval", within="config"),
+                "missing key 'gen_interval'",
+            ),
+            ("scale.json", lambda doc: doc[: len(doc) // 2], "malformed"),
+        ],
+        ids=["split-without-val", "trend-as-list", "manifest-without-interval", "scale-cut"],
+    )
+    def test_malformed_prepared_document_is_one_line_diagnostic(
+        self, tmp_path, capsys, name, edit, message
+    ):
+        conf = fast_conf(tmp_path)
+        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
+        prepared = tmp_path / "prepared"
+        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", str(prepared)]
+        assert main(argv) == 0
+        path = prepared / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        code = main(
+            [
+                "train",
+                "--config",
+                conf,
+                "--prepared",
+                str(prepared),
+                "--model-out",
+                str(tmp_path / "model.json"),
+                "--trace-out",
+                str(tmp_path / "trace.csv"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {path}: {message}") and err.count("\n") == 1
         assert not (tmp_path / "model.json").exists()
 
     def test_config_via_environment(self, tmp_path, monkeypatch):

@@ -1,19 +1,32 @@
 """Tests for the two-state Kalman baseline."""
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from clockpred.kalman import (
     KalmanModel,
     KalmanParams,
     kf_one_ahead,
+    kf_one_ahead_batch,
     kf_predict,
     kf_update,
     process_noise,
     transition_matrix,
 )
-from tests.helpers import ols_line_extrapolation
+from clockpred.predictor import window_matrix
+from clockpred.series import prepare
+from clockpred.synthetic import default_maser_spec, generate
+from tests.helpers import kf_one_ahead_oracle, ols_line_extrapolation
+
+# The calibration grid of notebooks/05_kalman_calibration.py: 8 x 8 x 6 points.
+GRID_Q = [0.0] + [10.0**e for e in range(-7, 0)]
+GRID_R = [10.0**e for e in range(-6, 0)]
 
 
 def fresh_filter(phase=0.0, freq=0.0, tau=5.0, **kw):
@@ -155,6 +168,91 @@ class TestOneAhead:
     def test_window_validation(self):
         with pytest.raises(ValueError, match="at least two"):
             kf_one_ahead([1.0], 5.0)
+
+
+@pytest.fixture(scope="module")
+def frozen_windows():
+    """The frozen experiment's validation and test windows, stacked, and its interval."""
+    prepared = prepare(generate(default_maser_spec()), fit_on_full=True)
+    parts = prepared.split
+    windows = np.concatenate(
+        [window_matrix(prepared.residual_norm, r) for r in (parts.val_range, parts.test_range)]
+    )
+    return windows, prepared.series.interval
+
+
+window_batches = st.tuples(st.integers(1, 12), st.integers(2, 8)).flatmap(
+    lambda shape: arrays(
+        np.float64, shape, elements=st.floats(-1.0, 1.0, allow_subnormal=False)
+    )
+)
+grid_params = st.builds(
+    KalmanParams,
+    q1=st.sampled_from(GRID_Q),
+    q2=st.sampled_from(GRID_Q),
+    r=st.sampled_from(GRID_R),
+)
+intervals = st.sampled_from([1.0, 5.0, 10.0])
+
+
+class TestBatch:
+    def test_equals_per_window_oracle_over_calibration_grid(self, frozen_windows):
+        windows, interval = frozen_windows
+        for q1, q2, r in itertools.product(GRID_Q, GRID_Q, GRID_R):
+            params = KalmanParams(q1=q1, q2=q2, r=r)
+            expected = [kf_one_ahead_oracle(w, interval, params) for w in windows]
+            npt.assert_array_equal(kf_one_ahead_batch(windows, interval, params), expected)
+
+    @pytest.mark.parametrize("tau", [1.0, 5.0, 10.0])
+    def test_equals_per_window_oracle_on_random_windows(self, tau):
+        rng = np.random.default_rng(306 + int(tau))
+        for _ in range(20):
+            params = KalmanParams(
+                q1=float(10 ** rng.uniform(-8, 0)),
+                q2=float(10 ** rng.uniform(-8, 0)),
+                r=float(10 ** rng.uniform(-7, 0)),
+                p0=float(10 ** rng.uniform(0, 8)),
+            )
+            windows = rng.uniform(-1.0, 1.0, (40, int(rng.integers(2, 9))))
+            expected = [kf_one_ahead_oracle(w, tau, params) for w in windows]
+            npt.assert_array_equal(kf_one_ahead_batch(windows, tau, params), expected)
+            npt.assert_array_equal([kf_one_ahead(w, tau, params) for w in windows], expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(windows=window_batches, params=grid_params, tau=intervals, data=st.data())
+    def test_row_permutation_invariance(self, windows, params, tau, data):
+        order = data.draw(st.permutations(range(windows.shape[0])))
+        npt.assert_array_equal(
+            kf_one_ahead_batch(windows[order], tau, params),
+            kf_one_ahead_batch(windows, tau, params)[order],
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(windows=window_batches, params=grid_params, tau=intervals, data=st.data())
+    def test_row_subset_invariance(self, windows, params, tau, data):
+        rows = sorted(data.draw(st.sets(st.integers(0, windows.shape[0] - 1), min_size=1)))
+        npt.assert_array_equal(
+            kf_one_ahead_batch(windows[rows], tau, params),
+            kf_one_ahead_batch(windows, tau, params)[rows],
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        windows=window_batches,
+        params=grid_params,
+        tau=intervals,
+        shift=st.floats(-100.0, 100.0, allow_subnormal=False),
+    )
+    def test_translation_equivariance(self, windows, params, tau, shift):
+        base = kf_one_ahead_batch(windows, tau, params)
+        moved = kf_one_ahead_batch(windows + shift, tau, params)
+        npt.assert_allclose(moved - base, shift, rtol=0, atol=1e-9 * (1.0 + abs(shift)))
+
+    def test_batch_validation(self):
+        with pytest.raises(ValueError, match="matrix"):
+            kf_one_ahead_batch(np.zeros(5), 5.0)
+        with pytest.raises(ValueError, match="at least two"):
+            kf_one_ahead_batch(np.zeros((3, 1)), 5.0)
 
 
 class TestParams:

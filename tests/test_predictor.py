@@ -23,6 +23,7 @@ from clockpred.predictor import (
 from clockpred.series import NormalizationScale, QuadraticTrend, TimeSeries, prepare
 from clockpred.synthetic import SyntheticClockSpec, generate
 from clockpred.training import rmse_loss
+from tests.helpers import kf_one_ahead_oracle
 
 
 def series_of(values, interval=5):
@@ -175,6 +176,20 @@ class TestCompare:
         npt.assert_array_equal(
             report.epochs, prepared.series.epochs[prepared.split.test_range.start :]
         )
+
+    @pytest.mark.parametrize(
+        "params",
+        [KalmanParams(), KalmanParams(0.0, 0.0, 1e-3), KalmanParams(1e-3, 1e-7, 0.1)],
+    )
+    def test_kalman_params_match_the_per_window_oracle(self, prepared, params):
+        model = init_weights(56934)
+        interval = prepared.series.interval
+        batched = compare(model, params, prepared)
+        per_window = compare(
+            model, lambda window: kf_one_ahead_oracle(window, interval, params), prepared
+        )
+        assert report_to_csv(batched) == report_to_csv(per_window)
+        assert summary_to_json(batched) == summary_to_json(per_window)
 
     def test_callables_and_models_mix(self, prepared):
         report = compare(persistence_predictor, KalmanParams(), prepared)
