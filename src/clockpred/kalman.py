@@ -250,6 +250,6 @@ def kf_one_ahead(window, interval: float, params: KalmanParams = KalmanParams())
     A batch of one through :func:`kf_one_ahead_batch`.
     """
     w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 1 or w.size < 2:
-        raise ValueError("window must be a 1D sequence of at least two samples")
+    if w.ndim != 1:
+        raise ValueError(f"window must be one-dimensional, got shape {w.shape}")
     return float(kf_one_ahead_batch(w.reshape(1, -1), interval, params)[0])
