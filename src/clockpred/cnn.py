@@ -313,9 +313,11 @@ class BatchForward:
 
     def first(self, n: int) -> "BatchForward":
         """The pass restricted to the first ``n`` windows, as views of these caches."""
+        # Tuples from lists, not generators: a generator-built tuple is
+        # resized, and thousands of calls fill the interpreter's tuple free list.
         return BatchForward(
-            tuple(p[:n] for p in self.padded),
-            tuple(p[:n] for p in self.pre),
+            tuple([p[:n] for p in self.padded]),
+            tuple([p[:n] for p in self.pre]),
             self.features[:n],
             self.outputs[:n],
         )

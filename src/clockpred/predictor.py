@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cnn import CnnModel, forward
 from .kalman import KalmanParams, kf_one_ahead, kf_one_ahead_batch
@@ -52,7 +51,7 @@ def window_matrix(series_norm: TimeSeries, test_range: range, width: int = 5) ->
         raise ValueError(
             f"test range {test_range} is too short: no index has {width} predecessors"
         )
-    windows = sliding_window_view(series_norm.values, width)[np.subtract(indices, width)]
+    windows = series_norm.values[np.add.outer(np.subtract(indices, width), np.arange(width))]
     windows.flags.writeable = False
     return windows
 
