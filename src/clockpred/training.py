@@ -11,8 +11,8 @@ update's train RMSE also gives the next update's gradient, and it runs
 over the training and validation windows stacked, so an update costs one
 backward and one forward pass.  With one channel its results are bit for
 bit those of the unfused composition of ``forward_batch``,
-``backward_batch`` and ``adam_step``.  A non-finite train or validation RMSE stops training with
-an error that names the update.
+``backward_batch`` and ``adam_step``.  A non-finite train or validation
+RMSE stops training with an error that names the update.
 """
 
 from __future__ import annotations
