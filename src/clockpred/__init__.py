@@ -12,22 +12,14 @@ __version__ = "0.1.0"
 from .cnn import (
     CnnModel,
     ConvLayer,
-    GradientSet,
     backward,
     conv1d_forward,
     forward,
     init_weights,
     load_model,
     relu,
-    save_model,
 )
-from .kalman import (
-    KalmanModel,
-    KalmanParams,
-    kf_one_ahead,
-    kf_predict,
-    kf_update,
-)
+from .kalman import KalmanParams, kf_one_ahead
 from .predictor import (
     PredictionReport,
     compare,
@@ -51,7 +43,6 @@ from .series import (
     read_series,
     retrend,
     split,
-    write_series,
 )
 from .synthetic import SyntheticClockSpec, default_maser_spec, generate
 from .training import (
@@ -71,8 +62,6 @@ __all__ = [
     "CnnModel",
     "ConvLayer",
     "DataSplit",
-    "GradientSet",
-    "KalmanModel",
     "KalmanParams",
     "NormalizationScale",
     "PredictionReport",
@@ -97,8 +86,6 @@ __all__ = [
     "generate",
     "init_weights",
     "kf_one_ahead",
-    "kf_predict",
-    "kf_update",
     "load_model",
     "loss_with_l2",
     "make_windows",
@@ -111,8 +98,6 @@ __all__ = [
     "retrend",
     "rmse_loss",
     "rolling_predict",
-    "save_model",
     "split",
     "train",
-    "write_series",
 ]

@@ -7,7 +7,10 @@ channel the network has exactly 19 parameters.  Channel counts above one
 widen the hidden layers (1 -> C -> C -> C) and the head to C * width inputs.
 
 Gradients are exact analytic derivatives; the ReLU subgradient at zero is
-taken to be zero.
+taken to be zero.  Parameters and gradients share one flat vector order:
+per layer the kernel then the bias, then the head weights and the head
+bias.  ``CnnModel.param_views`` shapes such a vector like the model, and
+``ParamViews.to_vector`` flattens shaped arrays back into it.
 
 There are two forward paths.  ``forward`` and ``conv1d_forward`` evaluate
 one window with ``np.correlate``; the compare report is computed with
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -171,14 +175,13 @@ class CnnModel:
         return count
 
     def to_vector(self) -> np.ndarray:
-        """Flatten all parameters: per-layer kernel then bias, head weights, head bias."""
-        parts = []
-        for layer in self.layers:
-            parts.append(layer.kernel.ravel())
-            parts.append(layer.bias)
-        parts.append(self.head_weights)
-        parts.append(np.array([self.head_bias]))
-        return np.concatenate(parts)
+        """Flatten all parameters in vector order (see :meth:`ParamViews.to_vector`)."""
+        return ParamViews(
+            tuple([layer.kernel for layer in self.layers]),
+            tuple([layer.bias for layer in self.layers]),
+            self.head_weights,
+            np.array([self.head_bias]),
+        ).to_vector()
 
     def param_views(self, vec: np.ndarray) -> "ParamViews":
         """Views of a flat float64 parameter vector, shaped like this model's parameters.
@@ -226,30 +229,21 @@ class CnnModel:
 
 
 class ParamViews(NamedTuple):
-    """Parameter arrays in network order; ``head_bias`` has shape (1,)."""
+    """Parameter (or gradient) arrays in network order; ``head_bias`` has shape (1,)."""
 
     kernels: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
     head_weights: np.ndarray
     head_bias: np.ndarray
 
-
-@dataclass(frozen=True)
-class GradientSet:
-    """Gradients shaped exactly like the model parameters."""
-
-    kernels: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    head_weights: np.ndarray
-    head_bias: float
-
     def to_vector(self) -> np.ndarray:
+        """A new flat vector: per-layer kernel then bias, head weights, head bias."""
         parts = []
         for kernel, bias in zip(self.kernels, self.biases):
             parts.append(kernel.ravel())
             parts.append(bias)
         parts.append(self.head_weights)
-        parts.append(np.array([self.head_bias]))
+        parts.append(self.head_bias)
         return np.concatenate(parts)
 
 
@@ -287,14 +281,15 @@ def forward(model: CnnModel, window) -> float:
     return float(model.head_weights @ act.ravel() + model.head_bias)
 
 
-def backward(model: CnnModel, window, upstream: float = 1.0) -> GradientSet:
+def backward(model: CnnModel, window, upstream: float = 1.0) -> ParamViews:
     """Exact gradient of the network output w.r.t. every parameter, scaled by ``upstream``.
 
     A batch of one through ``backward_batch``, so no prior call is needed.
+    The gradient comes shaped like the parameters, as views of one flat
+    vector.
     """
     x = _check_window(model, window)
-    g = model.param_views(backward_batch(model, x.reshape(1, -1), [float(upstream)]))
-    return GradientSet(g.kernels, g.biases, g.head_weights, float(g.head_bias[0]))
+    return model.param_views(backward_batch(model, x.reshape(1, -1), [float(upstream)]))
 
 
 @dataclass(frozen=True)
@@ -427,8 +422,8 @@ def model_to_json(model: CnnModel) -> str:
 
 
 def model_from_json(text: str) -> CnnModel:
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         config = payload["config"]
         layers = tuple(
             ConvLayer(np.array(item["kernel"]), np.array(item["bias"]))
@@ -442,15 +437,21 @@ def model_from_json(text: str) -> CnnModel:
             int(config["channels"]),
             int(config["width"]),
         )
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, json.JSONDecodeError) as err:
         raise ValueError(f"malformed model document: {err}") from None
 
 
-def save_model(model: CnnModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_json(model))
-
-
 def load_model(path) -> CnnModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+    """Read a model document written from :func:`model_to_json`.
+
+    Raises
+    ------
+    ValueError
+        When the document is not valid JSON or not a model; the message
+        names the path.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return model_from_json(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

@@ -15,14 +15,14 @@ recursion, which depends on the parameters, the interval and the window
 width but not on the data, and returns one gain per sample.
 ``kf_one_ahead_batch`` then runs the state recursion over a whole matrix
 of windows with those gains; ``kf_one_ahead`` is its batch of one.
-``KalmanModel`` with ``kf_predict``/``kf_update`` is the plain
-single-step covariance recursion, which the tests use as a reference.
+The plain single-step covariance recursion that the tests check this
+filter against lives with the tests, in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,106 +56,6 @@ def transition_matrix(interval: float) -> np.ndarray:
     """Phase/frequency propagation over one interval: [[1, tau], [0, 1]]."""
     tau = float(interval)
     return np.array([[1.0, tau], [0.0, 1.0]])
-
-
-def process_noise(q1: float, q2: float, interval: float) -> np.ndarray:
-    """Two-state clock process covariance accumulated over one interval."""
-    tau = float(interval)
-    return np.array(
-        [
-            [q1 * tau + q2 * tau**3 / 3.0, q2 * tau**2 / 2.0],
-            [q2 * tau**2 / 2.0, q2 * tau],
-        ]
-    )
-
-
-def _symmetrize(p: np.ndarray) -> np.ndarray:
-    return (p + p.T) / 2.0
-
-
-@dataclass(frozen=True)
-class KalmanModel:
-    """Filter value: state mean, covariance, and the fixed model matrices."""
-
-    state: np.ndarray
-    P: np.ndarray
-    F: np.ndarray
-    Q: np.ndarray
-    R: float
-
-    H = np.array([1.0, 0.0])
-
-    def __post_init__(self):
-        state = np.asarray(self.state, dtype=np.float64)
-        P = np.asarray(self.P, dtype=np.float64)
-        F = np.asarray(self.F, dtype=np.float64)
-        Q = np.asarray(self.Q, dtype=np.float64)
-        if state.shape != (2,):
-            raise ValueError("state must be (phase, frequency)")
-        for name, mat in (("P", P), ("F", F), ("Q", Q)):
-            if mat.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
-        if not math.isclose(float(np.linalg.det(F)), 1.0, rel_tol=1e-9):
-            raise ValueError("transition matrix must have unit determinant")
-        for name, mat in (("P", P), ("Q", Q)):
-            if not np.allclose(mat, mat.T, atol=1e-9 * max(1.0, float(np.abs(mat).max()))):
-                raise ValueError(f"{name} must be symmetric")
-        if self.R < 0.0:
-            raise ValueError("measurement variance must be nonnegative")
-        for arr in (state, P, F, Q):
-            arr.flags.writeable = False
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "R", float(self.R))
-
-    @classmethod
-    def initial(
-        cls,
-        phase: float,
-        frequency: float,
-        interval: float,
-        params: KalmanParams = KalmanParams(),
-    ) -> "KalmanModel":
-        """Diffuse-prior filter around a rough (phase, frequency) guess."""
-        return cls(
-            state=np.array([phase, frequency]),
-            P=np.diag([params.p0, params.p0]),
-            F=transition_matrix(interval),
-            Q=process_noise(params.q1, params.q2, interval),
-            R=params.r,
-        )
-
-
-def kf_predict(kf: KalmanModel) -> KalmanModel:
-    """Propagate one interval: state <- F state, P <- F P F' + Q."""
-    state = kf.F @ kf.state
-    P = _symmetrize(kf.F @ kf.P @ kf.F.T + kf.Q)
-    return replace(kf, state=state, P=P)
-
-
-def kf_update(kf: KalmanModel, z: float) -> KalmanModel:
-    """Condition on a phase measurement ``z``.
-
-    Raises
-    ------
-    ValueError
-        If the innovation variance is not positive, which can only happen
-        with R = 0 and a degenerate phase variance.
-    """
-    innovation_var = float(kf.P[0, 0]) + kf.R
-    if innovation_var <= 0.0:
-        raise ValueError(
-            f"degenerate update: innovation variance {innovation_var} is not positive"
-        )
-    gain = kf.P[:, 0] / innovation_var
-    state = kf.state + gain * (float(z) - kf.state[0])
-    # Joseph form: algebraically (I - K H) P, but stable when P spans many
-    # decades relative to R (diffuse start, near-zero measurement noise).
-    closure = np.eye(2) - np.outer(gain, KalmanModel.H)
-    P = _symmetrize(closure @ kf.P @ closure.T + kf.R * np.outer(gain, gain))
-    return replace(kf, state=state, P=P)
 
 
 def _process_noise_factor(q1: float, q2: float, tau: float) -> np.ndarray:

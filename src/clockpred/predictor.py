@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cnn import CnnModel, forward
+from .cnn import DEFAULT_INPUT_WIDTH, CnnModel, forward
 from .kalman import KalmanParams, kf_one_ahead, kf_one_ahead_batch
 from .series import NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries
 from .training import rmse_loss
@@ -32,21 +32,22 @@ def e_rms_pred(preds, actuals) -> float:
     return rmse_loss(preds, actuals)
 
 
-def eligible_indices(test_range: range, width: int = 5) -> list[int]:
-    """Test indices whose full width-point history exists."""
-    return [i for i in test_range if i >= width]
+def eligible_indices(test_range: range) -> list[int]:
+    """Test indices whose full 5-point history exists."""
+    return [i for i in test_range if i >= DEFAULT_INPUT_WIDTH]
 
 
-def window_matrix(series_norm: TimeSeries, test_range: range, width: int = 5) -> np.ndarray:
-    """The read-only (n, width) matrix of windows, one row per eligible test index.
+def window_matrix(series_norm: TimeSeries, test_range: range) -> np.ndarray:
+    """The read-only (n, 5) matrix of windows, one row per eligible test index.
 
-    Row j holds the ``width`` actual values preceding the j-th eligible
-    index, in ascending epoch order; windows may reach back before
-    ``test_range`` but never contain a prior prediction.
+    Row j holds the 5 actual values preceding the j-th eligible index, in
+    ascending epoch order; windows may reach back before ``test_range``
+    but never contain a prior prediction.
     """
+    width = DEFAULT_INPUT_WIDTH
     if test_range.stop > len(series_norm):
         raise ValueError(f"test range {test_range} out of bounds")
-    indices = eligible_indices(test_range, width)
+    indices = eligible_indices(test_range)
     if not indices:
         raise ValueError(
             f"test range {test_range} is too short: no index has {width} predecessors"
@@ -61,16 +62,13 @@ def _predict_rows(predict_fn: Callable[[np.ndarray], float], windows: np.ndarray
 
 
 def rolling_predict(
-    predict_fn: Callable[[np.ndarray], float],
-    series_norm: TimeSeries,
-    test_range: range,
-    width: int = 5,
+    predict_fn: Callable[[np.ndarray], float], series_norm: TimeSeries, test_range: range
 ) -> np.ndarray:
     """One prediction per eligible test index, in ascending epoch order.
 
     ``predict_fn`` receives each row of :func:`window_matrix` in turn.
     """
-    return _predict_rows(predict_fn, window_matrix(series_norm, test_range, width))
+    return _predict_rows(predict_fn, window_matrix(series_norm, test_range))
 
 
 def reconstruct(
@@ -92,12 +90,10 @@ def persistence_predictor(window) -> float:
 
 
 def memorization_predictor(
-    series_norm: TimeSeries, test_range: range, width: int = 5
+    series_norm: TimeSeries, test_range: range
 ) -> Callable[[np.ndarray], float]:
     """Stub that returns each target's actual value (harness self-check)."""
-    answers = iter(
-        float(series_norm.values[i]) for i in eligible_indices(test_range, width)
-    )
+    answers = iter(float(series_norm.values[i]) for i in eligible_indices(test_range))
 
     def predict(window) -> float:
         return next(answers)
@@ -148,14 +144,8 @@ class PredictionReport:
             object.__setattr__(self, name, arr)
 
 
-def compare(
-    cnn_method,
-    kf_method,
-    prepared: PreparedSeries,
-    test_range: range | None = None,
-    width: int = 5,
-) -> PredictionReport:
-    """Run both predictors over identical windows and score them.
+def compare(cnn_method, kf_method, prepared: PreparedSeries) -> PredictionReport:
+    """Run both predictors over the test partition's windows and score them.
 
     ``cnn_method`` may be a :class:`CnnModel` or any window callable;
     ``kf_method`` may be a :class:`KalmanParams` or any window callable.
@@ -163,16 +153,15 @@ def compare(
     time; ``KalmanParams`` filter all rows in one batched call, whose
     predictions equal the per-window filter's bit for bit.
     """
-    if test_range is None:
-        test_range = prepared.split.test_range
-    windows = window_matrix(prepared.residual_norm, test_range, width)
+    test_range = prepared.split.test_range
+    windows = window_matrix(prepared.residual_norm, test_range)
     cnn_fn = cnn_method if callable(cnn_method) else cnn_window_predictor(cnn_method)
     cnn_norm = _predict_rows(cnn_fn, windows)
     if callable(kf_method):
         kf_norm = _predict_rows(kf_method, windows)
     else:
         kf_norm = kf_one_ahead_batch(windows, prepared.series.interval, kf_method)
-    indices = eligible_indices(test_range, width)
+    indices = eligible_indices(test_range)
     epochs = prepared.series.epochs[indices]
     actual = prepared.series.values[indices]
     cnn_ns = reconstruct(cnn_norm, prepared.scale, prepared.trend, epochs)
@@ -211,11 +200,3 @@ def summary_to_json(report: PredictionReport) -> str:
         "kf_e_rms_ns": report.kf_e_rms_ns,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def write_report(report: PredictionReport, csv_path, summary_path=None) -> None:
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report_to_csv(report))
-    if summary_path is not None:
-        with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(summary_to_json(report))

@@ -297,12 +297,6 @@ def series_to_csv(s: TimeSeries, decimals: int | None = 3) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_series(s: TimeSeries, path, decimals: int | None = 3) -> None:
-    """Write the series as ``mjd,ns`` CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(series_to_csv(s, decimals))
-
-
 def read_series(path, interval: int = DEFAULT_INTERVAL_DAYS) -> TimeSeries:
     """Parse a ``mjd,ns`` CSV file into a :class:`TimeSeries`.
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cnn import (
+    DEFAULT_INPUT_WIDTH,
     BatchForward,
     CnnModel,
     ParamViews,
@@ -60,11 +61,12 @@ class WindowDataset:
         return self.targets.size
 
 
-def make_windows(series: TimeSeries, indices: range, width: int = 5) -> WindowDataset:
+def make_windows(series: TimeSeries, indices: range) -> WindowDataset:
     """All (window, next point) pairs fully contained in ``indices``.
 
-    A range of length L yields L - width pairs.
+    A range of length L yields L - 5 pairs.
     """
+    width = DEFAULT_INPUT_WIDTH
     if indices.step != 1:
         raise ValueError("window extraction requires a contiguous index range")
     if indices.start < 0 or indices.stop > len(series):
@@ -344,8 +346,3 @@ def trace_to_csv(trace: TrainingTrace) -> str:
     for i, (tr, vr) in enumerate(zip(trace.train_rmse, trace.val_rmse), start=1):
         lines.append(f"{i},{float(tr)!r},{float(vr)!r}")
     return "\n".join(lines) + "\n"
-
-
-def write_trace(trace: TrainingTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace_to_csv(trace))

@@ -8,7 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from clockpred.cli import load_prepared, main
-from clockpred.series import denormalize, read_series, retrend, write_series
+from clockpred.cnn import init_weights, model_to_json
+from clockpred.series import denormalize, read_series, retrend, series_to_csv
 from clockpred.synthetic import SyntheticClockSpec, generate
 
 EXPERIMENT_CONF = str(Path(__file__).resolve().parent.parent / "configs" / "experiment.conf")
@@ -182,8 +183,8 @@ class TestPrepare:
         conf = fast_conf(tmp_path)
         s = generate(SyntheticClockSpec(n=274))
         half = s.with_values(s.values / 2.0)
-        write_series(half, tmp_path / "a.csv", decimals=None)
-        write_series(half, tmp_path / "b.csv", decimals=None)
+        (tmp_path / "a.csv").write_text(series_to_csv(half, decimals=None))
+        (tmp_path / "b.csv").write_text(series_to_csv(half, decimals=None))
         assert (
             main(
                 [
@@ -371,6 +372,28 @@ class TestSafety:
         err = capsys.readouterr().err
         assert err.startswith(f"clockpred: error: {path}: {message}") and err.count("\n") == 1
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda doc: doc[: len(doc) // 2], lambda doc: json.dumps(list(json.loads(doc).values()))],
+        ids=["model-cut", "model-as-list"],
+    )
+    def test_malformed_model_is_one_line_diagnostic(self, tmp_path, capsys, edit):
+        conf = fast_conf(tmp_path)
+        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
+        prepared = str(tmp_path / "prepared")
+        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", prepared]
+        assert main(argv) == 0
+        model = tmp_path / "model.json"
+        model.write_text(edit(model_to_json(init_weights(0))))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        argv = ["compare", "--config", conf, "--prepared", prepared, "--model", str(model)]
+        assert main(argv + ["--report-out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {model}: malformed model document:")
+        assert err.count("\n") == 1
+        assert not report.exists()
 
     def test_config_via_environment(self, tmp_path, monkeypatch):
         conf = fast_conf(tmp_path, gen_n=9)

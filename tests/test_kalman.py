@@ -10,19 +10,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from clockpred.kalman import (
-    KalmanModel,
     KalmanParams,
+    _process_noise_factor,
     kf_one_ahead,
     kf_one_ahead_batch,
-    kf_predict,
-    kf_update,
-    process_noise,
     transition_matrix,
 )
 from clockpred.predictor import window_matrix
 from clockpred.series import prepare
 from clockpred.synthetic import default_maser_spec, generate
-from tests.helpers import kf_one_ahead_oracle, ols_line_extrapolation
+from tests.helpers import (
+    KalmanModel,
+    kf_one_ahead_oracle,
+    kf_predict,
+    kf_update,
+    ols_line_extrapolation,
+    process_noise,
+)
 
 # The calibration grid of notebooks/05_kalman_calibration.py: 8 x 8 x 6 points.
 GRID_Q = [0.0] + [10.0**e for e in range(-7, 0)]
@@ -67,6 +71,16 @@ class TestPredict:
         npt.assert_allclose(q[0, 0], 0.3 * 2.0 + 0.7 * 8.0 / 3.0, rtol=1e-15)
         npt.assert_allclose(q[1, 1], 0.7 * 2.0, rtol=1e-15)
         assert np.linalg.eigvalsh(q).min() >= 0.0
+
+    @pytest.mark.parametrize("tau", [1.0, 5.0, 10.0])
+    def test_noise_factor_squares_to_process_noise(self, tau):
+        # kf_gains propagates the covariance with this factor, never with Q itself
+        for q1, q2 in itertools.product(GRID_Q, GRID_Q):
+            factor = _process_noise_factor(q1, q2, tau)
+            expected = process_noise(q1, q2, tau)
+            npt.assert_allclose(
+                factor @ factor.T, expected, rtol=0, atol=1e-14 * np.abs(expected).max()
+            )
 
 
 class TestUpdate:
@@ -145,8 +159,8 @@ class TestOneAhead:
             npt.assert_allclose(moved - base, shift, atol=1e-9)
 
     def test_matches_plain_update_predict_loop(self):
-        # the factored recursion must agree with the public single-step ops
-        # when the dynamic range is modest
+        # the factored recursion must agree with the reference single-step
+        # recursion when the dynamic range is modest
         rng = np.random.default_rng(305)
         tau = 5.0
         for _ in range(100):

@@ -19,7 +19,6 @@ from clockpred.series import (
     retrend,
     series_to_csv,
     split,
-    write_series,
 )
 from tests.helpers import fit_quadratic_oracle
 
@@ -259,7 +258,7 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(21)
         s = make_series(np.round(rng.normal(0, 50, 40), 3))
         path = tmp_path / "series.csv"
-        write_series(s, path)
+        path.write_text(series_to_csv(s))
         back = read_series(path)
         npt.assert_array_equal(back.epochs, s.epochs)
         npt.assert_array_equal(back.values, s.values)
@@ -273,7 +272,7 @@ class TestCsvRoundTrip:
         rng = np.random.default_rng(31)
         s = make_series(rng.normal(0, 1, 25))
         path = tmp_path / "residual.csv"
-        write_series(s, path, decimals=None)
+        path.write_text(series_to_csv(s, decimals=None))
         npt.assert_array_equal(read_series(path).values, s.values)
 
     def test_malformed_row_reports_line(self, tmp_path):
@@ -296,7 +295,7 @@ class TestCsvRoundTrip:
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "series.csv"
-        write_series(make_series([1.0, 2.0]), path)
+        path.write_text(series_to_csv(make_series([1.0, 2.0])))
         assert b"\r" not in path.read_bytes()
 
 
