@@ -5,17 +5,25 @@ detrended residual, the training trace, the comparison report) stay
 independently inspectable.  Outputs are written atomically, existing files
 are never overwritten without --force, and every run leaves a JSON manifest
 recording exactly what produced it.
+
+The argument parser is built once per process and reused by every
+:func:`main` call, so a Python driver that runs several stages in one
+process pays for it once; ``parse_args`` returns a fresh namespace each
+time, so no option carries from one call into the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, config, predictor, series, synthetic, training
 from .cnn import init_weights, load_model, model_to_json
@@ -35,7 +43,8 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _write_atomic(path, text: str, force: bool) -> None:
@@ -167,27 +176,38 @@ def _read_json(path: Path, build):
         raise ValueError(f"{path}: malformed document: {err}") from None
 
 
-def _split_from_doc(doc) -> tuple[series.DataSplit, bool]:
+# ``series.csv`` is rewritten at 1 ps (3 decimals of ns) while ``residual.csv``
+# keeps the residual of the unrounded input, so the two may differ by up to
+# half a picosecond plus round-off.
+_RESIDUAL_TOLERANCE_NS = 1e-3
+
+
+def _split_from_doc(doc) -> tuple[int, series.DataSplit, bool]:
     parts = series.DataSplit(
         train_range=range(*doc["train"]),
         val_range=range(*doc["val"]),
         test_range=range(*doc["test"]),
         fractions=tuple(doc["fractions"]),
     )
-    return parts, bool(doc["fit_on_full"])
+    return int(doc["n"]), parts, bool(doc["fit_on_full"])
 
 
 def load_prepared(prepared_dir) -> PreparedSeries:
     """Reassemble a :class:`PreparedSeries` from a prepare output directory.
 
+    The documents must agree with one another: the split covers the whole
+    series, the residual has the series' epochs, and the residual equals
+    series − trend to within ``_RESIDUAL_TOLERANCE_NS``.
+
     Raises
     ------
     ValueError
-        When a document in the directory is malformed; the message names
-        its path.
+        When a document in the directory is malformed or contradicts the
+        others; the message names its path.
     """
     prepared_dir = Path(prepared_dir)
-    parts, fit_on_full = _read_json(prepared_dir / "split.json", _split_from_doc)
+    split_path = prepared_dir / "split.json"
+    n, parts, fit_on_full = _read_json(split_path, _split_from_doc)
     trend = _read_json(prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**doc))
     scale = _read_json(
         prepared_dir / "scale.json", lambda doc: series.NormalizationScale(doc["d_max_abs"])
@@ -196,7 +216,19 @@ def load_prepared(prepared_dir) -> PreparedSeries:
         prepared_dir / "manifest.json", lambda doc: int(doc["config"]["gen_interval"])
     )
     full = series.read_series(prepared_dir / "series.csv", interval)
-    residual = series.read_series(prepared_dir / "residual.csv", interval)
+    residual_path = prepared_dir / "residual.csv"
+    residual = series.read_series(residual_path, interval)
+    if n != len(full):
+        raise ValueError(f"{split_path}: split n {n} != {len(full)} points in series.csv")
+    if len(residual) != len(full) or np.any(residual.epochs != full.epochs):
+        raise ValueError(f"{residual_path}: epochs differ from those of series.csv")
+    gap = np.abs(residual.values - series.detrend(full, trend).values)
+    worst = int(np.argmax(gap))
+    if gap[worst] > _RESIDUAL_TOLERANCE_NS:
+        raise ValueError(
+            f"{residual_path}: residual at MJD {full.epochs[worst]} is "
+            f"{gap[worst]:.6g} ns from series - trend (tolerance {_RESIDUAL_TOLERANCE_NS} ns)"
+        )
     return PreparedSeries(
         series=full,
         residual_norm=residual.with_values(residual.values / scale.d_max_abs),
@@ -280,6 +312,7 @@ def cmd_compare(
     return manifest
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key=value configuration file")

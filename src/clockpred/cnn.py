@@ -447,11 +447,18 @@ def load_model(path) -> CnnModel:
     Raises
     ------
     ValueError
-        When the document is not valid JSON or not a model; the message
-        names the path.
+        When the document is not valid JSON, not a model, or a model whose
+        input width is not ``DEFAULT_INPUT_WIDTH``, the width of every
+        window the pipeline builds; the message names the path.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        return model_from_json(text)
+        model = model_from_json(text)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+    if model.input_width != DEFAULT_INPUT_WIDTH:
+        raise ValueError(
+            f"{path}: model input width {model.input_width} is not the window "
+            f"width {DEFAULT_INPUT_WIDTH} the pipeline feeds it"
+        )
+    return model

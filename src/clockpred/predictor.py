@@ -181,15 +181,20 @@ def compare(cnn_method, kf_method, prepared: PreparedSeries) -> PredictionReport
 
 def report_to_csv(report: PredictionReport) -> str:
     """Full-precision CSV with one row per predicted epoch."""
-    lines = [REPORT_HEADER]
-    for i in range(report.n_pred):
-        row = (
-            f"{report.epochs[i]},{float(report.actual_ns[i])!r},"
-            f"{float(report.cnn_pred_ns[i])!r},{float(report.kf_pred_ns[i])!r},"
-            f"{float(report.cnn_diff_ns[i])!r},{float(report.kf_diff_ns[i])!r}"
-        )
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    ns_columns = (
+        report.actual_ns,
+        report.cnn_pred_ns,
+        report.kf_pred_ns,
+        report.cnn_diff_ns,
+        report.kf_diff_ns,
+    )
+    columns = [report.epochs.tolist()]
+    columns += [c.astype(np.float64, copy=False).tolist() for c in ns_columns]
+    rows = [
+        f"{mjd},{actual!r},{cnn!r},{kf!r},{cnn_diff!r},{kf_diff!r}"
+        for mjd, actual, cnn, kf, cnn_diff, kf_diff in zip(*columns)
+    ]
+    return "\n".join([REPORT_HEADER, *rows]) + "\n"
 
 
 def summary_to_json(report: PredictionReport) -> str:

@@ -288,13 +288,12 @@ def series_to_csv(s: TimeSeries, decimals: int | None = 3) -> str:
     writes full ``repr`` precision for intermediate files that must
     round-trip exactly.
     """
-    lines = [CSV_HEADER]
-    for mjd, value in zip(s.epochs, s.values):
-        if decimals is None:
-            lines.append(f"{mjd},{float(value)!r}")
-        else:
-            lines.append(f"{mjd},{value:.{decimals}f}")
-    return "\n".join(lines) + "\n"
+    pairs = zip(s.epochs.tolist(), s.values.tolist())
+    if decimals is None:
+        rows = [f"{mjd},{value!r}" for mjd, value in pairs]
+    else:
+        rows = [f"{mjd},{value:.{decimals}f}" for mjd, value in pairs]
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def read_series(path, interval: int = DEFAULT_INTERVAL_DAYS) -> TimeSeries:

@@ -342,7 +342,6 @@ def train(
 
 def trace_to_csv(trace: TrainingTrace) -> str:
     """CSV document ``update,train_rmse,val_rmse`` with updates counted from 1."""
-    lines = ["update,train_rmse,val_rmse"]
-    for i, (tr, vr) in enumerate(zip(trace.train_rmse, trace.val_rmse), start=1):
-        lines.append(f"{i},{float(tr)!r},{float(vr)!r}")
-    return "\n".join(lines) + "\n"
+    pairs = zip(trace.train_rmse.tolist(), trace.val_rmse.tolist())
+    rows = [f"{i},{tr!r},{vr!r}" for i, (tr, vr) in enumerate(pairs, start=1)]
+    return "\n".join(["update,train_rmse,val_rmse", *rows]) + "\n"

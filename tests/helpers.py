@@ -4,8 +4,9 @@ Everything here recomputes results through a route different from the
 library code it checks: naive loops, rational arithmetic, closed forms.
 """
 
+import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -317,3 +318,40 @@ def ols_line_extrapolation(window, interval):
     y_bar = w.mean()
     slope = ((t - t_bar) @ (w - y_bar)) / ((t - t_bar) @ (t - t_bar))
     return float(y_bar + slope * (w.size * float(interval) - t_bar))
+
+
+def series_to_csv_rowwise(s, decimals=3):
+    """``mjd,ns`` CSV rendered one numpy scalar at a time (the original renderer)."""
+    lines = ["mjd,ns"]
+    for mjd, value in zip(s.epochs, s.values):
+        if decimals is None:
+            lines.append(f"{mjd},{float(value)!r}")
+        else:
+            lines.append(f"{mjd},{value:.{decimals}f}")
+    return "\n".join(lines) + "\n"
+
+
+def report_to_csv_rowwise(report):
+    """Comparison report CSV rendered by indexing each column per row."""
+    lines = ["mjd,actual_ns,cnn_pred_ns,kf_pred_ns,cnn_diff_ns,kf_diff_ns"]
+    for i in range(report.n_pred):
+        row = (
+            f"{report.epochs[i]},{float(report.actual_ns[i])!r},"
+            f"{float(report.cnn_pred_ns[i])!r},{float(report.kf_pred_ns[i])!r},"
+            f"{float(report.cnn_diff_ns[i])!r},{float(report.kf_diff_ns[i])!r}"
+        )
+        lines.append(row)
+    return "\n".join(lines) + "\n"
+
+
+def trace_to_csv_rowwise(trace):
+    """Training trace CSV rendered one numpy scalar at a time."""
+    lines = ["update,train_rmse,val_rmse"]
+    for i, (tr, vr) in enumerate(zip(trace.train_rmse, trace.val_rmse), start=1):
+        lines.append(f"{i},{float(tr)!r},{float(vr)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def manifest_to_json_asdict(manifest):
+    """Manifest JSON through a deep copy by ``dataclasses.asdict``."""
+    return json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"

@@ -1,18 +1,29 @@
 """End-to-end tests of the command-line pipeline."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from clockpred.cli import load_prepared, main
+from clockpred.cli import _build_parser, load_prepared, main
 from clockpred.cnn import init_weights, model_to_json
-from clockpred.series import denormalize, read_series, retrend, series_to_csv
+from clockpred.series import (
+    QuadraticTrend,
+    denormalize,
+    detrend,
+    read_series,
+    retrend,
+    series_to_csv,
+)
 from clockpred.synthetic import SyntheticClockSpec, generate
 
-EXPERIMENT_CONF = str(Path(__file__).resolve().parent.parent / "configs" / "experiment.conf")
+ROOT = Path(__file__).resolve().parent.parent
+EXPERIMENT_CONF = str(ROOT / "configs" / "experiment.conf")
 
 
 def fast_conf(tmp_path, **extra):
@@ -75,6 +86,29 @@ def run_pipeline(tmp_path, conf):
         )
         == 0
     )
+
+
+def generate_and_prepare(tmp_path, conf):
+    """Run ``generate`` and ``prepare``; returns the prepared directory."""
+    assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
+    prepared = tmp_path / "prepared"
+    argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", str(prepared)]
+    assert main(argv) == 0
+    return prepared
+
+
+def compare_argv(conf, prepared, model, report):
+    return [
+        "compare",
+        "--config",
+        conf,
+        "--prepared",
+        str(prepared),
+        "--model",
+        str(model),
+        "--report-out",
+        str(report),
+    ]
 
 
 def _without(text, key, within=None):
@@ -395,12 +429,143 @@ class TestSafety:
         assert err.count("\n") == 1
         assert not report.exists()
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "residual.csv",
+                lambda lines: lines[:50] + [f"{lines[50].split(',')[0]},"
+                f"{float(lines[50].split(',')[1]) + 5.0!r}"] + lines[51:],
+                "residual at MJD",
+            ),
+            (
+                "residual.csv",
+                lambda lines: lines[:1] + [
+                    f"{int(row.split(',')[0]) + 5},{row.split(',')[1]}" for row in lines[1:]
+                ],
+                "epochs differ",
+            ),
+            (
+                "split.json",
+                lambda lines: json.dumps({**json.loads("".join(lines)), "n": 999}).split("\n"),
+                "split n 999",
+            ),
+        ],
+        ids=["residual-row-moved-5ns", "residual-epochs-shifted", "split-n-999"],
+    )
+    def test_inconsistent_prepared_directory_is_one_line_diagnostic(
+        self, tmp_path, capsys, name, edit, message
+    ):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        path = prepared / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {path}: {message}") and err.count("\n") == 1
+        assert not report.exists()
+
+    def test_six_decimal_input_round_trips(self, tmp_path):
+        """``series.csv`` keeps 1 ps, so the residual of a 6-decimal input is off by < 0.5 ps."""
+        conf = fast_conf(tmp_path)
+        s = generate(SyntheticClockSpec(n=274))
+        (tmp_path / "fine.csv").write_text(series_to_csv(s, decimals=6))
+        prepared = tmp_path / "prepared"
+        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "fine.csv")]
+        assert main(argv + ["--out-dir", str(prepared)]) == 0
+        trend = QuadraticTrend(**json.loads((prepared / "trend.json").read_text()))
+        rounded = detrend(read_series(prepared / "series.csv"), trend).values
+        gap = np.abs(read_series(prepared / "residual.csv").values - rounded)
+        assert 1e-9 < gap.max() <= 5e-4 + 1e-9
+        load_prepared(prepared)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        assert main(compare_argv(conf, prepared, model, tmp_path / "report.csv")) == 0
+
+    def test_model_of_other_width_is_one_line_diagnostic(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0, input_width=7)))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {model}: model input width 7")
+        assert err.count("\n") == 1
+        assert not report.exists()
+
     def test_config_via_environment(self, tmp_path, monkeypatch):
         conf = fast_conf(tmp_path, gen_n=9)
         monkeypatch.setenv("CLOCKPRED_CONFIG", conf)
         out = tmp_path / "series.csv"
         assert main(["generate", "--out", str(out)]) == 0
         assert len(out.read_text().strip().split("\n")) == 10
+
+
+class TestParser:
+    """One parser serves every ``main`` call in a process; no call leaks into the next."""
+
+    def test_built_once(self, tmp_path):
+        parser = _build_parser()
+        assert main(["generate", "--config", fast_conf(tmp_path), "--out", str(tmp_path / "s.csv")]) == 0
+        assert _build_parser() is parser
+
+    def test_force_does_not_carry_over(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        out = str(tmp_path / "series.csv")
+        assert main(["generate", "--config", conf, "--out", out, "--force"]) == 0
+        assert main(["generate", "--config", conf, "--out", out]) == 1
+        assert "refusing to overwrite" in capsys.readouterr().err
+
+    def test_summary_out_and_stub_do_not_carry_over(self, tmp_path):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        stub = compare_argv(conf, prepared, model, tmp_path / "stub.csv")
+        assert main(stub + ["--summary-out", str(tmp_path / "stub.json"), "--stub-memorize"]) == 0
+        assert main(compare_argv(conf, prepared, model, tmp_path / "report.csv")) == 0
+        summary = json.loads((tmp_path / "report.csv.summary.json").read_text())
+        assert summary["cnn_e_rms_ns"] > 0 and summary["kf_e_rms_ns"] > 0
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == [
+            "model.json",
+            "report.csv.manifest.json",
+            "report.csv.summary.json",
+            "s.csv.manifest.json",
+            "stub.csv.manifest.json",
+            "stub.json",
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["generate"], ["frobnicate"], ["generate", "--out", "x.csv", "--seed", "one"]],
+        ids=["no-command", "missing-out", "unknown-command", "bad-seed"],
+    )
+    def test_bad_arguments_exit_2_every_time(self, tmp_path, capsys, argv):
+        for _ in range(3):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: clockpred" in capsys.readouterr().err
+        assert main(["generate", "--config", fast_conf(tmp_path), "--out", str(tmp_path / "s.csv")]) == 0
+
+    def test_help_in_fresh_process(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "clockpred.cli", "--help"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: clockpred") and "compare" in done.stdout
 
 
 def test_experiment_config_end_to_end(tmp_path):
