@@ -92,8 +92,8 @@ def generate_and_prepare(tmp_path, conf):
     """Run ``generate`` and ``prepare``; returns the prepared directory."""
     assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
     prepared = tmp_path / "prepared"
-    argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", str(prepared)]
-    assert main(argv) == 0
+    argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv")]
+    assert main(argv + ["--out-dir", str(prepared)]) == 0
     return prepared
 
 
@@ -109,6 +109,15 @@ def compare_argv(conf, prepared, model, report):
         "--report-out",
         str(report),
     ]
+
+
+def _shifted_rows(csv_text, days, ns, rows=None):
+    """The ``mjd,ns`` document with ``days`` and ``ns`` added to some data rows (default all)."""
+    lines = csv_text.splitlines()
+    for i in range(1, len(lines)) if rows is None else rows:
+        mjd, value = lines[i].split(",")
+        lines[i] = f"{int(mjd) + days},{float(value) + ns!r}"
+    return "\n".join(lines) + "\n"
 
 
 def _without(text, key, within=None):
@@ -432,24 +441,9 @@ class TestSafety:
     @pytest.mark.parametrize(
         "name, edit, message",
         [
-            (
-                "residual.csv",
-                lambda lines: lines[:50] + [f"{lines[50].split(',')[0]},"
-                f"{float(lines[50].split(',')[1]) + 5.0!r}"] + lines[51:],
-                "residual at MJD",
-            ),
-            (
-                "residual.csv",
-                lambda lines: lines[:1] + [
-                    f"{int(row.split(',')[0]) + 5},{row.split(',')[1]}" for row in lines[1:]
-                ],
-                "epochs differ",
-            ),
-            (
-                "split.json",
-                lambda lines: json.dumps({**json.loads("".join(lines)), "n": 999}).split("\n"),
-                "split n 999",
-            ),
+            ("residual.csv", lambda doc: _shifted_rows(doc, 0, 5.0, rows=[50]), "residual at MJD"),
+            ("residual.csv", lambda doc: _shifted_rows(doc, 5, 0.0), "epochs differ"),
+            ("split.json", lambda doc: json.dumps({**json.loads(doc), "n": 999}), "split n 999"),
         ],
         ids=["residual-row-moved-5ns", "residual-epochs-shifted", "split-n-999"],
     )
@@ -459,7 +453,7 @@ class TestSafety:
         conf = fast_conf(tmp_path)
         prepared = generate_and_prepare(tmp_path, conf)
         path = prepared / name
-        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        path.write_text(edit(path.read_text()))
         model = tmp_path / "model.json"
         model.write_text(model_to_json(init_weights(0)))
         capsys.readouterr()
@@ -512,7 +506,7 @@ class TestParser:
 
     def test_built_once(self, tmp_path):
         parser = _build_parser()
-        assert main(["generate", "--config", fast_conf(tmp_path), "--out", str(tmp_path / "s.csv")]) == 0
+        generate_and_prepare(tmp_path, fast_conf(tmp_path))
         assert _build_parser() is parser
 
     def test_force_does_not_carry_over(self, tmp_path, capsys):
@@ -552,11 +546,12 @@ class TestParser:
                 main(argv)
             assert exc.value.code == 2
             assert "usage: clockpred" in capsys.readouterr().err
-        assert main(["generate", "--config", fast_conf(tmp_path), "--out", str(tmp_path / "s.csv")]) == 0
+        generate_and_prepare(tmp_path, fast_conf(tmp_path))
 
     def test_help_in_fresh_process(self):
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
         done = subprocess.run(
             [sys.executable, "-m", "clockpred.cli", "--help"],
             env=env,
