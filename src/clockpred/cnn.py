@@ -1,10 +1,10 @@
 """A small 1D convolutional network with hand-derived backpropagation.
 
 Three convolutional layers (kernel lengths 4, 3, 3), each length-preserving
-through symmetric zero padding and followed by a ReLU, feed an affine head
-that maps the final feature vector to one scalar.  With the default single
-channel the network has exactly 19 parameters.  Channel counts above one
-widen the hidden layers (1 -> C -> C -> C) and the head to C * width inputs.
+through zero padding and followed by a ReLU, feed an affine head that maps
+the final feature vector to one scalar.  With the default single channel
+the network has exactly 19 parameters.  Channel counts above one widen the
+hidden layers (1 -> C -> C -> C) and the head to C * width inputs.
 
 Gradients are exact analytic derivatives; the ReLU subgradient at zero is
 taken to be zero.  Parameters and gradients share one flat vector order:
@@ -13,21 +13,20 @@ bias.  ``CnnModel.param_views`` shapes such a vector like the model, and
 ``ParamViews.to_vector`` flattens shaped arrays back into it.
 
 There are two forward paths.  ``forward`` and ``conv1d_forward`` evaluate
-one window with ``np.correlate``; the compare report is computed with
-them, so their rounding is part of that report.  The batched path
-(``forward_cached``, ``backward_cached`` and the ``forward_batch`` /
-``backward_batch`` wrappers) loops over kernel taps only: for tap m one
-``np.matmul`` contracts the input-channel axis of the whole batch.  Each
-pre-activation is the bias plus the taps in order, so with one channel
-every term is a single exact product and the batched sums round exactly as
-an elementwise loop would.  With more channels the channel sum inside the
-matmul may round differently.  The two paths can differ in the last bit.
-Training reads the batched path only: one ``forward_cached`` keeps the
-padded inputs and pre-activations that ``backward_cached`` then reads.
+one window with ``np.correlate``; the compare report is computed with them,
+so their rounding is part of that report.  The batched path
+(``forward_cached``, ``backward_cached`` and their ``_batch`` wrappers) is
+channel-major: one row per channel, columns ordered by window, then
+position.  A layer's pre-activation is the bias plus one 2-D GEMM per tap
+over cached tap columns, in tap order.  With one channel each term is an
+exact product and each sum keeps an elementwise loop's order, so the path
+rounds as that loop does; with more, a GEMM's sum may round differently.
+The two paths can differ in the last bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -78,7 +77,7 @@ class ConvLayer:
 
 
 def conv1d_forward(x, layer: ConvLayer):
-    """Length-preserving cross-correlation with symmetric zero padding.
+    """Length-preserving cross-correlation with k - 1 zero cells, k // 2 on the left.
 
     ``out[o, j] = bias[o] + sum_{c, m} kernel[o, c, m] * padded(x)[c, j + m]``.
     A 1D input is treated as a single channel; the output is squeezed back
@@ -101,18 +100,10 @@ def conv1d_forward(x, layer: ConvLayer):
     return out
 
 
-def _zero_padded(x: np.ndarray, k: int) -> np.ndarray:
-    """``x`` with ``k - 1`` zero cells added on its last axis, ``k // 2`` of them
-    on the left: even kernels put the extra cell on the left."""
-    width = x.shape[-1]
-    padded = np.zeros(x.shape[:-1] + (width + k - 1,))
-    padded[..., k // 2 : k // 2 + width] = x
-    return padded
-
-
 def _correlate(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     out_ch, in_ch, k = layer.kernel.shape
-    padded = _zero_padded(x, k)
+    padded = np.zeros((in_ch, x.shape[1] + k - 1))
+    padded[:, k // 2 : k // 2 + x.shape[1]] = x
     out = np.empty((out_ch, x.shape[1]))
     for o in range(out_ch):
         acc = np.full(x.shape[1], layer.bias[o])
@@ -219,13 +210,11 @@ class CnnModel:
 
     def weight_mask(self) -> np.ndarray:
         """1.0 for kernel and head weights, 0.0 for biases, in vector order."""
-        parts = []
-        for layer in self.layers:
-            parts.append(np.ones(layer.kernel.size))
-            parts.append(np.zeros(layer.bias.size))
-        parts.append(np.ones(self.head_weights.size))
-        parts.append(np.zeros(1))
-        return np.concatenate(parts)
+        mask = np.ones(self.num_params)
+        views = self.param_views(mask)
+        for bias in (*views.biases, views.head_bias):
+            bias[:] = 0.0
+        return mask
 
 
 class ParamViews(NamedTuple):
@@ -265,10 +254,6 @@ def _check_window(model: CnnModel, window) -> np.ndarray:
     return x
 
 
-def _params(model: CnnModel) -> ParamViews:
-    return model.param_views(model.to_vector())
-
-
 def forward(model: CnnModel, window) -> float:
     """Scalar network output for one input window.
 
@@ -296,45 +281,62 @@ def backward(model: CnnModel, window, upstream: float = 1.0) -> ParamViews:
 class BatchForward:
     """A batched forward pass: outputs plus the caches ``backward_cached`` reads.
 
-    Per layer, ``padded`` holds the zero-padded input, shape
-    (n, in_ch, width + k - 1), and ``pre`` the pre-activation, shape
-    (n, out_ch, width).
+    Per layer, ``cols`` holds the tap columns, shape (k, in_ch, n * width):
+    ``cols[m, c, w * width + j]`` is channel c of window w at position
+    j + m - k // 2, zero in the padding; ``pre`` is the pre-activation,
+    (out_ch, n * width).  ``features`` is the head's input, (n, C * width).
     """
 
-    padded: tuple[np.ndarray, ...]
+    cols: tuple[np.ndarray, ...]
     pre: tuple[np.ndarray, ...]
     features: np.ndarray
     outputs: np.ndarray
 
     def first(self, n: int) -> "BatchForward":
         """The pass restricted to the first ``n`` windows, as views of these caches."""
+        end = n * (self.features.shape[1] // self.pre[-1].shape[0])
         # Tuples from lists, not generators: a generator-built tuple is
         # resized, and thousands of calls fill the interpreter's tuple free list.
         return BatchForward(
-            tuple([p[:n] for p in self.padded]),
-            tuple([p[:n] for p in self.pre]),
+            tuple([c[:, :, :end] for c in self.cols]),
+            tuple([p[:, :end] for p in self.pre]),
             self.features[:n],
             self.outputs[:n],
         )
 
 
+@functools.cache
+def _taps(k: int, width: int) -> tuple[tuple[slice, slice, slice], ...]:
+    """Per tap m, shift s = m - k // 2: columns dst, their inputs dst + s, padded positions."""
+    return tuple(
+        (slice(max(0, -s), -max(0, s) or None), slice(max(0, s), min(0, s) or None),
+         slice(width - s, None) if s > 0 else slice(0, -s))
+        for s in range(-(k // 2), k - k // 2)
+    )
+
+
 def forward_cached(params: ParamViews, windows: np.ndarray) -> BatchForward:
     """Forward over a (n, width) float64 batch, keeping the backward caches."""
     n, width = windows.shape
-    act = windows.reshape(n, 1, width)
-    padded_all, pre_all = [], []
+    act = windows.reshape(1, n * width)
+    caches = []
     for kernel, bias in zip(params.kernels, params.biases):
-        padded = _zero_padded(act, kernel.shape[2])
-        pre = np.empty((n, kernel.shape[0], width))
-        pre[...] = bias[:, None]
-        for m, tap in enumerate(kernel.transpose(2, 0, 1).copy()):
-            pre += np.matmul(tap, padded[:, :, m : m + width])
-        padded_all.append(padded)
-        pre_all.append(pre)
+        out_ch, in_ch, k = kernel.shape
+        cols = np.empty((k, in_ch, n * width))
+        for col, (dst, src, pad) in zip(cols, _taps(k, width)):
+            col[:, dst] = act[:, src]
+            col.reshape(in_ch, n, width)[:, :, pad] = 0.0
+        # A one-channel contraction is a broadcast product (same rounding, faster).
+        # One term buffer per layer: a new array per tap makes malloc re-fault pages.
+        pre = np.full((out_ch, n * width), bias[:, None])
+        term = np.empty_like(pre)
+        for tap, col in zip(kernel.transpose(2, 0, 1).copy(), cols):
+            pre += (np.matmul if in_ch > 1 else np.multiply)(tap, col, out=term)
+        caches.append((cols, pre))
         act = np.maximum(pre, 0.0)
-    features = act.reshape(n, -1)
+    features = act.reshape(len(act), n, width).transpose(1, 0, 2).reshape(n, len(act) * width)
     outputs = features @ params.head_weights + params.head_bias
-    return BatchForward(tuple(padded_all), tuple(pre_all), features, outputs)
+    return BatchForward(*zip(*caches), features, outputs)
 
 
 def backward_cached(
@@ -344,34 +346,32 @@ def backward_cached(
 
     ``fwd`` must be the forward pass of ``params``; nothing is recomputed.
     """
-    n = upstreams.size
+    n, head = upstreams.size, params.head_weights.reshape(len(fwd.pre[-1]), 1, -1)
+    width = head.shape[2]
     grads.head_weights[:] = fwd.features.T @ upstreams
     grads.head_bias[:] = upstreams.sum()
-    d_act = (upstreams[:, None] * params.head_weights[None, :]).reshape(fwd.pre[-1].shape)
+    d_act = (head * upstreams[:, None]).reshape(len(head), n * width)
     for i in reversed(range(len(params.kernels))):
-        kernel, padded, pre = params.kernels[i], fwd.padded[i], fwd.pre[i]
+        kernel, cols, pre = params.kernels[i], fwd.cols[i], fwd.pre[i]
         out_ch, in_ch, k = kernel.shape
-        width = pre.shape[2]
         d_pre = d_act * (pre > 0.0)
-        # Both reductions add in the order the elementwise loops did, which
-        # keeps the one-channel gradient bit for bit: the bias sums an
-        # (n, out_ch, width) array, and each (out, in) kernel tap sums its
-        # n * width products as one contiguous row, pairwise like np.sum.
-        grads.biases[i][:] = d_pre.sum(axis=(0, 2))
-        d_rows = d_pre.transpose(1, 0, 2).reshape(out_ch, 1, n * width)
-        for m in range(k):
-            x_rows = padded[:, :, m : m + width].transpose(1, 0, 2).reshape(1, in_ch, n * width)
-            grads.kernels[i][:, :, m] = (d_rows * x_rows).sum(axis=-1)
+        # Each bias and kernel entry sums its n * width products pairwise in one
+        # contiguous window-major row, as the elementwise loops do: bit for bit at C=1.
+        grads.biases[i][:] = d_pre.sum(axis=1)
+        for o, row in enumerate(d_pre):
+            np.sum(cols * row, axis=-1, out=grads.kernels[i][o].T)
         if i:
-            d_padded = np.zeros_like(padded)
-            for m, tap in enumerate(kernel.transpose(2, 1, 0).copy()):
-                d_padded[:, :, m : m + width] += np.matmul(tap, d_pre)
-            d_act = d_padded[:, :, k // 2 : k // 2 + width]
+            d_act = np.zeros((in_ch, n * width))
+            for tap, (dst, src, pad) in zip(kernel.transpose(2, 1, 0).copy(), _taps(k, width)):
+                part = tap @ d_pre if out_ch > 1 else tap * d_pre
+                part.reshape(in_ch, n, width)[:, :, pad] = 0.0
+                d_act[:, src] += part[:, dst]
 
 
 def forward_batch(model: CnnModel, windows) -> np.ndarray:
     """Network outputs for a (n, width) batch of windows."""
-    return forward_cached(_params(model), _check_batch(model, windows)).outputs
+    params = model.param_views(model.to_vector())
+    return forward_cached(params, _check_batch(model, windows)).outputs
 
 
 def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
@@ -380,7 +380,7 @@ def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
     upstreams = np.asarray(upstreams, dtype=np.float64)
     if upstreams.shape != (windows.shape[0],):
         raise ValueError("one upstream scalar per window is required")
-    params = _params(model)
+    params = model.param_views(model.to_vector())
     grad = np.empty(model.num_params)
     backward_cached(params, forward_cached(params, windows), upstreams, model.param_views(grad))
     return grad

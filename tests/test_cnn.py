@@ -10,9 +10,11 @@ from clockpred.cnn import (
     ConvLayer,
     backward,
     backward_batch,
+    backward_cached,
     conv1d_forward,
     forward,
     forward_batch,
+    forward_cached,
     init_weights,
     model_from_json,
     model_to_json,
@@ -208,7 +210,7 @@ class TestBatchPaths:
         npt.assert_allclose(backward_batch(model, windows, ups), total, atol=1e-12)
 
 
-    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
     def test_batch_paths_match_elementwise_loops(self, channels):
         rng = np.random.default_rng(108 + channels)
         for trial in range(5):
@@ -225,6 +227,22 @@ class TestBatchPaths:
             else:
                 npt.assert_allclose(got_outputs, outputs, rtol=0, atol=1e-12)
                 npt.assert_allclose(got_grad, grad, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_backward_through_first_rows_equals_backward_of_those_rows(self, channels):
+        """Training takes its gradient through ``first(n)`` of the stacked pass."""
+        rng = np.random.default_rng(120 + channels)
+        model = init_weights(channels, channels=channels)
+        params = model.param_views(model.to_vector())
+        windows = rng.uniform(-1, 1, (164, 5))
+        stacked = forward_cached(params, windows)
+        for n in (1, 57, 136, 164):
+            ups = rng.normal(size=n)
+            got, want = np.empty(model.num_params), np.empty(model.num_params)
+            backward_cached(params, stacked.first(n), ups, model.param_views(got))
+            alone = forward_cached(params, windows[:n])
+            backward_cached(params, alone, ups, model.param_views(want))
+            npt.assert_array_equal(got, want)
 
 
 class TestInitWeights:

@@ -1,12 +1,20 @@
 """Tests for windowing, the loss, Adam, and the training loop."""
 
+import hashlib
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from clockpred.cnn import CnnModel, ConvLayer, backward_batch, forward_batch, init_weights
+from clockpred.cnn import (
+    CnnModel,
+    ConvLayer,
+    backward_batch,
+    forward_batch,
+    init_weights,
+    model_to_json,
+)
 from clockpred.series import TimeSeries, prepare
 from clockpred.synthetic import SyntheticClockSpec, generate
 from clockpred.training import (
@@ -21,6 +29,7 @@ from clockpred.training import (
     make_windows,
     predict_dataset,
     rmse_loss,
+    trace_to_csv,
     train,
     weight_norm_sq,
     _loss_gradient,
@@ -300,6 +309,15 @@ class TestTrain:
         npt.assert_array_equal(t1.train_rmse, t2.train_rmse)
         npt.assert_array_equal(t1.val_rmse, t2.val_rmse)
 
+    def test_bit_determinism_at_eight_channels(self):
+        train_ds, val_ds = frozen_windows()
+        cfg = TrainConfig(max_updates=2, patience=2)
+        m1, t1 = train(init_weights(6, channels=8), train_ds, val_ds, cfg)
+        m2, t2 = train(init_weights(6, channels=8), train_ds, val_ds, cfg)
+        npt.assert_array_equal(m1.to_vector(), m2.to_vector())
+        npt.assert_array_equal(t1.train_rmse, t2.train_rmse)
+        npt.assert_array_equal(t1.val_rmse, t2.val_rmse)
+
     def test_returned_model_val_matches_trace_best(self):
         rng = np.random.default_rng(211)
         s = series_of(np.cumsum(rng.normal(0, 1, 60)))
@@ -382,6 +400,21 @@ class TestFusedTrain:
         npt.assert_array_equal(trace.train_rmse, ref_trace.train_rmse)
         npt.assert_array_equal(trace.val_rmse, ref_trace.val_rmse)
         npt.assert_array_equal(fused.to_vector(), ref.to_vector())
+
+    def test_frozen_run_is_pinned_bit_for_bit(self):
+        """The frozen 2000-update run; its digests were recorded before the
+        batched path moved to a channel-major layout."""
+        train_ds, val_ds = frozen_windows()
+        model, trace = train(init_weights(56934), train_ds, val_ds, TrainConfig())
+        assert len(trace) == 2000
+        digests = [
+            hashlib.sha256(text.encode()).hexdigest()
+            for text in (model_to_json(model), trace_to_csv(trace))
+        ]
+        assert digests == [
+            "87123b5f0af59cb66dc6a9a669ab6b9eb773c5a4d0d8e11574ae4d32cb619a4a",
+            "2f57626f1ffd857ed5d2b873ba61dffe6b74a7bcf0d0dafb65a284a0f75b1d74",
+        ]
 
     def test_matches_unfused_loop_at_two_channels(self):
         train_ds, val_ds = frozen_windows()
