@@ -402,8 +402,8 @@ class TestFusedTrain:
         npt.assert_array_equal(fused.to_vector(), ref.to_vector())
 
     def test_frozen_run_is_pinned_bit_for_bit(self):
-        """The frozen 2000-update run; its digests were recorded before the
-        batched path moved to a channel-major layout."""
+        """The frozen 2000-update run, pinned by the sha256 of its model and trace,
+        so that a change in rounding fails here and not only in the benchmark."""
         train_ds, val_ds = frozen_windows()
         model, trace = train(init_weights(56934), train_ds, val_ds, TrainConfig())
         assert len(trace) == 2000
