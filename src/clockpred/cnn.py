@@ -1,10 +1,10 @@
 """A small 1D convolutional network with hand-derived backpropagation.
 
 Three convolutional layers (kernel lengths 4, 3, 3), each length-preserving
-through zero padding and followed by a ReLU, feed an affine head that maps
-the final feature vector to one scalar.  With the default single channel
-the network has exactly 19 parameters.  Channel counts above one widen the
-hidden layers (1 -> C -> C -> C) and the head to C * width inputs.
+through symmetric zero padding and followed by a ReLU, feed an affine head
+that maps the final feature vector to one scalar.  With the default single
+channel the network has exactly 19 parameters.  Channel counts above one
+widen the hidden layers (1 -> C -> C -> C) and the head to C * width inputs.
 
 Gradients are exact analytic derivatives; the ReLU subgradient at zero is
 taken to be zero.  Parameters and gradients share one flat vector order:
@@ -77,7 +77,7 @@ class ConvLayer:
 
 
 def conv1d_forward(x, layer: ConvLayer):
-    """Length-preserving cross-correlation with k - 1 zero cells, k // 2 on the left.
+    """Length-preserving cross-correlation with symmetric zero padding.
 
     ``out[o, j] = bias[o] + sum_{c, m} kernel[o, c, m] * padded(x)[c, j + m]``.
     A 1D input is treated as a single channel; the output is squeezed back
@@ -100,10 +100,18 @@ def conv1d_forward(x, layer: ConvLayer):
     return out
 
 
+def _zero_padded(x: np.ndarray, k: int) -> np.ndarray:
+    """``x`` with ``k - 1`` zero cells added on its last axis, ``k // 2`` of them
+    on the left: even kernels put the extra cell on the left."""
+    width = x.shape[-1]
+    padded = np.zeros(x.shape[:-1] + (width + k - 1,))
+    padded[..., k // 2 : k // 2 + width] = x
+    return padded
+
+
 def _correlate(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     out_ch, in_ch, k = layer.kernel.shape
-    padded = np.zeros((in_ch, x.shape[1] + k - 1))
-    padded[:, k // 2 : k // 2 + x.shape[1]] = x
+    padded = _zero_padded(x, k)
     out = np.empty((out_ch, x.shape[1]))
     for o in range(out_ch):
         acc = np.full(x.shape[1], layer.bias[o])
@@ -210,11 +218,13 @@ class CnnModel:
 
     def weight_mask(self) -> np.ndarray:
         """1.0 for kernel and head weights, 0.0 for biases, in vector order."""
-        mask = np.ones(self.num_params)
-        views = self.param_views(mask)
-        for bias in (*views.biases, views.head_bias):
-            bias[:] = 0.0
-        return mask
+        parts = []
+        for layer in self.layers:
+            parts.append(np.ones(layer.kernel.size))
+            parts.append(np.zeros(layer.bias.size))
+        parts.append(np.ones(self.head_weights.size))
+        parts.append(np.zeros(1))
+        return np.concatenate(parts)
 
 
 class ParamViews(NamedTuple):
@@ -252,6 +262,10 @@ def _check_window(model: CnnModel, window) -> np.ndarray:
             f"window of shape {x.shape} does not match input width {model.input_width}"
         )
     return x
+
+
+def _params(model: CnnModel) -> ParamViews:
+    return model.param_views(model.to_vector())
 
 
 def forward(model: CnnModel, window) -> float:
@@ -346,7 +360,8 @@ def backward_cached(
 
     ``fwd`` must be the forward pass of ``params``; nothing is recomputed.
     """
-    n, head = upstreams.size, params.head_weights.reshape(len(fwd.pre[-1]), 1, -1)
+    n = upstreams.size
+    head = params.head_weights.reshape(len(fwd.pre[-1]), 1, -1)
     width = head.shape[2]
     grads.head_weights[:] = fwd.features.T @ upstreams
     grads.head_bias[:] = upstreams.sum()
@@ -358,8 +373,10 @@ def backward_cached(
         # Each bias and kernel entry sums its n * width products pairwise in one
         # contiguous window-major row, as the elementwise loops do: bit for bit at C=1.
         grads.biases[i][:] = d_pre.sum(axis=1)
+        products = np.empty_like(cols)
         for o, row in enumerate(d_pre):
-            np.sum(cols * row, axis=-1, out=grads.kernels[i][o].T)
+            np.multiply(cols, row, out=products)
+            products.sum(axis=-1, out=grads.kernels[i][o].T)
         if i:
             d_act = np.zeros((in_ch, n * width))
             for tap, (dst, src, pad) in zip(kernel.transpose(2, 1, 0).copy(), _taps(k, width)):
@@ -370,8 +387,7 @@ def backward_cached(
 
 def forward_batch(model: CnnModel, windows) -> np.ndarray:
     """Network outputs for a (n, width) batch of windows."""
-    params = model.param_views(model.to_vector())
-    return forward_cached(params, _check_batch(model, windows)).outputs
+    return forward_cached(_params(model), _check_batch(model, windows)).outputs
 
 
 def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
@@ -380,7 +396,7 @@ def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
     upstreams = np.asarray(upstreams, dtype=np.float64)
     if upstreams.shape != (windows.shape[0],):
         raise ValueError("one upstream scalar per window is required")
-    params = model.param_views(model.to_vector())
+    params = _params(model)
     grad = np.empty(model.num_params)
     backward_cached(params, forward_cached(params, windows), upstreams, model.param_views(grad))
     return grad

@@ -300,23 +300,15 @@ class TestTrain:
     def test_bit_determinism(self):
         rng = np.random.default_rng(210)
         s = series_of(np.cumsum(rng.normal(0, 1, 60)))
-        train_ds = make_windows(s, range(0, 45))
-        val_ds = make_windows(s, range(45, 60))
-        cfg = TrainConfig(max_updates=40, patience=40)
-        m1, t1 = train(init_weights(8), train_ds, val_ds, cfg)
-        m2, t2 = train(init_weights(8), train_ds, val_ds, cfg)
-        npt.assert_array_equal(m1.to_vector(), m2.to_vector())
-        npt.assert_array_equal(t1.train_rmse, t2.train_rmse)
-        npt.assert_array_equal(t1.val_rmse, t2.val_rmse)
-
-    def test_bit_determinism_at_eight_channels(self):
-        train_ds, val_ds = frozen_windows()
-        cfg = TrainConfig(max_updates=2, patience=2)
-        m1, t1 = train(init_weights(6, channels=8), train_ds, val_ds, cfg)
-        m2, t2 = train(init_weights(6, channels=8), train_ds, val_ds, cfg)
-        npt.assert_array_equal(m1.to_vector(), m2.to_vector())
-        npt.assert_array_equal(t1.train_rmse, t2.train_rmse)
-        npt.assert_array_equal(t1.val_rmse, t2.val_rmse)
+        small = (make_windows(s, range(0, 45)), make_windows(s, range(45, 60)))
+        # One channel for 40 updates; eight (wide-train's width) for 2 on the frozen windows.
+        for channels, (train_ds, val_ds), budget in [(1, small, 40), (8, frozen_windows(), 2)]:
+            cfg = TrainConfig(max_updates=budget, patience=budget)
+            m1, t1 = train(init_weights(8, channels=channels), train_ds, val_ds, cfg)
+            m2, t2 = train(init_weights(8, channels=channels), train_ds, val_ds, cfg)
+            npt.assert_array_equal(m1.to_vector(), m2.to_vector())
+            npt.assert_array_equal(t1.train_rmse, t2.train_rmse)
+            npt.assert_array_equal(t1.val_rmse, t2.val_rmse)
 
     def test_returned_model_val_matches_trace_best(self):
         rng = np.random.default_rng(211)

@@ -3,11 +3,12 @@
 Both revisions are exported with ``git archive`` into a temporary
 directory, so only committed files are measured and the checkout is never
 written to.  Pair i runs ``benchmarks/run.py --seed <seed + i> --trace 0``
-once on each tree; the side that runs first alternates from pair to pair.
-For every workload and end-to-end metric the JSON on standard output holds
-each side's runs, median and quartiles (linear interpolation), the
-parent's spread (q3 - q1) / median, and how many pairs the change wins
-(ties count for neither side).
+for ``BENCHMARK.json``'s ``run_seconds`` once on each tree; the side that
+runs first alternates from pair to pair.  For every workload and
+end-to-end metric the JSON on standard output holds each side's runs,
+median and quartiles (linear interpolation), the parent's spread
+(q3 - q1) / median, and how many pairs the change wins (ties count for
+neither side).
 
     python3 tools/bench_pairs.py --workload wide-train --pairs 10 --seed 6101
     python3 tools/bench_pairs.py --layers --pairs 5 --seed 6601
@@ -139,10 +140,9 @@ def main(argv=None) -> int:
     parser.add_argument("--layers", action="store_true", help="time the CNN layer calls")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.seconds <= 0 or not (args.workload or args.layers):
-        parser.error("need --pairs >= 2, --seconds > 0 and a --workload or --layers")
+    if args.pairs < 2 or not (args.workload or args.layers):
+        parser.error("need --pairs >= 2 and a --workload or --layers")
     jobs = args.workload + ([None] if args.layers else [])
     seeds = [args.seed + i for i in range(args.pairs)]
     orders = [SIDES if i % 2 == 0 else SIDES[::-1] for i in range(args.pairs)]
@@ -150,13 +150,13 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         revs = {"parent": args.base, "change": args.head}
         commits = {side: export(revs[side], trees[side]) for side in SIDES}
-        doc = {"commits": commits, "seconds": args.seconds, "workloads": {}}
+        doc = {"commits": commits, "seconds": spec["run_seconds"], "workloads": {}}
         for workload in jobs:
             label = workload or "layers"
             runs = {side: [] for side in SIDES}
             for seed, order in zip(seeds, orders):
                 for side in order:
-                    result = run_once(trees[side], workload, seed, args.seconds)
+                    result = run_once(trees[side], workload, seed, spec["run_seconds"])
                     runs[side].append(result)
                     values = {k: v["value"] for k, v in result["metrics"].items()}
                     print(f"{label} seed {seed} {side}: {json.dumps(values)}", file=sys.stderr)
