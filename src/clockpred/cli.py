@@ -2,9 +2,11 @@
 
 Each stage reads and writes plain files so the intermediate products (the
 detrended residual, the training trace, the comparison report) stay
-independently inspectable.  Outputs are written atomically, existing files
-are never overwritten without --force, and every run leaves a JSON manifest
-recording exactly what produced it.
+independently inspectable.  A stage computes all its documents first and
+then commits them: it checks every target and its JSON manifest, and
+without --force refuses before writing anything if one exists; then it
+writes each document atomically, in order, and the manifest recording
+exactly what produced them last.
 
 The argument parser is built once per process and reused by every
 :func:`main` call, so a Python driver that runs several stages in one
@@ -43,14 +45,15 @@ class RunManifest:
     extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return _json_text({f.name: getattr(self, f.name) for f in fields(self)})
 
 
-def _write_atomic(path, text: str, force: bool) -> None:
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _write_atomic(path, text: str) -> None:
     path = Path(path)
-    if path.exists() and not force:
-        raise ValueError(f"refusing to overwrite {path} (pass --force)")
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
@@ -63,6 +66,27 @@ def _write_atomic(path, text: str, force: bool) -> None:
         raise
 
 
+def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) -> RunManifest:
+    """Write a stage's documents in order, then the manifest that records them.
+
+    ``outputs`` maps each manifest name to a ``(path, text)`` pair.  Every
+    target is checked before the first write, so a refused stage writes
+    nothing.
+    """
+    targets = [Path(path) for path, _ in outputs.values()] + [Path(manifest_path)]
+    if len(set(targets)) < len(targets):
+        raise ValueError(f"two outputs of {command} share one path")
+    for path in targets:
+        if path.exists() and not force:
+            raise ValueError(f"refusing to overwrite {path} (pass --force)")
+    for path, text in outputs.values():
+        _write_atomic(path, text)
+    paths = {name: str(path) for name, (path, _) in outputs.items()}
+    manifest = RunManifest(command, __version__, seed, cfg, inputs, paths, extra)
+    _write_atomic(manifest_path, manifest.to_json())
+    return manifest
+
+
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         path = os.environ.get(config.ENV_CONFIG_PATH)
@@ -73,18 +97,10 @@ def _load_config(path: str | None) -> dict[str, str]:
 def cmd_generate(cfg: dict[str, str], out, seed: int | None, force: bool) -> RunManifest:
     spec = config.synthetic_spec_from(cfg, seed)
     data = synthetic.generate(spec)
-    _write_atomic(out, series.series_to_csv(data), force)
-    manifest = RunManifest(
-        command="generate",
-        tool_version=__version__,
-        seed=spec.seed,
-        config=cfg,
-        inputs={},
-        outputs={"series": str(out)},
-        extra={"n": len(data)},
+    outputs = {"series": (out, series.series_to_csv(data))}
+    return _commit(
+        "generate", spec.seed, cfg, {}, outputs, {"n": len(data)}, f"{out}.manifest.json", force
     )
-    _write_atomic(f"{out}.manifest.json", manifest.to_json(), force)
-    return manifest
 
 
 def cmd_prepare(
@@ -101,65 +117,32 @@ def cmd_prepare(
         data = series.combine_series(data, series.read_series(in_path_b, interval))
     train_frac, val_frac, fit_on_full = config.prepare_options_from(cfg)
     prepared = series.prepare(data, train_frac, val_frac, fit_on_full)
-    out_dir = Path(out_dir)
-    _write_atomic(out_dir / "series.csv", series.series_to_csv(prepared.series), force)
     residual = series.denormalize(prepared.residual_norm, prepared.scale)
-    _write_atomic(
-        out_dir / "residual.csv",
-        series.series_to_csv(residual, decimals=None),
-        force,
-    )
-    trend = prepared.trend
-    _write_atomic(
-        out_dir / "trend.json",
-        json.dumps(
-            {"t0": trend.t0, "c0": trend.c0, "c1": trend.c1, "c2": trend.c2},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        force,
-    )
-    _write_atomic(
-        out_dir / "scale.json",
-        json.dumps({"d_max_abs": prepared.scale.d_max_abs}, indent=2) + "\n",
-        force,
-    )
-    parts = prepared.split
-    split_doc = {
-        "n": len(prepared.series),
-        "train": [parts.train_range.start, parts.train_range.stop],
-        "val": [parts.val_range.start, parts.val_range.stop],
-        "test": [parts.test_range.start, parts.test_range.stop],
-        "fractions": list(parts.fractions),
-        "fit_on_full": prepared.fit_on_full,
+    trend, parts = prepared.trend, prepared.split
+    out_dir = Path(out_dir)
+    texts = {
+        "series.csv": series.series_to_csv(prepared.series),
+        "residual.csv": series.series_to_csv(residual, decimals=None),
+        "trend.json": _json_text({"t0": trend.t0, "c0": trend.c0, "c1": trend.c1, "c2": trend.c2}),
+        "scale.json": _json_text({"d_max_abs": prepared.scale.d_max_abs}),
+        "split.json": _json_text(
+            {
+                "n": len(prepared.series),
+                "train": [parts.train_range.start, parts.train_range.stop],
+                "val": [parts.val_range.start, parts.val_range.stop],
+                "test": [parts.test_range.start, parts.test_range.stop],
+                "fractions": list(parts.fractions),
+                "fit_on_full": prepared.fit_on_full,
+            }
+        ),
     }
-    _write_atomic(
-        out_dir / "split.json", json.dumps(split_doc, indent=2, sort_keys=True) + "\n", force
-    )
+    outputs = {name.split(".")[0]: (out_dir / name, text) for name, text in texts.items()}
     inputs = {"series": str(in_path)}
     if in_path_b is not None:
         inputs["series_b"] = str(in_path_b)
-    manifest = RunManifest(
-        command="prepare",
-        tool_version=__version__,
-        seed=config.seed_from(cfg, seed),
-        config=cfg,
-        inputs=inputs,
-        outputs={
-            name: str(out_dir / f"{name}.{ext}")
-            for name, ext in (
-                ("series", "csv"),
-                ("residual", "csv"),
-                ("trend", "json"),
-                ("scale", "json"),
-                ("split", "json"),
-            )
-        },
-        extra={"split_sizes": list(parts.sizes)},
-    )
-    _write_atomic(out_dir / "manifest.json", manifest.to_json(), force)
-    return manifest
+    seed = config.seed_from(cfg, seed)
+    extra = {"split_sizes": list(parts.sizes)}
+    return _commit("prepare", seed, cfg, inputs, outputs, extra, out_dir / "manifest.json", force)
 
 
 def _read_json(path: Path, build):
@@ -182,22 +165,22 @@ def _read_json(path: Path, build):
 _RESIDUAL_TOLERANCE_NS = 1e-3
 
 
-def _split_from_doc(doc) -> tuple[int, series.DataSplit, bool]:
+def _split_from_doc(doc) -> tuple[int, series.DataSplit, series.DataSplit, bool]:
+    """The document's n, its partition, the partition ``prepare`` makes of n, fit_on_full."""
+    n, fractions = int(doc["n"]), tuple(doc["fractions"])
     parts = series.DataSplit(
-        train_range=range(*doc["train"]),
-        val_range=range(*doc["val"]),
-        test_range=range(*doc["test"]),
-        fractions=tuple(doc["fractions"]),
+        range(*doc["train"]), range(*doc["val"]), range(*doc["test"]), fractions
     )
-    return int(doc["n"]), parts, bool(doc["fit_on_full"])
+    return n, parts, series.split(n, *fractions), bool(doc["fit_on_full"])
 
 
 def load_prepared(prepared_dir) -> PreparedSeries:
     """Reassemble a :class:`PreparedSeries` from a prepare output directory.
 
-    The documents must agree with one another: the split covers the whole
-    series, the residual has the series' epochs, and the residual equals
-    series − trend to within ``_RESIDUAL_TOLERANCE_NS``.
+    The documents must agree with one another: the split is the partition
+    ``prepare`` makes of the whole series with the recorded fractions, the
+    residual has the series' epochs, and the residual equals series − trend
+    to within ``_RESIDUAL_TOLERANCE_NS``.
 
     Raises
     ------
@@ -207,7 +190,7 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     """
     prepared_dir = Path(prepared_dir)
     split_path = prepared_dir / "split.json"
-    n, parts, fit_on_full = _read_json(split_path, _split_from_doc)
+    n, parts, expected, fit_on_full = _read_json(split_path, _split_from_doc)
     trend = _read_json(prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**doc))
     scale = _read_json(
         prepared_dir / "scale.json", lambda doc: series.NormalizationScale(doc["d_max_abs"])
@@ -220,6 +203,8 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     residual = series.read_series(residual_path, interval)
     if n != len(full):
         raise ValueError(f"{split_path}: split n {n} != {len(full)} points in series.csv")
+    if parts != expected:
+        raise ValueError(f"{split_path}: ranges are not the split of {n} points by the fractions")
     if len(residual) != len(full) or np.any(residual.epochs != full.epochs):
         raise ValueError(f"{residual_path}: epochs differ from those of series.csv")
     gap = np.abs(residual.values - series.detrend(full, trend).values)
@@ -244,30 +229,24 @@ def cmd_train(
 ) -> RunManifest:
     prepared = load_prepared(prepared_dir)
     train_cfg = config.train_config_from(cfg, seed)
-    channels = config.channels_from(cfg)
-    model0 = init_weights(train_cfg.seed, channels=channels)
+    model0 = init_weights(train_cfg.seed, channels=config.channels_from(cfg))
     train_ds = training.make_windows(prepared.residual_norm, prepared.split.train_range)
     val_ds = training.make_windows(prepared.residual_norm, prepared.split.val_range)
     model, trace = training.train(model0, train_ds, val_ds, train_cfg)
-    _write_atomic(model_out, model_to_json(model), force)
-    _write_atomic(trace_out, training.trace_to_csv(trace), force)
-    manifest = RunManifest(
-        command="train",
-        tool_version=__version__,
-        seed=train_cfg.seed,
-        config=cfg,
-        inputs={"prepared": str(prepared_dir)},
-        outputs={"model": str(model_out), "trace": str(trace_out)},
-        extra={
-            "stop_reason": trace.stop_reason,
-            "best_update": trace.best_update,
-            "updates": len(trace),
-            "train_pairs": len(train_ds),
-            "val_pairs": len(val_ds),
-        },
-    )
-    _write_atomic(f"{model_out}.manifest.json", manifest.to_json(), force)
-    return manifest
+    outputs = {
+        "model": (model_out, model_to_json(model)),
+        "trace": (trace_out, training.trace_to_csv(trace)),
+    }
+    extra = {
+        "stop_reason": trace.stop_reason,
+        "best_update": trace.best_update,
+        "updates": len(trace),
+        "train_pairs": len(train_ds),
+        "val_pairs": len(val_ds),
+    }
+    inputs = {"prepared": str(prepared_dir)}
+    manifest_path = f"{model_out}.manifest.json"
+    return _commit("train", train_cfg.seed, cfg, inputs, outputs, extra, manifest_path, force)
 
 
 def cmd_compare(
@@ -281,35 +260,30 @@ def cmd_compare(
     force: bool = False,
 ) -> RunManifest:
     prepared = load_prepared(prepared_dir)
-    kf_params = config.kalman_params_from(cfg)
+    kf_method = config.kalman_params_from(cfg)
     if stub_memorize:
         test_range = prepared.split.test_range
         cnn_method = predictor.memorization_predictor(prepared.residual_norm, test_range)
         kf_method = predictor.memorization_predictor(prepared.residual_norm, test_range)
     else:
         cnn_method = load_model(model_path)
-        kf_method = kf_params
     report = predictor.compare(cnn_method, kf_method, prepared)
-    _write_atomic(report_out, predictor.report_to_csv(report), force)
     if summary_out is None:
         summary_out = f"{report_out}.summary.json"
-    _write_atomic(summary_out, predictor.summary_to_json(report), force)
-    manifest = RunManifest(
-        command="compare",
-        tool_version=__version__,
-        seed=config.seed_from(cfg, seed),
-        config=cfg,
-        inputs={"prepared": str(prepared_dir), "model": str(model_path)},
-        outputs={"report": str(report_out), "summary": str(summary_out)},
-        extra={
-            "n_pred": report.n_pred,
-            "cnn_e_rms_ns": report.cnn_e_rms_ns,
-            "kf_e_rms_ns": report.kf_e_rms_ns,
-            "stub_memorize": stub_memorize,
-        },
-    )
-    _write_atomic(f"{report_out}.manifest.json", manifest.to_json(), force)
-    return manifest
+    outputs = {
+        "report": (report_out, predictor.report_to_csv(report)),
+        "summary": (summary_out, predictor.summary_to_json(report)),
+    }
+    extra = {
+        "n_pred": report.n_pred,
+        "cnn_e_rms_ns": report.cnn_e_rms_ns,
+        "kf_e_rms_ns": report.kf_e_rms_ns,
+        "stub_memorize": stub_memorize,
+    }
+    inputs = {"prepared": str(prepared_dir), "model": str(model_path)}
+    seed = config.seed_from(cfg, seed)
+    manifest_path = f"{report_out}.manifest.json"
+    return _commit("compare", seed, cfg, inputs, outputs, extra, manifest_path, force)
 
 
 @functools.cache
@@ -376,14 +350,8 @@ def main(argv=None) -> int:
             cmd_train(args.prepared, cfg, args.model_out, args.trace_out, args.seed, args.force)
         elif args.command == "compare":
             cmd_compare(
-                args.prepared,
-                args.model,
-                cfg,
-                args.report_out,
-                args.summary_out,
-                args.stub_memorize,
-                args.seed,
-                args.force,
+                args.prepared, args.model, cfg, args.report_out, args.summary_out,
+                args.stub_memorize, args.seed, args.force,
             )
     except (ValueError, OSError) as err:
         print(f"clockpred: error: {err}", file=sys.stderr)

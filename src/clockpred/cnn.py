@@ -128,17 +128,14 @@ class CnnModel:
     layers: tuple[ConvLayer, ...]
     head_weights: np.ndarray
     head_bias: float
-    channels: int = 1
-    input_width: int = DEFAULT_INPUT_WIDTH
 
     def __post_init__(self):
         layers = tuple(self.layers)
         if len(layers) != len(KERNEL_SIZES):
             raise ValueError(f"model needs exactly {len(KERNEL_SIZES)} conv layers")
-        channels = int(self.channels)
-        width = int(self.input_width)
-        if channels < 1 or width < 1:
-            raise ValueError("channels and input_width must be positive")
+        channels = layers[0].kernel.shape[0]
+        if channels < 1:
+            raise ValueError("channels must be positive")
         in_ch = 1
         for layer, k in zip(layers, KERNEL_SIZES):
             if layer.width != k:
@@ -152,9 +149,9 @@ class CnnModel:
                 )
             in_ch = channels
         head = np.asarray(self.head_weights, dtype=np.float64)
-        if head.shape != (channels * width,):
+        if head.shape != (channels * DEFAULT_INPUT_WIDTH,):
             raise ValueError(
-                f"head expects {channels * width} weights, got shape {head.shape}"
+                f"head expects {channels * DEFAULT_INPUT_WIDTH} weights, got shape {head.shape}"
             )
         bias = float(self.head_bias)
         if not (np.all(np.isfinite(head)) and math.isfinite(bias)):
@@ -163,8 +160,11 @@ class CnnModel:
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "head_weights", head)
         object.__setattr__(self, "head_bias", bias)
-        object.__setattr__(self, "channels", channels)
-        object.__setattr__(self, "input_width", width)
+
+    @property
+    def channels(self) -> int:
+        """Output channels of every conv layer, read from the first kernel's shape."""
+        return self.layers[0].kernel.shape[0]
 
     @property
     def num_params(self) -> int:
@@ -210,11 +210,9 @@ class CnnModel:
 
     def from_vector(self, vec: np.ndarray) -> "CnnModel":
         """Rebuild a model of this shape from a flat parameter vector."""
-        p = self.param_views(np.ascontiguousarray(vec, dtype=np.float64))
+        p = self.param_views(np.array(vec, dtype=np.float64))
         layers = tuple(ConvLayer(k, b) for k, b in zip(p.kernels, p.biases))
-        return CnnModel(
-            layers, p.head_weights, float(p.head_bias[0]), self.channels, self.input_width
-        )
+        return CnnModel(layers, p.head_weights, float(p.head_bias[0]))
 
     def weight_mask(self) -> np.ndarray:
         """1.0 for kernel and head weights, 0.0 for biases, in vector order."""
@@ -248,18 +246,18 @@ class ParamViews(NamedTuple):
 
 def _check_batch(model: CnnModel, windows) -> np.ndarray:
     windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 2 or windows.shape[1] != model.input_width:
+    if windows.ndim != 2 or windows.shape[1] != DEFAULT_INPUT_WIDTH:
         raise ValueError(
-            f"batch of shape {windows.shape} does not match input width {model.input_width}"
+            f"batch of shape {windows.shape} does not match input width {DEFAULT_INPUT_WIDTH}"
         )
     return windows
 
 
 def _check_window(model: CnnModel, window) -> np.ndarray:
     x = np.asarray(window, dtype=np.float64)
-    if x.shape != (model.input_width,):
+    if x.shape != (DEFAULT_INPUT_WIDTH,):
         raise ValueError(
-            f"window of shape {x.shape} does not match input width {model.input_width}"
+            f"window of shape {x.shape} does not match input width {DEFAULT_INPUT_WIDTH}"
         )
     return x
 
@@ -402,9 +400,7 @@ def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
     return grad
 
 
-def init_weights(
-    seed: int, channels: int = 1, input_width: int = DEFAULT_INPUT_WIDTH
-) -> CnnModel:
+def init_weights(seed: int, channels: int = 1) -> CnnModel:
     """Deterministic initial model for a seed.
 
     Kernel and head weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)];
@@ -418,16 +414,16 @@ def init_weights(
         kernel = rng.uniform(-bound, bound, size=(channels, in_ch, k))
         layers.append(ConvLayer(kernel, np.zeros(channels)))
         in_ch = channels
-    fan_in = channels * input_width
+    fan_in = channels * DEFAULT_INPUT_WIDTH
     bound = 1.0 / math.sqrt(fan_in)
     head = rng.uniform(-bound, bound, size=fan_in)
-    return CnnModel(tuple(layers), head, 0.0, channels, input_width)
+    return CnnModel(tuple(layers), head, 0.0)
 
 
 def model_to_json(model: CnnModel) -> str:
     """Serialize at full decimal precision; ``model_from_json`` restores it exactly."""
     payload = {
-        "config": {"channels": model.channels, "width": model.input_width},
+        "config": {"channels": model.channels, "width": DEFAULT_INPUT_WIDTH},
         "layers": [
             {"kernel": layer.kernel.tolist(), "bias": layer.bias.tolist()}
             for layer in model.layers
@@ -438,43 +434,44 @@ def model_to_json(model: CnnModel) -> str:
 
 
 def model_from_json(text: str) -> CnnModel:
+    """Read a model document written from :func:`model_to_json`.
+
+    Its width must be ``DEFAULT_INPUT_WIDTH``, the width of every window the
+    pipeline builds, and its channel count must be that of its kernels.
+    """
     try:
         payload = json.loads(text)
         config = payload["config"]
+        width, channels = int(config["width"]), int(config["channels"])
+        if width != DEFAULT_INPUT_WIDTH:
+            raise ValueError(
+                f"model input width {width} is not the window "
+                f"width {DEFAULT_INPUT_WIDTH} the pipeline feeds it"
+            )
         layers = tuple(
             ConvLayer(np.array(item["kernel"]), np.array(item["bias"]))
             for item in payload["layers"]
         )
         head = payload["head"]
-        return CnnModel(
-            layers,
-            np.array(head["weights"]),
-            float(head["bias"]),
-            int(config["channels"]),
-            int(config["width"]),
-        )
+        model = CnnModel(layers, np.array(head["weights"]), float(head["bias"]))
     except (KeyError, TypeError, json.JSONDecodeError) as err:
         raise ValueError(f"malformed model document: {err}") from None
+    if model.channels != channels:
+        raise ValueError(f"model document has {channels} channels, its kernels {model.channels}")
+    return model
 
 
 def load_model(path) -> CnnModel:
-    """Read a model document written from :func:`model_to_json`.
+    """Read the model document at ``path`` with :func:`model_from_json`.
 
     Raises
     ------
     ValueError
-        When the document is not valid JSON, not a model, or a model whose
-        input width is not ``DEFAULT_INPUT_WIDTH``, the width of every
-        window the pipeline builds; the message names the path.
+        When the document is not valid JSON, not a model, or a model
+        :func:`model_from_json` rejects; the message names the path.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
-        model = model_from_json(text)
+        return model_from_json(text)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    if model.input_width != DEFAULT_INPUT_WIDTH:
-        raise ValueError(
-            f"{path}: model input width {model.input_width} is not the window "
-            f"width {DEFAULT_INPUT_WIDTH} the pipeline feeds it"
-        )
-    return model

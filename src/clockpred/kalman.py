@@ -46,6 +46,8 @@ class KalmanParams:
     p0: float = DEFAULT_P0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.q1, self.q2, self.r, self.p0))):
+            raise ValueError("Kalman parameters must be finite")
         if self.q1 < 0.0 or self.q2 < 0.0 or self.r < 0.0:
             raise ValueError("noise parameters must be nonnegative")
         if self.p0 <= 0.0:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from clockpred.cnn import forward, init_weights
+from clockpred.cnn import DEFAULT_INPUT_WIDTH, forward, init_weights
 from clockpred.kalman import KalmanParams, transition_matrix
 
 
@@ -116,7 +116,7 @@ def kink_free_instance(rng, channels=1):
         vec = model.to_vector()
         vec += rng.normal(0, 0.3, vec.size)
         model = model.from_vector(vec)
-        window = rng.uniform(-1.0, 1.0, model.input_width)
+        window = rng.uniform(-1.0, 1.0, DEFAULT_INPUT_WIDTH)
         if preactivation_margin(model, window) > 1e-3:
             return model, window
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -21,9 +22,9 @@ from clockpred.series import (
     series_to_csv,
 )
 from clockpred.synthetic import SyntheticClockSpec, generate
+from benchmarks.workloads import FrozenCli, load_reference
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPERIMENT_CONF = str(ROOT / "configs" / "experiment.conf")
 
 
 def fast_conf(tmp_path, **extra):
@@ -444,8 +445,24 @@ class TestSafety:
             ("residual.csv", lambda doc: _shifted_rows(doc, 0, 5.0, rows=[50]), "residual at MJD"),
             ("residual.csv", lambda doc: _shifted_rows(doc, 5, 0.0), "epochs differ"),
             ("split.json", lambda doc: json.dumps({**json.loads(doc), "n": 999}), "split n 999"),
+            (
+                "split.json",
+                lambda doc: json.dumps({**json.loads(doc), "train": [0, 274]}),
+                "ranges are not the split",
+            ),
+            (
+                "split.json",
+                lambda doc: json.dumps({**json.loads(doc), "val": [142, 175]}),
+                "ranges are not the split",
+            ),
         ],
-        ids=["residual-row-moved-5ns", "residual-epochs-shifted", "split-n-999"],
+        ids=[
+            "residual-row-moved-5ns",
+            "residual-epochs-shifted",
+            "split-n-999",
+            "split-train-overlaps-test",
+            "split-val-shifted",
+        ],
     )
     def test_inconsistent_prepared_directory_is_one_line_diagnostic(
         self, tmp_path, capsys, name, edit, message
@@ -484,13 +501,84 @@ class TestSafety:
         conf = fast_conf(tmp_path)
         prepared = generate_and_prepare(tmp_path, conf)
         model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0, input_width=7)))
+        doc = json.loads(model_to_json(init_weights(0)))
+        doc["config"]["width"] = 7
+        model.write_text(json.dumps(doc))
         capsys.readouterr()
         report = tmp_path / "report.csv"
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"clockpred: error: {model}: model input width 7")
         assert err.count("\n") == 1
+        assert not report.exists()
+
+    def test_nan_kalman_parameter_is_one_line_diagnostic(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(fast_conf(tmp_path, kf_q1="nan"), prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("clockpred: error:") and err.count("\n") == 1
+        assert not report.exists() and not (tmp_path / "report.csv.summary.json").exists()
+
+    def test_refused_prepare_writes_nothing(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
+        prepared = tmp_path / "prepared"
+        prepared.mkdir()
+        (prepared / "split.json").write_text("stale\n")
+        capsys.readouterr()
+        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv")]
+        assert main(argv + ["--out-dir", str(prepared)]) == 1
+        err = capsys.readouterr().err
+        assert f"refusing to overwrite {prepared / 'split.json'}" in err and err.count("\n") == 1
+        assert [p.name for p in prepared.iterdir()] == ["split.json"]
+        assert (prepared / "split.json").read_text() == "stale\n"
+
+    def test_refused_train_writes_no_model(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        (tmp_path / "trace.csv").write_text("stale\n")
+        capsys.readouterr()
+        argv = ["train", "--config", conf, "--prepared", str(prepared)]
+        argv += ["--model-out", str(tmp_path / "model.json"), "--trace-out", str(tmp_path / "trace.csv")]
+        assert main(argv) == 1
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "model.json.manifest.json").exists()
+        assert (tmp_path / "trace.csv").read_text() == "stale\n"
+
+    def test_force_rewrites_every_output_and_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        conf = fast_conf(tmp_path)
+        written = {}
+        for stage in ("generate", "prepare", "train", "compare"):
+            argv = [*FrozenCli.stage_argv(stage), "--config", conf]
+            before = set(tmp_path.rglob("*"))
+            assert main(argv) == 0
+            outputs = [p for p in set(tmp_path.rglob("*")) - before if p.is_file()]
+            fresh = {p: p.read_bytes() for p in outputs}
+            for p in outputs:
+                p.write_text("stale\n")
+            assert main(argv + ["--force"]) == 0
+            assert {p: p.read_bytes() for p in outputs} == fresh
+            written.update(fresh)
+        assert len(written) == 14
+
+    def test_two_outputs_on_one_path_are_refused(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        argv = compare_argv(conf, prepared, model, report) + ["--summary-out", str(report)]
+        assert main(argv + ["--force"]) == 1
+        err = capsys.readouterr().err
+        assert "two outputs of compare share one path" in err and err.count("\n") == 1
         assert not report.exists()
 
     def test_config_via_environment(self, tmp_path, monkeypatch):
@@ -563,9 +651,17 @@ class TestParser:
         assert done.stdout.startswith("usage: clockpred") and "compare" in done.stdout
 
 
-def test_experiment_config_end_to_end(tmp_path):
-    """The bundled frozen experiment runs cleanly through the CLI."""
-    run_pipeline(tmp_path, EXPERIMENT_CONF)
+def test_experiment_config_end_to_end(tmp_path, monkeypatch):
+    """The bundled frozen experiment writes the benchmark's reference files, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    for stage in ("generate", "prepare", "train", "compare"):
+        assert main(FrozenCli.stage_argv(stage)) == 0
+    written = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*")
+        if p.is_file()
+    }
+    assert written == load_reference()["frozen_cli"]["sha256"]
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["n_pred"] == 100
     assert 0 < summary["cnn_e_rms_ns"] < 50

@@ -1,10 +1,13 @@
 """Tests for the convolutional network: forward oracles, exact gradients, serialization."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from clockpred.cnn import (
+    DEFAULT_INPUT_WIDTH,
     KERNEL_SIZES,
     CnnModel,
     ConvLayer,
@@ -288,6 +291,15 @@ class TestModelStructure:
         vec = model.to_vector()
         npt.assert_array_equal(model.from_vector(vec).to_vector(), vec)
 
+    def test_from_vector_keeps_no_view_of_the_vector(self):
+        model = init_weights(7)
+        vec = model.to_vector()
+        frozen = model.from_vector(vec)
+        before = forward(frozen, np.ones(DEFAULT_INPUT_WIDTH))
+        vec += 1.0
+        npt.assert_array_equal(frozen.to_vector(), model.to_vector())
+        assert forward(frozen, np.ones(DEFAULT_INPUT_WIDTH)) == before
+
     def test_weight_mask_excludes_biases(self):
         model = init_weights(1)
         mask = model.weight_mask()
@@ -302,11 +314,18 @@ class TestSerialization:
             model = init_weights(int(rng.integers(0, 1000)), channels=channels)
             vec = model.to_vector() + rng.normal(0, 1, model.num_params)
             model = model.from_vector(vec)
-            restored = model_from_json(model_to_json(model))
+            text = model_to_json(model)
+            restored = model_from_json(text)
             npt.assert_array_equal(restored.to_vector(), model.to_vector())
             assert restored.channels == model.channels
-            assert restored.input_width == model.input_width
+            assert json.loads(text)["config"]["width"] == DEFAULT_INPUT_WIDTH
 
     def test_malformed_document(self):
         with pytest.raises(ValueError, match="malformed"):
             model_from_json('{"layers": []}')
+
+    def test_channels_must_match_the_kernels(self):
+        doc = json.loads(model_to_json(init_weights(0, channels=2)))
+        doc["config"]["channels"] = 1
+        with pytest.raises(ValueError, match="2 channels|1 channels"):
+            model_from_json(json.dumps(doc))
