@@ -543,8 +543,8 @@ class TestSafety:
         prepared = generate_and_prepare(tmp_path, conf)
         (tmp_path / "trace.csv").write_text("stale\n")
         capsys.readouterr()
-        argv = ["train", "--config", conf, "--prepared", str(prepared)]
-        argv += ["--model-out", str(tmp_path / "model.json"), "--trace-out", str(tmp_path / "trace.csv")]
+        argv = ["train", "--config", conf, "--prepared", str(prepared), "--model-out"]
+        argv += [str(tmp_path / "model.json"), "--trace-out", str(tmp_path / "trace.csv")]
         assert main(argv) == 1
         assert "refusing to overwrite" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
