@@ -18,10 +18,15 @@ so their rounding is part of that report.  The batched path
 (``forward_cached``, ``backward_cached`` and their ``_batch`` wrappers) is
 channel-major: one row per channel, columns ordered by window, then
 position.  A layer's pre-activation is the bias plus one 2-D GEMM per tap
-over cached tap columns, in tap order.  With one channel each term is an
-exact product and each sum keeps an elementwise loop's order, so the path
-rounds as that loop does; with more, a GEMM's sum may round differently.
-The two paths can differ in the last bit.
+over cached tap columns, in tap order.  Its kernel gradient is one GEMM of
+those columns with the pre-activation gradient when the layer has more
+than one channel, and a pairwise sum of products over each contiguous row
+with one.  With one channel each term is an exact product and each sum
+keeps an elementwise loop's order, so the path rounds as that loop does;
+with more, a GEMM's sum may round differently.  The two paths can differ
+in the last bit.  A forward pass can write its caches into the arrays of
+an earlier pass over a batch of the same shape, so that a training loop
+allocates them once.
 """
 
 from __future__ import annotations
@@ -327,20 +332,35 @@ def _taps(k: int, width: int) -> tuple[tuple[slice, slice, slice], ...]:
     )
 
 
-def forward_cached(params: ParamViews, windows: np.ndarray) -> BatchForward:
-    """Forward over a (n, width) float64 batch, keeping the backward caches."""
+def forward_cached(
+    params: ParamViews, windows: np.ndarray, out: BatchForward | None = None
+) -> BatchForward:
+    """Forward over a (n, width) float64 batch, keeping the backward caches.
+
+    With ``out``, an earlier pass over a batch of the same shape, the tap
+    columns and pre-activations are written into ``out``'s arrays instead of
+    new ones (the result is the same bit for bit); ``out`` then holds this
+    pass's caches.  A new pass per update makes malloc trim the heap and
+    fault its pages back in on the next one.
+    """
     n, width = windows.shape
+    if out is not None and out.features.shape != (n, params.head_weights.size):
+        raise ValueError(
+            f"a pass with features of shape {(n, params.head_weights.size)} cannot "
+            f"reuse the buffers of one with {out.features.shape}"
+        )
     act = windows.reshape(1, n * width)
     caches = []
-    for kernel, bias in zip(params.kernels, params.biases):
+    for i, (kernel, bias) in enumerate(zip(params.kernels, params.biases)):
         out_ch, in_ch, k = kernel.shape
-        cols = np.empty((k, in_ch, n * width))
+        cols = np.empty((k, in_ch, n * width)) if out is None else out.cols[i]
         for col, (dst, src, pad) in zip(cols, _taps(k, width)):
             col[:, dst] = act[:, src]
             col.reshape(in_ch, n, width)[:, :, pad] = 0.0
         # A one-channel contraction is a broadcast product (same rounding, faster).
         # One term buffer per layer: a new array per tap makes malloc re-fault pages.
-        pre = np.full((out_ch, n * width), bias[:, None])
+        pre = np.empty((out_ch, n * width)) if out is None else out.pre[i]
+        pre[:] = bias[:, None]
         term = np.empty_like(pre)
         for tap, col in zip(kernel.transpose(2, 0, 1).copy(), cols):
             pre += (np.matmul if in_ch > 1 else np.multiply)(tap, col, out=term)
@@ -357,6 +377,10 @@ def backward_cached(
     """Write into ``grads`` the sum of per-window gradients scaled by ``upstreams``.
 
     ``fwd`` must be the forward pass of ``params``; nothing is recomputed.
+    A layer with more than one input or output channel forms its kernel
+    gradient as one GEMM, tap columns (k * in_ch, n * width) times the
+    transposed pre-activation gradient; a one-channel layer sums each tap's
+    products pairwise, bit for bit as the elementwise loops do.
     """
     n = upstreams.size
     head = params.head_weights.reshape(len(fwd.pre[-1]), 1, -1)
@@ -368,13 +392,15 @@ def backward_cached(
         kernel, cols, pre = params.kernels[i], fwd.cols[i], fwd.pre[i]
         out_ch, in_ch, k = kernel.shape
         d_pre = d_act * (pre > 0.0)
-        # Each bias and kernel entry sums its n * width products pairwise in one
-        # contiguous window-major row, as the elementwise loops do: bit for bit at C=1.
+        # Each bias sums its n * width terms pairwise in one contiguous
+        # window-major row, as the elementwise loops do.  So does the kernel
+        # at C=1 (bit for bit); wider layers contract the tap columns in one GEMM.
         grads.biases[i][:] = d_pre.sum(axis=1)
-        products = np.empty_like(cols)
-        for o, row in enumerate(d_pre):
-            np.multiply(cols, row, out=products)
-            products.sum(axis=-1, out=grads.kernels[i][o].T)
+        if out_ch > 1 or in_ch > 1:
+            taps_by_ch = cols.reshape(k * in_ch, -1) @ d_pre.T
+            grads.kernels[i][:] = taps_by_ch.reshape(k, in_ch, out_ch).transpose(2, 1, 0)
+        else:
+            (cols[:, 0] * d_pre).sum(axis=-1, out=grads.kernels[i][0, 0])
         if i:
             d_act = np.zeros((in_ch, n * width))
             for tap, (dst, src, pad) in zip(kernel.transpose(2, 1, 0).copy(), _taps(k, width)):

@@ -9,10 +9,12 @@ stopping with best-snapshot restoration.
 ``train`` fuses the steps of an update: the forward pass that gives one
 update's train RMSE also gives the next update's gradient, and it runs
 over the training and validation windows stacked, so an update costs one
-backward and one forward pass.  With one channel its results are bit for
-bit those of the unfused composition of ``forward_batch``,
-``backward_batch`` and ``adam_step``.  A non-finite train or validation
-RMSE stops training with an error that names the update.
+backward and one forward pass.  The first pass is stacked too, and every
+later one writes into its buffers.  With one channel its results are bit
+for bit those of the unfused composition of ``forward_batch``,
+``backward_batch`` and ``adam_step``; with more they may differ in the
+last bits.  A non-finite train or validation RMSE stops training with an
+error that names the update.
 """
 
 from __future__ import annotations
@@ -195,18 +197,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_updates < 1:
             raise ValueError("max_updates must be at least 1")
-        if not self.l2_lambda >= 0.0:
-            raise ValueError(f"l2_lambda must be nonnegative, got {self.l2_lambda}")
+        if not 0.0 <= self.l2_lambda < math.inf:
+            raise ValueError(f"l2_lambda must be nonnegative and finite, got {self.l2_lambda}")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if not self.lr > 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         for name in ("beta1", "beta2"):
             beta = getattr(self, name)
             if not 0.0 <= beta < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {beta}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -281,7 +283,9 @@ def train(
     and keeps the Adam moments in place.  Each update runs one backward
     pass, through the training rows of the forward pass that gave the
     previous update's train RMSE, one Adam step, and one cached forward
-    pass over the training and validation windows stacked.
+    pass over the training and validation windows stacked.  The first
+    forward pass, before the loop, is stacked as well, and each later pass
+    writes its caches into that pass's arrays.
 
     Raises
     ------
@@ -309,13 +313,14 @@ def train(
     stop_reason = STOP_MAX_UPDATES
     # Overflow and NaN are reported by the finiteness check below instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        fwd = forward_cached(views, train_ds.inputs)
+        both = forward_cached(views, inputs)
+        fwd = both.first(n_train)
         train_rmse = rmse_loss(fwd.outputs, train_ds.targets)
         for update in range(cfg.max_updates):
             _data_gradient(views, fwd, train_ds.targets, train_rmse, grad_views)
             grad += l2_scale * params
             _adam_update(params, grad, m, v, update + 1, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
-            both = forward_cached(views, inputs)
+            both = forward_cached(views, inputs, out=both)
             fwd = both.first(n_train)
             train_rmse = rmse_loss(fwd.outputs, train_ds.targets)
             val_rmse = rmse_loss(both.outputs[n_train:], val_ds.targets)

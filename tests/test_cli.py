@@ -344,6 +344,8 @@ class TestSafety:
         "setting, message",
         [
             ({"train_lr": "-1"}, "lr must be positive"),
+            ({"train_l2_lambda": "inf"}, "l2_lambda must be nonnegative and finite"),
+            ({"train_eps": "inf"}, "eps must be positive and finite"),
             ({"train_beta2": "1"}, "beta2 must lie in"),
             ({"train_lr": "1e300"}, "training diverged at update 1:"),
         ],

@@ -247,6 +247,38 @@ class TestBatchPaths:
             backward_cached(params, alone, ups, model.param_views(want))
             npt.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_pass_into_earlier_buffers_equals_fresh_pass(self, channels):
+        """Training writes each update's pass into the buffers of the first one."""
+        rng = np.random.default_rng(130 + channels)
+        model = init_weights(channels, channels=channels)
+        earlier = forward_cached(model.param_views(model.to_vector()), rng.uniform(-1, 1, (164, 5)))
+        vec = model.to_vector() + rng.normal(0, 0.3, model.num_params)
+        params = model.param_views(vec)
+        windows = rng.uniform(-1, 1, (164, 5))
+        got = forward_cached(params, windows, out=earlier)
+        want = forward_cached(params, windows)
+        for name in ("cols", "pre"):
+            for got_arr, want_arr, buffer in zip(
+                getattr(got, name), getattr(want, name), getattr(earlier, name)
+            ):
+                npt.assert_array_equal(got_arr, want_arr)
+                assert np.shares_memory(got_arr, buffer)
+        npt.assert_array_equal(got.features, want.features)
+        npt.assert_array_equal(got.outputs, want.outputs)
+
+    @pytest.mark.parametrize("rows, channels", [(163, 8), (165, 8), (164, 2)])
+    def test_pass_into_buffers_of_another_shape_is_refused(self, rows, channels):
+        model = init_weights(3, channels=8)
+        earlier = forward_cached(model.param_views(model.to_vector()), np.zeros((164, 5)))
+        before = [arr.copy() for arr in earlier.cols + earlier.pre]
+        other = init_weights(3, channels=channels)
+        params = other.param_views(other.to_vector())
+        with pytest.raises(ValueError, match="cannot reuse the buffers"):
+            forward_cached(params, np.ones((rows, 5)), out=earlier)
+        for arr, old in zip(earlier.cols + earlier.pre, before):
+            npt.assert_array_equal(arr, old)
+
 
 class TestInitWeights:
     def test_deterministic_per_seed(self):

@@ -434,6 +434,9 @@ class TestFailLoudly:
             ("eps", 0.0),
             ("eps", -1e-8),
             ("l2_lambda", math.nan),
+            ("l2_lambda", math.inf),
+            ("lr", math.inf),
+            ("eps", math.inf),
         ],
     )
     def test_config_rejects_bad_optimizer_settings(self, field, value):

@@ -8,7 +8,11 @@ runs first alternates from pair to pair.  For every workload and
 end-to-end metric the JSON on standard output holds each side's runs,
 median and quartiles (linear interpolation), the parent's spread
 (q3 - q1) / median, and how many pairs the change wins (ties count for
-neither side).
+neither side).  Each end-to-end metric also carries its ``bound`` from
+``BENCHMARK.json``, ``worse_by``, the change's median relative to the
+parent's in the metric's worse direction ((c - p) / p when lower is
+better, (p - c) / p when higher is better; negative when the change is
+better), and ``within_bound``, whether ``worse_by`` is at most the bound.
 
     python3 tools/bench_pairs.py --workload wide-train --pairs 10 --seed 6101
     python3 tools/bench_pairs.py --layers --pairs 5 --seed 6601
@@ -103,10 +107,15 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: dict, better: dict, seeds: list[int], first: list[str]) -> dict:
-    """Per-metric statistics of paired runs; ``runs[side]`` is a list of results."""
+def summarize(runs: dict, specs: dict, seeds: list[int], first: list[str]) -> dict:
+    """Per-metric statistics of paired runs; ``runs[side]`` is a list of results.
+
+    ``specs`` maps each metric to its ``better`` direction and, for an
+    end-to-end metric, its ``bound``.
+    """
     metrics = {}
-    for name, direction in better.items():
+    for name, spec in specs.items():
+        direction = spec["better"]
         per_run = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         stats = {side: quartiles(per_run[side]) for side in SIDES}
         sign = 1 if direction == "higher" else -1
@@ -120,6 +129,11 @@ def summarize(runs: dict, better: dict, seeds: list[int], first: list[str]) -> d
             "parent_spread": (parent["q3"] - parent["q1"]) / parent["median"],
             "change_wins": f"{wins}/{len(seeds)}",
         }
+        if "bound" in spec:
+            worse_by = -sign * (stats["change"]["median"] - parent["median"]) / parent["median"]
+            metrics[name].update(
+                bound=spec["bound"], worse_by=worse_by, within_bound=worse_by <= spec["bound"]
+            )
     return {
         "runs": len(seeds),
         "seeds": seeds,
@@ -161,11 +175,11 @@ def main(argv=None) -> int:
                     values = {k: v["value"] for k, v in result["metrics"].items()}
                     print(f"{label} seed {seed} {side}: {json.dumps(values)}", file=sys.stderr)
             if workload:
-                better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+                specs = {m["name"]: m for m in spec["end_to_end"]}
             else:
-                better = dict.fromkeys(runs["parent"][0]["metrics"], "lower")
+                specs = dict.fromkeys(runs["parent"][0]["metrics"], {"better": "lower"})
             first = [order[0] for order in orders]
-            doc["workloads"][label] = summarize(runs, better, seeds, first)
+            doc["workloads"][label] = summarize(runs, specs, seeds, first)
     print(json.dumps(doc, indent=1))
     return 0
 
