@@ -344,10 +344,10 @@ class TestSafety:
         "setting, message",
         [
             ({"train_lr": "-1"}, "lr must be positive"),
-            ({"train_l2_lambda": "inf"}, "l2_lambda must be nonnegative and finite"),
-            ({"train_eps": "inf"}, "eps must be positive and finite"),
             ({"train_beta2": "1"}, "beta2 must lie in"),
             ({"train_lr": "1e300"}, "training diverged at update 1:"),
+            ({"train_l2_lambda": "inf"}, "l2_lambda must be nonnegative and finite"),
+            ({"train_eps": "inf"}, "eps must be positive and finite"),
         ],
     )
     def test_bad_training_is_one_line_diagnostic(self, tmp_path, capsys, setting, message):
