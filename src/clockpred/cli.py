@@ -108,7 +108,6 @@ def cmd_prepare(
     cfg: dict[str, str],
     out_dir,
     in_path_b=None,
-    seed: int | None = None,
     force: bool = False,
 ) -> RunManifest:
     interval = config.interval_from(cfg)
@@ -140,7 +139,7 @@ def cmd_prepare(
     inputs = {"series": str(in_path)}
     if in_path_b is not None:
         inputs["series_b"] = str(in_path_b)
-    seed = config.seed_from(cfg, seed)
+    seed = config.seed_from(cfg)
     extra = {"split_sizes": list(parts.sizes)}
     return _commit("prepare", seed, cfg, inputs, outputs, extra, out_dir / "manifest.json", force)
 
@@ -256,7 +255,6 @@ def cmd_compare(
     report_out,
     summary_out=None,
     stub_memorize: bool = False,
-    seed: int | None = None,
     force: bool = False,
 ) -> RunManifest:
     prepared = load_prepared(prepared_dir)
@@ -281,7 +279,7 @@ def cmd_compare(
         "stub_memorize": stub_memorize,
     }
     inputs = {"prepared": str(prepared_dir), "model": str(model_path)}
-    seed = config.seed_from(cfg, seed)
+    seed = config.seed_from(cfg)
     manifest_path = f"{report_out}.manifest.json"
     return _commit("compare", seed, cfg, inputs, outputs, extra, manifest_path, force)
 
@@ -290,10 +288,11 @@ def cmd_compare(
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key=value configuration file")
-    common.add_argument("--seed", type=int, help="seed overriding the configuration")
     common.add_argument(
         "--force", action="store_true", help="allow overwriting existing outputs"
     )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, help="seed overriding the configuration")
     parser = argparse.ArgumentParser(
         prog="clockpred",
         description="Predict [UTC - hydrogen maser] offsets with a small 1D "
@@ -302,7 +301,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"clockpred {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="write a synthetic offset series")
+    p = sub.add_parser(
+        "generate", parents=[common, seeded], help="write a synthetic offset series"
+    )
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser(
@@ -316,7 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-dir", required=True, help="directory for prepared artifacts")
 
-    p = sub.add_parser("train", parents=[common], help="train the convolutional predictor")
+    p = sub.add_parser(
+        "train", parents=[common, seeded], help="train the convolutional predictor"
+    )
     p.add_argument("--prepared", required=True, help="prepare output directory")
     p.add_argument("--model-out", required=True, help="trained model JSON path")
     p.add_argument("--trace-out", required=True, help="training trace CSV path")
@@ -343,15 +346,13 @@ def main(argv=None) -> int:
         if args.command == "generate":
             cmd_generate(cfg, args.out, args.seed, args.force)
         elif args.command == "prepare":
-            cmd_prepare(
-                args.in_path, cfg, args.out_dir, args.in_path_b, args.seed, args.force
-            )
+            cmd_prepare(args.in_path, cfg, args.out_dir, args.in_path_b, args.force)
         elif args.command == "train":
             cmd_train(args.prepared, cfg, args.model_out, args.trace_out, args.seed, args.force)
         elif args.command == "compare":
             cmd_compare(
                 args.prepared, args.model, cfg, args.report_out, args.summary_out,
-                args.stub_memorize, args.seed, args.force,
+                args.stub_memorize, args.force,
             )
     except (ValueError, OSError) as err:
         print(f"clockpred: error: {err}", file=sys.stderr)

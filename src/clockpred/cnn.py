@@ -42,6 +42,7 @@ import numpy as np
 
 KERNEL_SIZES = (4, 3, 3)
 DEFAULT_INPUT_WIDTH = 5
+DEFAULT_CHANNELS = 1
 
 
 def relu(v):
@@ -426,7 +427,7 @@ def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
     return grad
 
 
-def init_weights(seed: int, channels: int = 1) -> CnnModel:
+def init_weights(seed: int, channels: int = DEFAULT_CHANNELS) -> CnnModel:
     """Deterministic initial model for a seed.
 
     Kernel and head weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)];

@@ -3,50 +3,53 @@
 One file configures the synthetic generator (gen_*), preprocessing
 (train_frac, val_frac, fit_on_full), training (train_*, cnn_channels) and
 the Kalman baseline (kf_*).  Every key is optional; omitted keys fall back
-to the frozen defaults below, which define the bundled experiment.
+to the frozen defaults of the bundled experiment, which are the library's
+own: key ``gen_<field>`` is ``SyntheticClockSpec.<field>``, ``train_<field>``
+is ``TrainConfig.<field>`` and ``kf_<field>`` is ``KalmanParams.<field>``,
+except the ``seed`` fields, which all take the shared ``seed`` key.  A value
+is parsed as the type of its default.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 from typing import Mapping
 
+from .cnn import DEFAULT_CHANNELS
 from .kalman import KalmanParams
-from .series import DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC
-from .synthetic import SyntheticClockSpec
-from .training import DEFAULT_SEED, TrainConfig
+from .series import DEFAULT_FIT_ON_FULL, DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC
+from .synthetic import DEFAULT_SEED, SyntheticClockSpec
+from .training import TrainConfig
 
 ENV_CONFIG_PATH = "CLOCKPRED_CONFIG"
 
+_SECTIONS = {SyntheticClockSpec: "gen_", TrainConfig: "train_", KalmanParams: "kf_"}
+
+_TYPED_DEFAULTS: dict[str, object] = {
+    "seed": DEFAULT_SEED,
+    "train_frac": DEFAULT_TRAIN_FRAC,
+    "val_frac": DEFAULT_VAL_FRAC,
+    "fit_on_full": DEFAULT_FIT_ON_FULL,
+    "cnn_channels": DEFAULT_CHANNELS,
+    **{
+        prefix + f.name: f.default
+        for cls, prefix in _SECTIONS.items()
+        for f in fields(cls)
+        if f.name != "seed"
+    },
+}
+
 DEFAULTS: dict[str, str] = {
-    "seed": str(DEFAULT_SEED),
-    # preprocessing
-    "train_frac": repr(DEFAULT_TRAIN_FRAC),
-    "val_frac": repr(DEFAULT_VAL_FRAC),
-    "fit_on_full": "false",
-    # synthetic generator
-    "gen_x0": "50.0",
-    "gen_y0": "10.0",
-    "gen_drift": "0.005",
-    "gen_sigma_wfm": "1.0",
-    "gen_sigma_rwfm": "0.08",
-    "gen_n": "274",
-    "gen_interval": "5",
-    "gen_start_epoch": "56934",
-    # training
-    "cnn_channels": "1",
-    "train_max_updates": "2000",
-    "train_l2_lambda": "1e-4",
-    "train_patience": "2000",
-    "train_lr": "0.005",
-    "train_beta1": "0.9",
-    "train_beta2": "0.999",
-    "train_eps": "1e-3",
-    # Kalman baseline (normalized units)
-    "kf_q1": "0.1",
-    "kf_q2": "1e-4",
-    "kf_r": "1e-6",
-    "kf_p0": "1e6",
+    key: str(value).lower() if isinstance(value, bool) else repr(value)
+    for key, value in _TYPED_DEFAULTS.items()
+}
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARSERS = {
+    bool: (lambda text: _BOOLEANS[text.lower()], "a boolean"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
 }
 
 
@@ -56,9 +59,10 @@ def parse_config(path) -> dict[str, str]:
     Raises
     ------
     ValueError
-        On malformed lines (with line number) or unknown keys.
+        On malformed lines, unknown keys or a key set twice, with the line number.
     """
     entries: dict[str, str] = {}
+    lines: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -69,9 +73,13 @@ def parse_config(path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
+        if key in lines:
+            raise ValueError(
+                f"{path}:{lineno}: duplicate key {key!r} (first set on line {lines[key]})"
+            )
         if not value:
             raise ValueError(f"{path}:{lineno}: empty value for {key!r}")
-        entries[key] = value
+        entries[key], lines[key] = value, lineno
     return entries
 
 
@@ -83,83 +91,52 @@ def effective_config(overrides: Mapping[str, str] | None = None) -> dict[str, st
     return merged
 
 
-def _as_float(cfg: Mapping[str, str], key: str) -> float:
+def _value(cfg: Mapping[str, str], key: str):
+    """``cfg[key]`` parsed as the type of the key's default."""
+    parse, noun = _PARSERS[type(_TYPED_DEFAULTS[key])]
+    text = cfg[key]
     try:
-        return float(cfg[key])
-    except ValueError:
-        raise ValueError(f"configuration key {key!r}: {cfg[key]!r} is not a number") from None
+        return parse(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"configuration key {key!r}: {text!r} is not {noun}") from None
 
 
-def _as_int(cfg: Mapping[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ValueError(f"configuration key {key!r}: {cfg[key]!r} is not an integer") from None
-
-
-def _as_bool(cfg: Mapping[str, str], key: str) -> bool:
-    value = cfg[key].lower()
-    if value in ("true", "1", "yes"):
-        return True
-    if value in ("false", "0", "no"):
-        return False
-    raise ValueError(f"configuration key {key!r}: {cfg[key]!r} is not a boolean")
+def _section(cls, cfg: Mapping[str, str], **given):
+    """An instance of a ``_SECTIONS`` dataclass from its keys; ``given`` fields are not read."""
+    prefix = _SECTIONS[cls]
+    read = {f.name: _value(cfg, prefix + f.name) for f in fields(cls) if f.name not in given}
+    return cls(**read, **given)
 
 
 def seed_from(cfg: Mapping[str, str], override: int | None = None) -> int:
-    seed = _as_int(cfg, "seed") if override is None else int(override)
+    seed = _value(cfg, "seed") if override is None else int(override)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     return seed
 
 
 def synthetic_spec_from(cfg: Mapping[str, str], seed: int | None = None) -> SyntheticClockSpec:
-    return SyntheticClockSpec(
-        x0=_as_float(cfg, "gen_x0"),
-        y0=_as_float(cfg, "gen_y0"),
-        drift=_as_float(cfg, "gen_drift"),
-        sigma_wfm=_as_float(cfg, "gen_sigma_wfm"),
-        sigma_rwfm=_as_float(cfg, "gen_sigma_rwfm"),
-        n=_as_int(cfg, "gen_n"),
-        interval=_as_int(cfg, "gen_interval"),
-        seed=seed_from(cfg, seed),
-        start_epoch=_as_int(cfg, "gen_start_epoch"),
-    )
+    return _section(SyntheticClockSpec, cfg, seed=seed_from(cfg, seed))
 
 
 def train_config_from(cfg: Mapping[str, str], seed: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        max_updates=_as_int(cfg, "train_max_updates"),
-        l2_lambda=_as_float(cfg, "train_l2_lambda"),
-        patience=_as_int(cfg, "train_patience"),
-        seed=seed_from(cfg, seed),
-        lr=_as_float(cfg, "train_lr"),
-        beta1=_as_float(cfg, "train_beta1"),
-        beta2=_as_float(cfg, "train_beta2"),
-        eps=_as_float(cfg, "train_eps"),
-    )
+    return _section(TrainConfig, cfg, seed=seed_from(cfg, seed))
 
 
 def kalman_params_from(cfg: Mapping[str, str]) -> KalmanParams:
-    return KalmanParams(
-        q1=_as_float(cfg, "kf_q1"),
-        q2=_as_float(cfg, "kf_q2"),
-        r=_as_float(cfg, "kf_r"),
-        p0=_as_float(cfg, "kf_p0"),
-    )
+    return _section(KalmanParams, cfg)
 
 
 def prepare_options_from(cfg: Mapping[str, str]) -> tuple[float, float, bool]:
-    return (
-        _as_float(cfg, "train_frac"),
-        _as_float(cfg, "val_frac"),
-        _as_bool(cfg, "fit_on_full"),
-    )
+    return _value(cfg, "train_frac"), _value(cfg, "val_frac"), _value(cfg, "fit_on_full")
 
 
 def interval_from(cfg: Mapping[str, str]) -> int:
-    return _as_int(cfg, "gen_interval")
+    return _value(cfg, "gen_interval")
 
 
 def channels_from(cfg: Mapping[str, str]) -> int:
-    return _as_int(cfg, "cnn_channels")
+    channels = _value(cfg, "cnn_channels")
+    if channels < 1:
+        raise ValueError(f"configuration key 'cnn_channels': must be at least 1, got {channels}")
+    return channels

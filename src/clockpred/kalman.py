@@ -26,24 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Defaults frozen from a coarse grid search on the bundled synthetic
-# experiment's validation partition (see notebooks/05_kalman_calibration.py).
-# Units are normalized-residual units squared (and per day for the densities).
-DEFAULT_Q1 = 0.1
-DEFAULT_Q2 = 1e-4
-DEFAULT_R = 1e-6
-DEFAULT_P0 = 1e6
-
 
 @dataclass(frozen=True)
 class KalmanParams:
     """Noise configuration: spectral densities q1 (white FM), q2 (random-walk FM),
-    measurement variance r, and the diffuse initial variance p0."""
+    measurement variance r, and the diffuse initial variance p0.
 
-    q1: float = DEFAULT_Q1
-    q2: float = DEFAULT_Q2
-    r: float = DEFAULT_R
-    p0: float = DEFAULT_P0
+    The defaults are frozen from a coarse grid search on the bundled
+    synthetic experiment's validation partition (see
+    notebooks/05_kalman_calibration.py).  Units are normalized-residual
+    units squared (and per day for the densities).
+    """
+
+    q1: float = 0.1
+    q2: float = 1e-4
+    r: float = 1e-6
+    p0: float = 1e6
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.q1, self.q2, self.r, self.p0))):

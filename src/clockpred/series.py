@@ -24,6 +24,7 @@ DEFAULT_INTERVAL_DAYS = 5
 # reference 141 / 33 / 100 partition of a 274-point series.
 DEFAULT_TRAIN_FRAC = 0.5146
 DEFAULT_VAL_FRAC = 0.1205
+DEFAULT_FIT_ON_FULL = False
 
 CSV_HEADER = "mjd,ns"
 
@@ -352,7 +353,7 @@ def prepare(
     series: TimeSeries,
     train_frac: float = DEFAULT_TRAIN_FRAC,
     val_frac: float = DEFAULT_VAL_FRAC,
-    fit_on_full: bool = False,
+    fit_on_full: bool = DEFAULT_FIT_ON_FULL,
 ) -> PreparedSeries:
     """Run the full preprocessing pipeline on a raw offset series.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import DEFAULT_INTERVAL_DAYS, TimeSeries
 
 DEFAULT_START_EPOCH = 56934
 DEFAULT_SEED = 56934
@@ -36,7 +36,7 @@ class SyntheticClockSpec:
     sigma_wfm: float = 1.0
     sigma_rwfm: float = 0.08
     n: int = 274
-    interval: int = 5
+    interval: int = DEFAULT_INTERVAL_DAYS
     seed: int = DEFAULT_SEED
     start_epoch: int = DEFAULT_START_EPOCH
 

@@ -34,8 +34,7 @@ from .cnn import (
     forward_cached,
 )
 from .series import TimeSeries
-
-DEFAULT_SEED = 56934
+from .synthetic import DEFAULT_SEED
 
 STOP_MAX_UPDATES = "max-updates"
 STOP_EARLY = "early-stop"

@@ -348,6 +348,7 @@ class TestSafety:
             ({"train_lr": "1e300"}, "training diverged at update 1:"),
             ({"train_l2_lambda": "inf"}, "l2_lambda must be nonnegative and finite"),
             ({"train_eps": "inf"}, "eps must be positive and finite"),
+            ({"cnn_channels": "-2"}, "configuration key 'cnn_channels': must be at least 1"),
         ],
     )
     def test_bad_training_is_one_line_diagnostic(self, tmp_path, capsys, setting, message):
@@ -627,8 +628,19 @@ class TestParser:
 
     @pytest.mark.parametrize(
         "argv",
-        [[], ["generate"], ["frobnicate"], ["generate", "--out", "x.csv", "--seed", "one"]],
-        ids=["no-command", "missing-out", "unknown-command", "bad-seed"],
+        [
+            [],
+            ["generate"],
+            ["frobnicate"],
+            ["generate", "--out", "x.csv", "--seed", "one"],
+            ["prepare", "--in", "x.csv", "--out-dir", "prepared", "--seed", "7"],
+            ["compare", "--prepared", "p", "--model", "m.json", "--report-out", "r.csv",
+             "--seed", "7"],
+        ],
+        ids=[
+            "no-command", "missing-out", "unknown-command", "bad-seed", "prepare-seed",
+            "compare-seed",
+        ],
     )
     def test_bad_arguments_exit_2_every_time(self, tmp_path, capsys, argv):
         for _ in range(3):

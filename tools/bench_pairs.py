@@ -20,11 +20,9 @@ better), and ``within_bound``, whether ``worse_by`` is at most the bound.
 ``--layers`` replaces the benchmark runs by a probe process per tree that
 times ``cnn.forward_cached`` and ``cnn.backward_cached`` on the frozen
 experiment's 164 stacked windows at 1 and 8 channels, the best of 20
-repeats of 100 calls each, in microseconds per call.  As in ``train``,
-each forward pass is kept until the next one has been computed: a pass
-freed at once lets malloc trim the heap and fault the pages in again on
-the next call, which times the allocator rather than the layer.  Progress
-goes to standard error.
+repeats of 100 calls each, in microseconds per call.  The forward pass is
+the one ``train`` runs after its first: it writes into an earlier pass's
+buffers (``out=``).  Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -61,10 +59,10 @@ for channels in (1, 8):
     model = cp.init_weights(int(sys.argv[1]), channels=channels)
     params = model.param_views(model.to_vector())
     grads = model.param_views(np.empty(model.num_params))
-    fwd = forward_cached(params, inputs).first(n)
-    kept = {}
+    both = forward_cached(params, inputs)
+    fwd = both.first(n)
     calls = {
-        "forward_cached": lambda: kept.update(last=forward_cached(params, inputs)),
+        "forward_cached": lambda: forward_cached(params, inputs, out=both),
         "backward_cached": lambda: backward_cached(params, fwd, upstreams, grads),
     }
     for name, call in calls.items():
