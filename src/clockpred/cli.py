@@ -110,10 +110,13 @@ def cmd_prepare(
     in_path_b=None,
     force: bool = False,
 ) -> RunManifest:
-    interval = config.interval_from(cfg)
-    data = series.read_series(in_path, interval)
+    data = series.read_series(in_path)
     if in_path_b is not None:
-        data = series.combine_series(data, series.read_series(in_path_b, interval))
+        data_b = series.read_series(in_path_b)
+        try:
+            data = series.combine_series(data, data_b)
+        except ValueError as err:
+            raise ValueError(f"{in_path_b}: {err}") from None
     train_frac, val_frac, fit_on_full = config.prepare_options_from(cfg)
     prepared = series.prepare(data, train_frac, val_frac, fit_on_full)
     residual = series.denormalize(prepared.residual_norm, prepared.scale)
@@ -176,10 +179,11 @@ def _split_from_doc(doc) -> tuple[int, series.DataSplit, series.DataSplit, bool]
 def load_prepared(prepared_dir) -> PreparedSeries:
     """Reassemble a :class:`PreparedSeries` from a prepare output directory.
 
-    The documents must agree with one another: the split is the partition
-    ``prepare`` makes of the whole series with the recorded fractions, the
-    residual has the series' epochs, and the residual equals series − trend
-    to within ``_RESIDUAL_TOLERANCE_NS``.
+    The interval is the spacing of the epochs in ``series.csv``; the
+    manifest is not read.  The documents must agree with one another: the
+    split is the partition ``prepare`` makes of the whole series with the
+    recorded fractions, the residual has the series' epochs, and the
+    residual equals series − trend to within ``_RESIDUAL_TOLERANCE_NS``.
 
     Raises
     ------
@@ -194,12 +198,9 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     scale = _read_json(
         prepared_dir / "scale.json", lambda doc: series.NormalizationScale(doc["d_max_abs"])
     )
-    interval = _read_json(
-        prepared_dir / "manifest.json", lambda doc: int(doc["config"]["gen_interval"])
-    )
-    full = series.read_series(prepared_dir / "series.csv", interval)
+    full = series.read_series(prepared_dir / "series.csv")
     residual_path = prepared_dir / "residual.csv"
-    residual = series.read_series(residual_path, interval)
+    residual = series.read_series(residual_path)
     if n != len(full):
         raise ValueError(f"{split_path}: split n {n} != {len(full)} points in series.csv")
     if parts != expected:

@@ -250,7 +250,7 @@ class ParamViews(NamedTuple):
         return np.concatenate(parts)
 
 
-def _check_batch(model: CnnModel, windows) -> np.ndarray:
+def _check_batch(windows) -> np.ndarray:
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] != DEFAULT_INPUT_WIDTH:
         raise ValueError(
@@ -259,7 +259,7 @@ def _check_batch(model: CnnModel, windows) -> np.ndarray:
     return windows
 
 
-def _check_window(model: CnnModel, window) -> np.ndarray:
+def _check_window(window) -> np.ndarray:
     x = np.asarray(window, dtype=np.float64)
     if x.shape != (DEFAULT_INPUT_WIDTH,):
         raise ValueError(
@@ -278,7 +278,7 @@ def forward(model: CnnModel, window) -> float:
     Evaluated with ``np.correlate``, bias first, so it may differ from
     ``forward_batch`` in the last bit; the compare report is pinned to it.
     """
-    act = _check_window(model, window).reshape(1, -1)
+    act = _check_window(window).reshape(1, -1)
     for layer in model.layers:
         act = np.maximum(_correlate(act, layer), 0.0)
     return float(model.head_weights @ act.ravel() + model.head_bias)
@@ -291,7 +291,7 @@ def backward(model: CnnModel, window, upstream: float = 1.0) -> ParamViews:
     The gradient comes shaped like the parameters, as views of one flat
     vector.
     """
-    x = _check_window(model, window)
+    x = _check_window(window)
     return model.param_views(backward_batch(model, x.reshape(1, -1), [float(upstream)]))
 
 
@@ -412,12 +412,12 @@ def backward_cached(
 
 def forward_batch(model: CnnModel, windows) -> np.ndarray:
     """Network outputs for a (n, width) batch of windows."""
-    return forward_cached(_params(model), _check_batch(model, windows)).outputs
+    return forward_cached(_params(model), _check_batch(windows)).outputs
 
 
 def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
     """Sum of per-window gradients scaled by per-window upstreams, as a flat vector."""
-    windows = _check_batch(model, windows)
+    windows = _check_batch(windows)
     upstreams = np.asarray(upstreams, dtype=np.float64)
     if upstreams.shape != (windows.shape[0],):
         raise ValueError("one upstream scalar per window is required")

@@ -131,10 +131,6 @@ def prepare_options_from(cfg: Mapping[str, str]) -> tuple[float, float, bool]:
     return _value(cfg, "train_frac"), _value(cfg, "val_frac"), _value(cfg, "fit_on_full")
 
 
-def interval_from(cfg: Mapping[str, str]) -> int:
-    return _value(cfg, "gen_interval")
-
-
 def channels_from(cfg: Mapping[str, str]) -> int:
     channels = _value(cfg, "cnn_channels")
     if channels < 1:

@@ -297,18 +297,20 @@ def series_to_csv(s: TimeSeries, decimals: int | None = 3) -> str:
     return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
-def read_series(path, interval: int = DEFAULT_INTERVAL_DAYS) -> TimeSeries:
+def read_series(path) -> TimeSeries:
     """Parse a ``mjd,ns`` CSV file into a :class:`TimeSeries`.
 
-    The epoch grid must advance by ``interval`` days; gaps are rejected, not
-    interpolated, because a silently patched series would corrupt any
-    downstream evaluation.
+    The interval is the step between the first two epochs (a file with one
+    data row gets ``DEFAULT_INTERVAL_DAYS``), and every later step must
+    equal it; gaps are rejected, not interpolated, because a silently
+    patched series would corrupt any downstream evaluation.
 
     Raises
     ------
     ValueError
         On a bad header, a malformed row (the message carries the line
-        number), non-monotone epochs or spacing other than ``interval``.
+        number), a first step of zero or less, or any other step that
+        differs from the first.
     """
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -327,7 +329,10 @@ def read_series(path, interval: int = DEFAULT_INTERVAL_DAYS) -> TimeSeries:
             values.append(float(fields[1]))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+    interval = epochs[1] - epochs[0] if len(epochs) > 1 else DEFAULT_INTERVAL_DAYS
     try:
+        if interval <= 0:
+            raise ValueError(f"epochs must increase; offending step {epochs[0]} -> {epochs[1]}")
         return TimeSeries(epochs, values, interval)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
@@ -366,9 +371,6 @@ def prepare(
     fit_slice = range(0, len(series)) if fit_on_full else parts.train_range
     trend = fit_quadratic(series.subseries(fit_slice))
     residual = detrend(series, trend)
-    peak = float(np.max(np.abs(residual.values[fit_slice.start : fit_slice.stop])))
-    if peak == 0.0:
-        raise ValueError("residual is identically zero; cannot form a scale")
-    scale = NormalizationScale(peak)
-    residual_norm = residual.with_values(residual.values / peak)
+    _, scale = normalize(residual.subseries(fit_slice))
+    residual_norm = residual.with_values(residual.values / scale.d_max_abs)
     return PreparedSeries(series, residual_norm, trend, scale, parts, fit_on_full)

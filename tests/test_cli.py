@@ -5,18 +5,25 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from clockpred.cli import _build_parser, load_prepared, main
+from clockpred import config
+from clockpred.cli import _build_parser, cmd_prepare, load_prepared, main
 from clockpred.cnn import init_weights, model_to_json
+from clockpred.kalman import KalmanParams, kf_one_ahead_batch
+from clockpred.predictor import eligible_indices, reconstruct, window_matrix
 from clockpred.series import (
     QuadraticTrend,
     denormalize,
     detrend,
+    prepare,
     read_series,
     retrend,
     series_to_csv,
@@ -121,10 +128,19 @@ def _shifted_rows(csv_text, days, ns, rows=None):
     return "\n".join(lines) + "\n"
 
 
-def _without(text, key, within=None):
-    """The JSON document ``text`` with ``key`` deleted, optionally from a nested object."""
+def _respaced(csv_text, interval):
+    """The ``mjd,ns`` document with its epochs respaced ``interval`` days apart from the first."""
+    lines = csv_text.splitlines()
+    first = int(lines[1].split(",")[0])
+    for i in range(1, len(lines)):
+        lines[i] = f"{first + interval * (i - 1)},{lines[i].split(',')[1]}"
+    return "\n".join(lines) + "\n"
+
+
+def _without(text, key):
+    """The JSON document ``text`` with ``key`` deleted."""
     doc = json.loads(text)
-    del (doc[within] if within else doc)[key]
+    del doc[key]
     return json.dumps(doc)
 
 
@@ -248,6 +264,32 @@ class TestPrepare:
         combined = read_series(tmp_path / "prepared" / "series.csv")
         npt.assert_allclose(combined.values, s.values, atol=1e-3)
 
+    @pytest.mark.parametrize("interval", [1, 5, 10])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 400), fit_on_full=st.booleans())
+    def test_round_trip_at_any_interval(self, interval, seed, n, fit_on_full):
+        """``prepare`` then ``load_prepared`` equals in-process ``prepare`` at any spacing."""
+        cfg = config.effective_config({"fit_on_full": str(fit_on_full).lower()})
+        with tempfile.TemporaryDirectory() as tmp:
+            csv, out = Path(tmp) / "s.csv", Path(tmp) / "prepared"
+            spec = SyntheticClockSpec(n=n, interval=interval, seed=seed)
+            csv.write_text(series_to_csv(generate(spec)))
+            cmd_prepare(csv, cfg, out)
+            got = load_prepared(out)
+            want = prepare(read_series(csv), *config.prepare_options_from(cfg))
+        for part in ("series", "residual_norm"):
+            npt.assert_array_equal(getattr(got, part).epochs, want.series.epochs)
+            assert getattr(got, part).interval == interval
+        npt.assert_array_equal(got.series.values, want.series.values)
+        assert (got.split, got.trend, got.scale) == (want.split, want.trend, want.scale)
+        assert got.fit_on_full == want.fit_on_full == fit_on_full
+        npt.assert_allclose(
+            denormalize(got.residual_norm, got.scale).values,
+            denormalize(want.residual_norm, want.scale).values,
+            rtol=0,
+            atol=1e-9,
+        )
+
 
 class TestPipeline:
     def test_full_run_and_artifacts(self, tmp_path):
@@ -298,6 +340,33 @@ class TestPipeline:
         doc = json.loads((tmp_path / "stub.json").read_text())
         assert doc["cnn_e_rms_ns"] == 0.0
         assert doc["kf_e_rms_ns"] == 0.0
+
+    @pytest.mark.parametrize("interval", [1, 10])
+    def test_other_spacing_runs_under_config_without_interval(self, tmp_path, interval):
+        """The Kalman filter's step is the data's spacing, not the generator key's default."""
+        (tmp_path / "gen").mkdir()
+        gen_conf = fast_conf(tmp_path / "gen", gen_interval=interval)
+        assert main(["generate", "--config", gen_conf, "--out", str(tmp_path / "s.csv")]) == 0
+        conf = fast_conf(tmp_path)
+        out = tmp_path / "prepared"
+        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv")]
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        argv = ["train", "--config", conf, "--prepared", str(out)]
+        argv += ["--model-out", str(tmp_path / "model.json"), "--trace-out"]
+        assert main(argv + [str(tmp_path / "trace.csv")]) == 0
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, out, tmp_path / "model.json", report)) == 0
+        prepared = load_prepared(out)
+        assert prepared.series.interval == interval
+        test_range = prepared.split.test_range
+        windows = window_matrix(prepared.residual_norm, test_range)
+        epochs = prepared.series.epochs[eligible_indices(test_range)]
+        kf_norm = kf_one_ahead_batch(windows, interval, KalmanParams())
+        rows = np.loadtxt(report, delimiter=",", skiprows=1)
+        npt.assert_array_equal(rows[:, 0], epochs)
+        npt.assert_array_equal(
+            rows[:, 3], reconstruct(kf_norm, prepared.scale, prepared.trend, epochs)
+        )
 
 
 class TestSafety:
@@ -382,14 +451,14 @@ class TestSafety:
         [
             ("split.json", lambda doc: _without(doc, "val"), "missing key 'val'"),
             ("trend.json", lambda doc: json.dumps(list(json.loads(doc).values())), "malformed"),
-            (
-                "manifest.json",
-                lambda doc: _without(doc, "gen_interval", within="config"),
-                "missing key 'gen_interval'",
-            ),
             ("scale.json", lambda doc: doc[: len(doc) // 2], "malformed"),
+            (
+                "residual.csv",
+                lambda doc: _respaced(doc, 10),
+                "epochs differ from those of series.csv",
+            ),
         ],
-        ids=["split-without-val", "trend-as-list", "manifest-without-interval", "scale-cut"],
+        ids=["split-without-val", "trend-as-list", "scale-cut", "residual-other-grid"],
     )
     def test_malformed_prepared_document_is_one_line_diagnostic(
         self, tmp_path, capsys, name, edit, message
@@ -499,6 +568,29 @@ class TestSafety:
         model = tmp_path / "model.json"
         model.write_text(model_to_json(init_weights(0)))
         assert main(compare_argv(conf, prepared, model, tmp_path / "report.csv")) == 0
+
+    @pytest.mark.parametrize("second", [56939, 56934], ids=["zero-step", "backward-step"])
+    def test_first_step_not_positive_is_one_line_diagnostic(self, tmp_path, capsys, second):
+        path = tmp_path / "back.csv"
+        path.write_text(f"mjd,ns\n56939,1.0\n{second},2.0\n56929,3.0\n")
+        argv = ["prepare", "--config", fast_conf(tmp_path), "--in", str(path)]
+        assert main(argv + ["--out-dir", str(tmp_path / "prepared")]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"clockpred: error: {path}: epochs must increase; offending step 56939 -> {second}\n"
+        )
+        assert not (tmp_path / "prepared").exists()
+
+    def test_second_input_on_other_grid_is_one_line_diagnostic(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(series_to_csv(generate(SyntheticClockSpec(n=274))))
+        b.write_text(series_to_csv(generate(SyntheticClockSpec(n=274, interval=10))))
+        argv = ["prepare", "--config", fast_conf(tmp_path), "--in", str(a), "--in-b", str(b)]
+        assert main(argv + ["--out-dir", str(tmp_path / "prepared")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {b}: ") and err.count("\n") == 1
+        assert "intervals 5 and 10" in err
+        assert not (tmp_path / "prepared").exists()
 
     def test_model_of_other_width_is_one_line_diagnostic(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from clockpred.series import (
+    DEFAULT_INTERVAL_DAYS,
     DataSplit,
     NormalizationScale,
     QuadraticTrend,
@@ -289,14 +290,19 @@ class TestCsvRoundTrip:
 
     def test_spacing_error(self, tmp_path):
         path = tmp_path / "gap.csv"
-        path.write_text("mjd,ns\n56934,1.0\n56938,2.0\n")
+        path.write_text("mjd,ns\n56934,1.0\n56939,2.0\n56943,3.0\n")
         with pytest.raises(ValueError, match="advance by 5"):
-            read_series(path, interval=5)
+            read_series(path)
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(series_to_csv(make_series([1.0, 2.0])))
         assert b"\r" not in path.read_bytes()
+
+    def test_single_row_takes_default_interval(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("mjd,ns\n56934,1.0\n")
+        assert read_series(path).interval == DEFAULT_INTERVAL_DAYS
 
 
 class TestPrepare:
