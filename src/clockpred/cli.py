@@ -49,7 +49,7 @@ class RunManifest:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write_atomic(path, text: str) -> None:
@@ -150,14 +150,14 @@ def cmd_prepare(
 def _read_json(path: Path, build):
     """Build a value from the JSON document at ``path``.
 
-    A missing key, a value of the wrong type or a value its constructor
-    rejects becomes a ``ValueError`` that names the path.
+    A missing key, a value of the wrong type, an infinite count or a value
+    its constructor rejects becomes a ``ValueError`` that names the path.
     """
     try:
         return build(json.loads(path.read_text(encoding="utf-8")))
     except KeyError as err:
         raise ValueError(f"{path}: missing key {err}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"{path}: malformed document: {err}") from None
 
 
@@ -195,9 +195,8 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     split_path = prepared_dir / "split.json"
     n, parts, expected, fit_on_full = _read_json(split_path, _split_from_doc)
     trend = _read_json(prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**doc))
-    scale = _read_json(
-        prepared_dir / "scale.json", lambda doc: series.NormalizationScale(doc["d_max_abs"])
-    )
+    scale_path = prepared_dir / "scale.json"
+    scale = _read_json(scale_path, lambda doc: series.NormalizationScale(doc["d_max_abs"]))
     full = series.read_series(prepared_dir / "series.csv")
     residual_path = prepared_dir / "residual.csv"
     residual = series.read_series(residual_path)
@@ -214,9 +213,13 @@ def load_prepared(prepared_dir) -> PreparedSeries:
             f"{residual_path}: residual at MJD {full.epochs[worst]} is "
             f"{gap[worst]:.6g} ns from series - trend (tolerance {_RESIDUAL_TOLERANCE_NS} ns)"
         )
+    with np.errstate(over="ignore"):
+        norm = residual.values / scale.d_max_abs
+    if not np.all(np.isfinite(norm)):
+        raise ValueError(f"{scale_path}: d_max_abs {scale.d_max_abs!r} overflows the residual")
     return PreparedSeries(
         series=full,
-        residual_norm=residual.with_values(residual.values / scale.d_max_abs),
+        residual_norm=residual.with_values(norm),
         trend=trend,
         scale=scale,
         split=parts,

@@ -17,14 +17,14 @@ one window with ``np.correlate``; the compare report is computed with them,
 so their rounding is part of that report.  The batched path
 (``forward_cached``, ``backward_cached`` and their ``_batch`` wrappers) is
 channel-major: one row per channel, columns ordered by window, then
-position.  A layer's pre-activation is the bias plus one 2-D GEMM per tap
-over cached tap columns, in tap order.  Its kernel gradient is one GEMM of
-those columns with the pre-activation gradient when the layer has more
-than one channel, and a pairwise sum of products over each contiguous row
-with one.  With one channel each term is an exact product and each sum
-keeps an elementwise loop's order, so the path rounds as that loop does;
-with more, a GEMM's sum may round differently.  The two paths can differ
-in the last bit.  A forward pass can write its caches into the arrays of
+position.  Each layer caches its tap columns, (k, in_ch, n * width) in
+(tap, channel) order.  With more than one channel, each of a layer's three
+contractions (pre-activation, kernel gradient, input gradient) is one GEMM
+over those columns.  With one, the bias and each tap's exact product are
+added in tap order and the kernel gradient sums each contiguous row
+pairwise, so the path rounds as an elementwise loop does; a GEMM's sums
+may round differently.  The two paths can differ in the last bit.  A
+forward pass can write its caches (and a scratch buffer) into the arrays of
 an earlier pass over a batch of the same shape, so that a training loop
 allocates them once.
 """
@@ -303,12 +303,14 @@ class BatchForward:
     ``cols[m, c, w * width + j]`` is channel c of window w at position
     j + m - k // 2, zero in the padding; ``pre`` is the pre-activation,
     (out_ch, n * width).  ``features`` is the head's input, (n, C * width).
+    ``scratch`` is a flat buffer that ``backward_cached`` forms input gradients in.
     """
 
     cols: tuple[np.ndarray, ...]
     pre: tuple[np.ndarray, ...]
     features: np.ndarray
     outputs: np.ndarray
+    scratch: np.ndarray
 
     def first(self, n: int) -> "BatchForward":
         """The pass restricted to the first ``n`` windows, as views of these caches."""
@@ -320,6 +322,7 @@ class BatchForward:
             tuple([p[:, :end] for p in self.pre]),
             self.features[:n],
             self.outputs[:n],
+            self.scratch,
         )
 
 
@@ -358,18 +361,23 @@ def forward_cached(
         for col, (dst, src, pad) in zip(cols, _taps(k, width)):
             col[:, dst] = act[:, src]
             col.reshape(in_ch, n, width)[:, :, pad] = 0.0
-        # A one-channel contraction is a broadcast product (same rounding, faster).
-        # One term buffer per layer: a new array per tap makes malloc re-fault pages.
         pre = np.empty((out_ch, n * width)) if out is None else out.pre[i]
-        pre[:] = bias[:, None]
-        term = np.empty_like(pre)
-        for tap, col in zip(kernel.transpose(2, 0, 1).copy(), cols):
-            pre += (np.matmul if in_ch > 1 else np.multiply)(tap, col, out=term)
+        if out_ch > 1 or in_ch > 1:  # the columns are in (tap, channel) order: one GEMM
+            taps = kernel.transpose(0, 2, 1).reshape(out_ch, k * in_ch)
+            np.matmul(taps, cols.reshape(k * in_ch, n * width), out=pre)
+            pre += bias[:, None]
+        else:
+            # One term buffer per layer: a new array per tap makes malloc re-fault pages.
+            pre[:] = bias[:, None]
+            term = np.empty_like(pre)
+            for tap, col in zip(kernel.transpose(2, 0, 1).copy(), cols):
+                pre += np.multiply(tap, col, out=term)
         caches.append((cols, pre))
         act = np.maximum(pre, 0.0)
     features = act.reshape(len(act), n, width).transpose(1, 0, 2).reshape(n, len(act) * width)
     outputs = features @ params.head_weights + params.head_bias
-    return BatchForward(*zip(*caches), features, outputs)
+    scratch = np.empty(max(cols.size for cols, _ in caches[1:])) if out is None else out.scratch
+    return BatchForward(*zip(*caches), features, outputs, scratch)
 
 
 def backward_cached(
@@ -381,7 +389,8 @@ def backward_cached(
     A layer with more than one input or output channel forms its kernel
     gradient as one GEMM, tap columns (k * in_ch, n * width) times the
     transposed pre-activation gradient; a one-channel layer sums each tap's
-    products pairwise, bit for bit as the elementwise loops do.
+    products pairwise, bit for bit as the elementwise loops do.  All taps'
+    input gradients are formed at once in ``fwd.scratch``, then added shifted.
     """
     n = upstreams.size
     head = params.head_weights.reshape(len(fwd.pre[-1]), 1, -1)
@@ -403,9 +412,11 @@ def backward_cached(
         else:
             (cols[:, 0] * d_pre).sum(axis=-1, out=grads.kernels[i][0, 0])
         if i:
+            parts = fwd.scratch[: k * in_ch * n * width].reshape(k * in_ch, n * width)
+            taps = kernel.transpose(2, 1, 0).reshape(k * in_ch, out_ch)
+            (np.matmul if out_ch > 1 or in_ch > 1 else np.multiply)(taps, d_pre, out=parts)
             d_act = np.zeros((in_ch, n * width))
-            for tap, (dst, src, pad) in zip(kernel.transpose(2, 1, 0).copy(), _taps(k, width)):
-                part = tap @ d_pre if out_ch > 1 else tap * d_pre
+            for part, (dst, src, pad) in zip(parts.reshape(k, in_ch, n * width), _taps(k, width)):
                 part.reshape(in_ch, n, width)[:, :, pad] = 0.0
                 d_act[:, src] += part[:, dst]
 
@@ -457,7 +468,7 @@ def model_to_json(model: CnnModel) -> str:
         ],
         "head": {"weights": model.head_weights.tolist(), "bias": model.head_bias},
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def model_from_json(text: str) -> CnnModel:

@@ -151,31 +151,39 @@ def compare(cnn_method, kf_method, prepared: PreparedSeries) -> PredictionReport
     ``kf_method`` may be a :class:`KalmanParams` or any window callable.
     The window matrix is built once.  Callables see its rows one at a
     time; ``KalmanParams`` filter all rows in one batched call, whose
-    predictions equal the per-window filter's bit for bit.
+    predictions equal the per-window filter's bit for bit.  A method whose
+    RMS error is not finite is refused, naming its worst prediction's MJD.
     """
     test_range = prepared.split.test_range
     windows = window_matrix(prepared.residual_norm, test_range)
     cnn_fn = cnn_method if callable(cnn_method) else cnn_window_predictor(cnn_method)
-    cnn_norm = _predict_rows(cnn_fn, windows)
-    if callable(kf_method):
-        kf_norm = _predict_rows(kf_method, windows)
-    else:
-        kf_norm = kf_one_ahead_batch(windows, prepared.series.interval, kf_method)
     indices = eligible_indices(test_range)
     epochs = prepared.series.epochs[indices]
     actual = prepared.series.values[indices]
-    cnn_ns = reconstruct(cnn_norm, prepared.scale, prepared.trend, epochs)
-    kf_ns = reconstruct(kf_norm, prepared.scale, prepared.trend, epochs)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        cnn_norm = _predict_rows(cnn_fn, windows)
+        if callable(kf_method):
+            kf_norm = _predict_rows(kf_method, windows)
+        else:
+            kf_norm = kf_one_ahead_batch(windows, prepared.series.interval, kf_method)
+        cnn_ns = reconstruct(cnn_norm, prepared.scale, prepared.trend, epochs)
+        kf_ns = reconstruct(kf_norm, prepared.scale, prepared.trend, epochs)
+        diffs = [cnn_ns - actual, kf_ns - actual]
+        scores = [e_rms_pred(cnn_ns, actual), e_rms_pred(kf_ns, actual)]
+    for method, diff, score in zip(("CNN", "KF"), diffs, scores):
+        if not np.isfinite(score):
+            mjd = epochs[np.argmax(abs(diff))]  # the first NaN, if any
+            raise ValueError(f"{method} prediction at MJD {mjd} gives a non-finite RMS error")
     return PredictionReport(
         epochs=epochs,
         actual_ns=actual,
         cnn_pred_ns=cnn_ns,
         kf_pred_ns=kf_ns,
-        cnn_diff_ns=cnn_ns - actual,
-        kf_diff_ns=kf_ns - actual,
+        cnn_diff_ns=diffs[0],
+        kf_diff_ns=diffs[1],
         n_pred=len(indices),
-        cnn_e_rms_ns=e_rms_pred(cnn_ns, actual),
-        kf_e_rms_ns=e_rms_pred(kf_ns, actual),
+        cnn_e_rms_ns=scores[0],
+        kf_e_rms_ns=scores[1],
     )
 
 
@@ -204,4 +212,4 @@ def summary_to_json(report: PredictionReport) -> str:
         "cnn_e_rms_ns": report.cnn_e_rms_ns,
         "kf_e_rms_ns": report.kf_e_rms_ns,
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"

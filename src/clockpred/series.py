@@ -327,6 +327,8 @@ def read_series(path) -> TimeSeries:
         try:
             epochs.append(int(fields[0]))
             values.append(float(fields[1]))
+            if not -(2**63) <= epochs[-1] < 2**63:
+                raise ValueError("epoch out of the int64 range")
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
     interval = epochs[1] - epochs[0] if len(epochs) > 1 else DEFAULT_INTERVAL_DAYS

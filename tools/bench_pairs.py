@@ -20,9 +20,10 @@ better), and ``within_bound``, whether ``worse_by`` is at most the bound.
 ``--layers`` replaces the benchmark runs by a probe process per tree that
 times ``cnn.forward_cached`` and ``cnn.backward_cached`` on the frozen
 experiment's 164 stacked windows at 1 and 8 channels, the best of 20
-repeats of 100 calls each, in microseconds per call.  The forward pass is
-the one ``train`` runs after its first: it writes into an earlier pass's
-buffers (``out=``).  Progress goes to standard error.
+repeats of 100 calls each, in microseconds per call.  ``forward_cached`` is
+the pass ``train`` runs after its first, which writes into an earlier pass's
+buffers (``out=``); ``forward_cached_fresh`` is the allocating first pass,
+one per ``train`` call.  Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ for channels in (1, 8):
     fwd = both.first(n)
     calls = {
         "forward_cached": lambda: forward_cached(params, inputs, out=both),
+        "forward_cached_fresh": lambda: forward_cached(params, inputs),
         "backward_cached": lambda: backward_cached(params, fwd, upstreams, grads),
     }
     for name, call in calls.items():
