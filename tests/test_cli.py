@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,10 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clockpred import config
-from clockpred.cli import _build_parser, cmd_prepare, load_prepared, main
+from clockpred.cli import RunManifest, _build_parser, cmd_prepare, load_prepared, main
 from clockpred.cnn import init_weights, model_to_json
 from clockpred.kalman import KalmanParams, kf_one_ahead_batch
-from clockpred.predictor import eligible_indices, reconstruct, window_matrix
+from clockpred.predictor import (
+    PredictionReport,
+    eligible_indices,
+    reconstruct,
+    summary_to_json,
+    window_matrix,
+)
 from clockpred.series import (
     QuadraticTrend,
     denormalize,
@@ -618,6 +625,79 @@ class TestSafety:
         err = capsys.readouterr().err
         assert err.startswith("clockpred: error:") and err.count("\n") == 1
         assert not report.exists() and not (tmp_path / "report.csv.summary.json").exists()
+
+    def test_infinite_split_count_is_one_line_diagnostic(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        path = prepared / "split.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(doc).replace(f'"n": {doc["n"]}', '"n": 1e400'))
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {path}: malformed document:")
+        assert err.count("\n") == 1
+        assert not report.exists()
+
+    def test_epoch_beyond_int64_is_one_line_diagnostic(self, tmp_path, capsys):
+        lines = series_to_csv(generate(SyntheticClockSpec(n=274))).splitlines()
+        lines[6] = "123456789012345678901234567890,1.0"
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["prepare", "--config", fast_conf(tmp_path), "--in", str(path)]
+        assert main(argv + ["--out-dir", str(tmp_path / "prepared")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"clockpred: error: {path}:7: malformed row '{lines[6]}'\n"
+        assert not (tmp_path / "prepared").exists()
+
+    @pytest.mark.parametrize(
+        "scale, head_bias", [(1e308, 0.01), (None, 1e308)], ids=["scale-1e308", "head-bias-1e308"]
+    )
+    def test_non_finite_score_is_refused_naming_method_and_mjd(
+        self, tmp_path, capsys, scale, head_bias
+    ):
+        """A huge scale overflows the squared errors of finite predictions; a
+        huge head bias, the prediction itself."""
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        if scale is not None:
+            (prepared / "scale.json").write_text(json.dumps({"d_max_abs": scale}))
+        model = tmp_path / "model.json"
+        doc = json.loads(model_to_json(init_weights(0)))
+        doc["head"]["bias"] = head_bias
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("clockpred: error: CNN prediction at MJD ")
+        assert err.endswith(" gives a non-finite RMS error\n") and err.count("\n") == 1
+        assert not report.exists() and not (tmp_path / "report.csv.summary.json").exists()
+
+    def test_scale_that_overflows_the_residual_names_scale_json(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        path = prepared / "scale.json"
+        path.write_text(json.dumps({"d_max_abs": 1e-320}))
+        capsys.readouterr()
+        argv = ["train", "--config", conf, "--prepared", str(prepared)]
+        argv += ["--model-out", str(tmp_path / "model.json"), "--trace-out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"clockpred: error: {path}: d_max_abs 1e-320 overflows the residual\n"
+        assert not (tmp_path / "model.json").exists()
+
+    def test_json_documents_refuse_non_finite_numbers(self):
+        manifest = RunManifest("compare", "0", 0, {}, {}, {}, {"cnn_e_rms_ns": math.inf})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            manifest.to_json()
+        one = np.ones(1)
+        report = PredictionReport(one, one, one, one, one, one, 1, math.nan, 1.0)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            summary_to_json(report)
 
     def test_refused_prepare_writes_nothing(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)

@@ -247,6 +247,35 @@ class TestBatchPaths:
             backward_cached(params, alone, ups, model.param_views(want))
             npt.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("channels", [2, 3, 8])
+    def test_first_rows_have_the_pre_activations_of_a_pass_over_them(self, channels):
+        """A wide layer's GEMM gives the training rows of the stacked pass the
+        pre-activations of a pass over those rows alone."""
+        rng = np.random.default_rng(140 + channels)
+        model = init_weights(channels, channels=channels)
+        params = model.param_views(model.to_vector())
+        windows = rng.uniform(-1, 1, (164, 5))
+        stacked = forward_cached(params, windows)
+        for n in (1, 57, 136, 164):
+            for got, want in zip(stacked.first(n).pre, forward_cached(params, windows[:n]).pre):
+                npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("channels", [1, 8])
+    def test_backward_twice_through_one_pass_equals_fresh_passes(self, channels):
+        """The input-gradient buffer a pass owns carries nothing from one backward to the next."""
+        rng = np.random.default_rng(150 + channels)
+        model = init_weights(channels, channels=channels)
+        params = model.param_views(model.to_vector())
+        windows = rng.uniform(-1, 1, (164, 5))
+        fwd = forward_cached(params, windows).first(136)
+        for _ in range(2):
+            ups = rng.normal(size=136)
+            got, want = np.empty(model.num_params), np.empty(model.num_params)
+            backward_cached(params, fwd, ups, model.param_views(got))
+            fresh = forward_cached(params, windows).first(136)
+            backward_cached(params, fresh, ups, model.param_views(want))
+            npt.assert_array_equal(got, want)
+
     @pytest.mark.parametrize("channels", [1, 8])
     def test_pass_into_earlier_buffers_equals_fresh_pass(self, channels):
         """Training writes each update's pass into the buffers of the first one."""
