@@ -22,11 +22,11 @@ position.  Each layer caches its tap columns, (k, in_ch, n * width) in
 contractions (pre-activation, kernel gradient, input gradient) is one GEMM
 over those columns.  With one, the bias and each tap's exact product are
 added in tap order and the kernel gradient sums each contiguous row
-pairwise, so the path rounds as an elementwise loop does; a GEMM's sums
-may round differently.  The two paths can differ in the last bit.  A
-forward pass can write its caches (and a scratch buffer) into the arrays of
-an earlier pass over a batch of the same shape, so that a training loop
-allocates them once.
+pairwise, so the path rounds as an elementwise loop does; a GEMM's sums may
+round differently, by BLAS kernel and by batch size.  The two paths can
+differ in the last bit.  A forward pass can write its caches (and a scratch
+buffer) into the arrays of an earlier pass over a batch of the same shape,
+so that a training loop allocates them once.
 """
 
 from __future__ import annotations
