@@ -215,7 +215,7 @@ def load_prepared(prepared_dir) -> PreparedSeries:
         )
     with np.errstate(over="ignore"):
         norm = residual.values / scale.d_max_abs
-    if not np.all(np.isfinite(norm)):
+    if not np.isfinite(norm).all():
         raise ValueError(f"{scale_path}: d_max_abs {scale.d_max_abs!r} overflows the residual")
     return PreparedSeries(
         series=full,

@@ -32,6 +32,7 @@ so that a training loop allocates them once.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -70,7 +71,7 @@ class ConvLayer:
             raise ValueError(
                 f"bias shape {bias.shape} does not match {kernel.shape[0]} output channels"
             )
-        if not (np.all(np.isfinite(kernel)) and np.all(np.isfinite(bias))):
+        if not (np.isfinite(kernel).all() and np.isfinite(bias).all()):
             raise ValueError("layer parameters must be finite")
         kernel.flags.writeable = False
         bias.flags.writeable = False
@@ -160,7 +161,7 @@ class CnnModel:
                 f"head expects {channels * DEFAULT_INPUT_WIDTH} weights, got shape {head.shape}"
             )
         bias = float(self.head_bias)
-        if not (np.all(np.isfinite(head)) and math.isfinite(bias)):
+        if not (np.isfinite(head).all() and math.isfinite(bias)):
             raise ValueError("head parameters must be finite")
         head.flags.writeable = False
         object.__setattr__(self, "layers", layers)
@@ -198,21 +199,9 @@ class CnnModel:
             raise ValueError(f"expected {self.num_params} parameters, got {vec.shape}")
         if not vec.flags.c_contiguous:
             raise ValueError("parameter views need a contiguous vector")
-        pos = 0
-
-        def take(shape: tuple[int, ...]) -> np.ndarray:
-            nonlocal pos
-            size = math.prod(shape)
-            view = vec[pos : pos + size].reshape(shape)
-            pos += size
-            return view
-
-        kernels, biases = [], []
-        for layer in self.layers:
-            kernels.append(take(layer.kernel.shape))
-            biases.append(take(layer.bias.shape))
-        head = take(self.head_weights.shape)
-        return ParamViews(tuple(kernels), tuple(biases), head, take((1,)))
+        shapes = [s for layer in self.layers for s in (layer.kernel.shape, layer.bias.shape)]
+        *layers, head, head_bias = _carve(vec, [*shapes, self.head_weights.shape, (1,)])
+        return ParamViews(tuple(layers[0::2]), tuple(layers[1::2]), head, head_bias)
 
     def from_vector(self, vec: np.ndarray) -> "CnnModel":
         """Rebuild a model of this shape from a flat parameter vector."""
@@ -229,6 +218,12 @@ class CnnModel:
         parts.append(np.ones(self.head_weights.size))
         parts.append(np.zeros(1))
         return np.concatenate(parts)
+
+
+def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of the flat array ``flat``, one per shape, from its start."""
+    ends = list(itertools.accumulate(map(math.prod, shapes), initial=0))
+    return [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
 class ParamViews(NamedTuple):
@@ -353,15 +348,20 @@ def forward_cached(
             f"a pass with features of shape {(n, params.head_weights.size)} cannot "
             f"reuse the buffers of one with {out.features.shape}"
         )
+    if out is None:
+        shapes = [s for out_ch, in_ch, k in map(np.shape, params.kernels)
+                  for s in ((k, in_ch, n * width), (out_ch, n * width))]
+        size = max(math.prod(s) for s in shapes[2::2])
+        *arrays, scratch = _carve(np.empty(sum(map(math.prod, shapes)) + size), [*shapes, (size,)])
+        all_cols, all_pre = arrays[0::2], arrays[1::2]
+    else:
+        all_cols, all_pre, scratch = out.cols, out.pre, out.scratch
     act = windows.reshape(1, n * width)
-    caches = []
-    for i, (kernel, bias) in enumerate(zip(params.kernels, params.biases)):
+    for kernel, bias, cols, pre in zip(params.kernels, params.biases, all_cols, all_pre):
         out_ch, in_ch, k = kernel.shape
-        cols = np.empty((k, in_ch, n * width)) if out is None else out.cols[i]
         for col, (dst, src, pad) in zip(cols, _taps(k, width)):
             col[:, dst] = act[:, src]
             col.reshape(in_ch, n, width)[:, :, pad] = 0.0
-        pre = np.empty((out_ch, n * width)) if out is None else out.pre[i]
         if out_ch > 1 or in_ch > 1:  # the columns are in (tap, channel) order: one GEMM
             taps = kernel.transpose(0, 2, 1).reshape(out_ch, k * in_ch)
             np.matmul(taps, cols.reshape(k * in_ch, n * width), out=pre)
@@ -372,12 +372,10 @@ def forward_cached(
             term = np.empty_like(pre)
             for tap, col in zip(kernel.transpose(2, 0, 1).copy(), cols):
                 pre += np.multiply(tap, col, out=term)
-        caches.append((cols, pre))
         act = np.maximum(pre, 0.0)
     features = act.reshape(len(act), n, width).transpose(1, 0, 2).reshape(n, len(act) * width)
     outputs = features @ params.head_weights + params.head_bias
-    scratch = np.empty(max(cols.size for cols, _ in caches[1:])) if out is None else out.scratch
-    return BatchForward(*zip(*caches), features, outputs, scratch)
+    return BatchForward(tuple(all_cols), tuple(all_pre), features, outputs, scratch)
 
 
 def backward_cached(

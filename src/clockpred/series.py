@@ -50,7 +50,7 @@ class TimeSeries:
     def __post_init__(self):
         epochs = np.asarray(self.epochs)
         if epochs.dtype.kind == "f":
-            if not np.all(epochs == np.floor(epochs)):
+            if not (epochs == np.floor(epochs)).all():
                 raise ValueError("epochs must be whole MJD day numbers")
         epochs = epochs.astype(np.int64)
         values = np.asarray(self.values, dtype=np.float64)
@@ -66,13 +66,13 @@ class TimeSeries:
         if interval <= 0:
             raise ValueError(f"interval must be a positive day count, got {self.interval}")
         steps = np.diff(epochs)
-        if steps.size and not np.all(steps == interval):
+        if steps.size and not (steps == interval).all():
             bad = int(np.flatnonzero(steps != interval)[0])
             raise ValueError(
                 f"epochs must advance by {interval} days; offending step "
                 f"{epochs[bad]} -> {epochs[bad + 1]}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("values must all be finite")
         epochs.flags.writeable = False
         values.flags.writeable = False

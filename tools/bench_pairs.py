@@ -23,7 +23,11 @@ experiment's 164 stacked windows at 1 and 8 channels, the best of 20
 repeats of 100 calls each, in microseconds per call.  ``forward_cached`` is
 the pass ``train`` runs after its first, which writes into an earlier pass's
 buffers (``out=``); ``forward_cached_fresh`` is the allocating first pass,
-one per ``train`` call.  Progress goes to standard error.
+one per ``train`` call.  ``train_C8_us`` times a whole 2-update ``cp.train``
+call at 8 channels on the same windows, the wide-train operation without
+its ``init_weights``, best of 10 repeats of 20 calls; ``train_C8_minflt``
+is the minor page faults (``getrusage`` ``ru_minflt``) per call over those
+200 calls.  Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIDES = ("parent", "change")
 
 LAYER_PROBE = """
-import json, sys, timeit
+import json, resource, sys, timeit
 import numpy as np
 import clockpred as cp
 from clockpred.cnn import backward_cached, forward_cached
@@ -70,6 +74,15 @@ for channels in (1, 8):
     for name, call in calls.items():
         best = min(timeit.repeat(call, number=100, repeat=20)) / 100
         result[f"{name}_C{channels}_us"] = {"value": best * 1e6, "unit": "us"}
+model = cp.init_weights(int(sys.argv[1]), channels=8)
+cfg = cp.TrainConfig(max_updates=2, patience=2)
+train_call = lambda: cp.train(model, train, val, cfg)
+train_call()
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+best = min(timeit.repeat(train_call, number=20, repeat=10)) / 20
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+result["train_C8_us"] = {"value": best * 1e6, "unit": "us"}
+result["train_C8_minflt"] = {"value": faults / 200, "unit": "faults"}
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": result}))
 """
 
