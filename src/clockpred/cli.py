@@ -91,7 +91,13 @@ def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         path = os.environ.get(config.ENV_CONFIG_PATH)
     overrides = config.parse_config(path) if path else None
-    return config.effective_config(overrides)
+    cfg = config.effective_config(overrides)
+    try:  # every stage reads every value once, so a bad one is refused naming the file
+        config.synthetic_spec_from(cfg), config.train_config_from(cfg), config.channels_from(cfg)
+        config.prepare_options_from(cfg), config.kalman_params_from(cfg)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    return cfg
 
 
 def cmd_generate(cfg: dict[str, str], out, seed: int | None, force: bool) -> RunManifest:

@@ -24,9 +24,9 @@ over those columns.  With one, the bias and each tap's exact product are
 added in tap order and the kernel gradient sums each contiguous row
 pairwise, so the path rounds as an elementwise loop does; a GEMM's sums may
 round differently, by BLAS kernel and by batch size.  The two paths can
-differ in the last bit.  A forward pass can write its caches (and a scratch
-buffer) into the arrays of an earlier pass over a batch of the same shape,
-so that a training loop allocates them once.
+differ in the last bit.  A fresh forward pass allocates its caches and a
+scratch buffer as one block, and a later pass over a batch of the same
+shape can write into that block, so a ``train`` call allocates it once.
 """
 
 from __future__ import annotations
@@ -336,11 +336,18 @@ def forward_cached(
 ) -> BatchForward:
     """Forward over a (n, width) float64 batch, keeping the backward caches.
 
+    A fresh pass allocates every layer's tap columns and pre-activation, and
+    the scratch buffer, as one block; each is a contiguous view of it.  At 8
+    channels and 164 windows the block is about 0.65 MB, an mmapped chunk.
+    Freeing it raises glibc's mmap and trim thresholds, so the heap is not
+    trimmed between ``train`` calls and the next call's pass and temporaries
+    reuse pages already mapped.  As separate arrays, each call's pass made
+    malloc trim the heap and fault its pages back in on the next call.
+
     With ``out``, an earlier pass over a batch of the same shape, the tap
     columns and pre-activations are written into ``out``'s arrays instead of
     new ones (the result is the same bit for bit); ``out`` then holds this
-    pass's caches.  A new pass per update makes malloc trim the heap and
-    fault its pages back in on the next one.
+    pass's caches.
     """
     n, width = windows.shape
     if out is not None and out.features.shape != (n, params.head_weights.size):
@@ -490,7 +497,7 @@ def model_from_json(text: str) -> CnnModel:
         )
         head = payload["head"]
         model = CnnModel(layers, np.array(head["weights"]), float(head["bias"]))
-    except (KeyError, TypeError, json.JSONDecodeError) as err:
+    except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as err:
         raise ValueError(f"malformed model document: {err}") from None
     if model.channels != channels:
         raise ValueError(f"model document has {channels} channels, its kernels {model.channels}")
@@ -506,7 +513,7 @@ def load_model(path) -> CnnModel:
         When the document is not valid JSON, not a model, or a model
         :func:`model_from_json` rejects; the message names the path.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
     try:
         return model_from_json(text)
     except ValueError as err:

@@ -18,11 +18,13 @@ from typing import Mapping
 
 from .cnn import DEFAULT_CHANNELS
 from .kalman import KalmanParams
-from .series import DEFAULT_FIT_ON_FULL, DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC
+from .series import DEFAULT_FIT_ON_FULL, DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC, check_fractions
 from .synthetic import DEFAULT_SEED, SyntheticClockSpec
 from .training import TrainConfig
 
 ENV_CONFIG_PATH = "CLOCKPRED_CONFIG"
+# 1024 channels already make 6.3 M parameters; a wider net outgrows memory before it trains.
+MAX_CHANNELS = 1024
 
 _SECTIONS = {SyntheticClockSpec: "gen_", TrainConfig: "train_", KalmanParams: "kf_"}
 
@@ -63,7 +65,7 @@ def parse_config(path) -> dict[str, str]:
     """
     entries: dict[str, str] = {}
     lines: dict[str, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,11 +130,16 @@ def kalman_params_from(cfg: Mapping[str, str]) -> KalmanParams:
 
 
 def prepare_options_from(cfg: Mapping[str, str]) -> tuple[float, float, bool]:
-    return _value(cfg, "train_frac"), _value(cfg, "val_frac"), _value(cfg, "fit_on_full")
+    train_frac, val_frac = _value(cfg, "train_frac"), _value(cfg, "val_frac")
+    check_fractions(train_frac, val_frac)
+    return train_frac, val_frac, _value(cfg, "fit_on_full")
 
 
 def channels_from(cfg: Mapping[str, str]) -> int:
     channels = _value(cfg, "cnn_channels")
-    if channels < 1:
-        raise ValueError(f"configuration key 'cnn_channels': must be at least 1, got {channels}")
+    if not 1 <= channels <= MAX_CHANNELS:
+        raise ValueError(
+            f"configuration key 'cnn_channels': must be at least 1 and at most {MAX_CHANNELS}, "
+            f"got {channels}"
+        )
     return channels

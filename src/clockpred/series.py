@@ -244,6 +244,15 @@ def denormalize(s: TimeSeries, scale: NormalizationScale) -> TimeSeries:
     return s.with_values(s.values * scale.d_max_abs)
 
 
+def check_fractions(train_frac: float, val_frac: float) -> None:
+    """Raise ``ValueError`` unless both fractions are positive and sum to less than 1."""
+    if not (0.0 < train_frac and 0.0 < val_frac and train_frac + val_frac < 1.0):
+        raise ValueError(
+            f"fractions out of range: train={train_frac}, val={val_frac} "
+            "(need both > 0 and their sum < 1)"
+        )
+
+
 def split(
     n: int,
     train_frac: float = DEFAULT_TRAIN_FRAC,
@@ -260,11 +269,7 @@ def split(
         On fractions outside (0, 1) or fractions summing to >= 1, and when
         the floor rule leaves any partition empty.
     """
-    if not (0.0 < train_frac and 0.0 < val_frac and train_frac + val_frac < 1.0):
-        raise ValueError(
-            f"fractions out of range: train={train_frac}, val={val_frac} "
-            "(need both > 0 and their sum < 1)"
-        )
+    check_fractions(train_frac, val_frac)
     n = int(n)
     n_train = math.floor(train_frac * n)
     n_val = math.floor(val_frac * n)
@@ -312,7 +317,7 @@ def read_series(path) -> TimeSeries:
         number), a first step of zero or less, or any other step that
         differs from the first.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ValueError(f"{path}:1: expected header {CSV_HEADER!r}")

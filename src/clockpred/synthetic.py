@@ -45,6 +45,9 @@ class SyntheticClockSpec:
             raise ValueError(f"need at least 7 points, got {self.n}")
         if self.interval <= 0:
             raise ValueError(f"interval must be positive, got {self.interval}")
+        last = self.start_epoch + (self.n - 1) * self.interval
+        if not (-(2**63) <= self.start_epoch and last < 2**63):
+            raise ValueError(f"epochs {self.start_epoch} to {last} do not fit in int64")
         if self.sigma_wfm < 0.0 or self.sigma_rwfm < 0.0:
             raise ValueError("noise amplitudes must be nonnegative")
         for name in ("x0", "y0", "drift", "sigma_wfm", "sigma_rwfm"):

@@ -254,18 +254,6 @@ def _data_gradient(
     backward_cached(params, fwd, upstreams, grads)
 
 
-def _loss_gradient(model: CnnModel, ds: WindowDataset, l2_lambda: float) -> np.ndarray:
-    """Gradient of ``loss_with_l2`` over the whole dataset, as a flat vector."""
-    vec = model.to_vector()
-    params = model.param_views(vec)
-    grad = np.empty_like(vec)
-    fwd = forward_cached(params, ds.inputs)
-    rmse = rmse_loss(fwd.outputs, ds.targets)
-    _data_gradient(params, fwd, ds.targets, rmse, model.param_views(grad))
-    grad += (2.0 * l2_lambda) * model.weight_mask() * vec
-    return grad
-
-
 def train(
     model: CnnModel,
     train_ds: WindowDataset,

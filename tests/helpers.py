@@ -2,6 +2,8 @@
 
 Everything here recomputes results through a route different from the
 library code it checks: naive loops, rational arithmetic, closed forms.
+The one exception, ``_loss_gradient``, composes the library's own batched
+passes into the whole-dataset gradient that finite differences check.
 """
 
 import json
@@ -11,8 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from clockpred.cnn import DEFAULT_INPUT_WIDTH, forward, init_weights
+from clockpred.cnn import DEFAULT_INPUT_WIDTH, forward, forward_cached, init_weights
 from clockpred.kalman import KalmanParams, transition_matrix
+from clockpred.training import _data_gradient, rmse_loss
 
 
 def conv_oracle(x, kernel, bias):
@@ -133,6 +136,18 @@ def fd_gradient(model, window, h=1e-5):
         grad[i] = (
             forward(model.from_vector(up), window) - forward(model.from_vector(down), window)
         ) / (2 * h)
+    return grad
+
+
+def _loss_gradient(model, ds, l2_lambda):
+    """Gradient of ``loss_with_l2`` over the whole dataset, as a flat vector."""
+    vec = model.to_vector()
+    params = model.param_views(vec)
+    grad = np.empty_like(vec)
+    fwd = forward_cached(params, ds.inputs)
+    rmse = rmse_loss(fwd.outputs, ds.targets)
+    _data_gradient(params, fwd, ds.targets, rmse, model.param_views(grad))
+    grad += (2.0 * l2_lambda) * model.weight_mask() * vec
     return grad
 
 

@@ -1,12 +1,17 @@
 """End-to-end tests of the command-line pipeline."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +381,65 @@ class TestPipeline:
         )
 
 
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_PREPARED_DOCS = ("series.csv", "residual.csv", "trend.json", "scale.json", "split.json")
+
+
+@pytest.fixture(scope="module")
+def frozen_run(tmp_path_factory):
+    """The frozen experiment with a 5-update budget: config, series, prepared directory, model.
+
+    Patience 1 stops training at the first update that does not improve the
+    validation RMSE, so a mutated budget still ends quickly.
+    """
+    root = tmp_path_factory.mktemp("frozen")
+    text = (ROOT / "configs" / "experiment.conf").read_text()
+    text = text.replace("train_max_updates = 2000", "train_max_updates = 5")
+    text = text.replace("train_patience = 2000", "train_patience = 1")
+    (root / "experiment.conf").write_text(text)
+    for stage in ("generate", "prepare", "train"):
+        argv = [*FrozenCli.stage_argv(stage), "--config", str(root / "experiment.conf")]
+        assert FrozenCli.run_stage(argv, root) is None
+    return root
+
+
+def _mutated(draw, text: bytes) -> bytes:
+    """``text`` with one number replaced, cut short, one line deleted or one byte inserted."""
+    kind = draw(st.sampled_from(["number", "truncate", "delete-line", "insert-byte"]))
+    if kind == "number":
+        start, end = draw(st.sampled_from([m.span() for m in _NUMBER.finditer(text)]))
+        number = draw(st.sampled_from([b"nan", b"inf", b"1e400", b"1" + b"0" * 29]))
+        return text[:start] + number + text[end:]
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "delete-line":
+        lines = text.splitlines(keepends=True)
+        del lines[draw(st.integers(0, len(lines) - 1))]
+        return b"".join(lines)
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + bytes([draw(st.integers(0, 255))]) + text[at:]
+
+
+def _numbers(path: Path) -> list[float]:
+    """Every number in a written CSV or JSON document; NaN stands for ``NaN`` and ``Infinity``."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix != ".json":
+        numbers = []
+        for token in re.split(r"[,\n]", text):
+            with contextlib.suppress(ValueError):
+                numbers.append(float(token))
+        return numbers
+
+    def walk(value):
+        if isinstance(value, dict):
+            value = list(value.values())
+        if isinstance(value, list):
+            return [x for item in value for x in walk(item)]
+        return [value] if isinstance(value, float) else []
+
+    return walk(json.loads(text, parse_constant=lambda _: math.nan))
+
+
 class TestSafety:
     def test_refuses_overwrite_without_force(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)
@@ -698,6 +762,87 @@ class TestSafety:
         report = PredictionReport(one, one, one, one, one, one, 1, math.nan, 1.0)
         with pytest.raises(ValueError, match="not JSON compliant"):
             summary_to_json(report)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(["model.json", "experiment.conf", *_PREPARED_DOCS]), st.data())
+    def test_mutated_input_ends_in_finite_output_or_one_line(self, frozen_run, target, data):
+        """Every stage that reads a mutated input exits 0 having written only finite
+        numbers, or exits 1 with one error line that names a path."""
+        stages = {
+            "generate": ["--out", "g.csv"],
+            "prepare": ["--in", "series.csv", "--out-dir", "p"],
+            "train": ["--prepared", "prepared", "--model-out", "m.json", "--trace-out", "t.csv"],
+            "compare": ["--prepared", "prepared", "--model", "model.json", "--report-out", "r.csv"],
+        }
+        readers = {"model.json": ["compare"], "experiment.conf": list(stages)}
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Path(tmp)
+            shutil.copytree(frozen_run, run, dirs_exist_ok=True)
+            path = run / target if target in readers else run / "prepared" / target
+            path.write_bytes(_mutated(data.draw, path.read_bytes()))
+            for stage in readers.get(target, ["train", "compare"]):
+                args = ["--config", "experiment.conf", *stages[stage]]
+                argv = [stage, *(a if a.startswith("--") else str(run / a) for a in args)]
+                before = set(run.rglob("*"))
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(argv)
+                written = [p for p in set(run.rglob("*")) - before if p.is_file()]
+                if code == 0:
+                    assert written and all(math.isfinite(x) for p in written for x in _numbers(p))
+                else:
+                    line = err.getvalue()
+                    assert code == 1 and line.startswith("clockpred: error: "), line
+                    assert line.count("\n") == 1 and str(run) in line, line
+                    assert not written
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("seed", "nan", "configuration key 'seed': 'nan' is not an integer"),
+            ("train_frac", "nan", "fractions out of range: train=nan"),
+            ("cnn_channels", "1" + "0" * 29, "must be at least 1 and at most 1024"),
+            ("gen_n", "1" + "0" * 29, "epochs 56934 to "),
+            ("gen_interval", "1" + "0" * 29, "epochs 56934 to "),
+        ],
+        ids=["seed-nan", "train-frac-nan", "channels-30-digits", "n-30-digits", "step-30-digits"],
+    )
+    def test_bad_config_value_names_the_config_file(self, tmp_path, capsys, key, value, message):
+        """Every stage reads every configuration value, so even ``generate`` refuses a
+        bad training or split value, and the line names the file."""
+        conf = fast_conf(tmp_path, **{key: value})
+        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {conf}: ") and err.count("\n") == 1
+        assert message in err and not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("target", ["fast.conf", "model.json", "prepared/series.csv"])
+    def test_undecodable_input_names_its_path(self, tmp_path, capsys, target):
+        """A byte that is not UTF-8 reads as U+FFFD, which no key, number or header accepts."""
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        path = tmp_path / target
+        path.write_bytes(b"\x80" + path.read_bytes())
+        capsys.readouterr()
+        assert main(compare_argv(conf, prepared, model, tmp_path / "report.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {path}") and err.count("\n") == 1
+
+    def test_infinite_model_channel_count_is_one_line_diagnostic(self, tmp_path, capsys):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        text = model_to_json(init_weights(0))
+        model.write_text(text.replace('"channels": 1', '"channels": 1e400'))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {model}: malformed model document:")
+        assert err.count("\n") == 1 and not report.exists()
 
     def test_refused_prepare_writes_nothing(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)

@@ -1,5 +1,6 @@
 """Tests for the convolutional network: forward oracles, exact gradients, serialization."""
 
+import itertools
 import json
 
 import numpy as np
@@ -300,6 +301,21 @@ class TestBatchPaths:
                 assert np.shares_memory(got_arr, buffer)
         npt.assert_array_equal(got.features, want.features)
         npt.assert_array_equal(got.outputs, want.outputs)
+
+    @pytest.mark.parametrize("channels", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 164])
+    def test_caches_of_one_pass_never_alias(self, channels, n):
+        """A fresh pass carves its caches from one block; no two arrays of a pass may
+        overlap, neither then nor after a pass written into them."""
+        rng = np.random.default_rng(160 + channels)
+        model = init_weights(channels, channels=channels)
+        params = model.param_views(model.to_vector())
+        fresh = forward_cached(params, rng.uniform(-1, 1, (n, 5)))
+        again = forward_cached(params, rng.uniform(-1, 1, (n, 5)), out=fresh)
+        for fwd in (fresh, again):
+            arrays = [*fwd.cols, *fwd.pre, fwd.scratch, fwd.features, fwd.outputs]
+            for (i, a), (j, b) in itertools.combinations(enumerate(arrays), 2):
+                assert not np.shares_memory(a, b), (i, j)
 
     @pytest.mark.parametrize("rows, channels", [(163, 8), (165, 8), (164, 2)])
     def test_pass_into_buffers_of_another_shape_is_refused(self, rows, channels):

@@ -32,9 +32,8 @@ from clockpred.training import (
     trace_to_csv,
     train,
     weight_norm_sq,
-    _loss_gradient,
 )
-from tests.helpers import adam_reference, kink_free_instance, preactivation_margin
+from tests.helpers import _loss_gradient, adam_reference, kink_free_instance, preactivation_margin
 
 
 def series_of(values, interval=5):
