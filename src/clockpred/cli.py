@@ -88,8 +88,6 @@ def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) ->
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        path = os.environ.get(config.ENV_CONFIG_PATH)
     overrides = config.parse_config(path) if path else None
     cfg = config.effective_config(overrides)
     try:  # every stage reads every value once, so a bad one is refused naming the file
@@ -124,7 +122,11 @@ def cmd_prepare(
         except ValueError as err:
             raise ValueError(f"{in_path_b}: {err}") from None
     train_frac, val_frac, fit_on_full = config.prepare_options_from(cfg)
-    prepared = series.prepare(data, train_frac, val_frac, fit_on_full)
+    try:
+        prepared = series.prepare(data, train_frac, val_frac, fit_on_full)
+    except ValueError as err:
+        source = in_path if in_path_b is None else f"{in_path} + {in_path_b}"
+        raise ValueError(f"{source}: {err}") from None
     residual = series.denormalize(prepared.residual_norm, prepared.scale)
     trend, parts = prepared.trend, prepared.split
     out_dir = Path(out_dir)
@@ -212,15 +214,15 @@ def load_prepared(prepared_dir) -> PreparedSeries:
         raise ValueError(f"{split_path}: ranges are not the split of {n} points by the fractions")
     if len(residual) != len(full) or np.any(residual.epochs != full.epochs):
         raise ValueError(f"{residual_path}: epochs differ from those of series.csv")
-    gap = np.abs(residual.values - series.detrend(full, trend).values)
-    worst = int(np.argmax(gap))
-    if gap[worst] > _RESIDUAL_TOLERANCE_NS:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        gap = np.abs(residual.values - (full.values - trend(full.epochs)))
+        norm = residual.values / scale.d_max_abs
+    worst = int(np.argmax(gap))  # the first NaN, if any
+    if not gap[worst] <= _RESIDUAL_TOLERANCE_NS:
         raise ValueError(
             f"{residual_path}: residual at MJD {full.epochs[worst]} is "
             f"{gap[worst]:.6g} ns from series - trend (tolerance {_RESIDUAL_TOLERANCE_NS} ns)"
         )
-    with np.errstate(over="ignore"):
-        norm = residual.values / scale.d_max_abs
     if not np.isfinite(norm).all():
         raise ValueError(f"{scale_path}: d_max_abs {scale.d_max_abs!r} overflows the residual")
     return PreparedSeries(
@@ -234,14 +236,20 @@ def load_prepared(prepared_dir) -> PreparedSeries:
 
 
 def cmd_train(
-    prepared_dir, cfg: dict[str, str], model_out, trace_out, seed: int | None, force: bool
+    prepared_dir, cfg: dict[str, str], model_out, trace_out, seed: int | None, force: bool,
+    config_path=None,
 ) -> RunManifest:
+    """Train on ``prepared_dir``; ``config_path`` names the source of ``cfg`` in errors."""
     prepared = load_prepared(prepared_dir)
     train_cfg = config.train_config_from(cfg, seed)
     model0 = init_weights(train_cfg.seed, channels=config.channels_from(cfg))
-    train_ds = training.make_windows(prepared.residual_norm, prepared.split.train_range)
-    val_ds = training.make_windows(prepared.residual_norm, prepared.split.val_range)
-    model, trace = training.train(model0, train_ds, val_ds, train_cfg)
+    try:
+        train_ds = training.make_windows(prepared.residual_norm, prepared.split.train_range)
+        val_ds = training.make_windows(prepared.residual_norm, prepared.split.val_range)
+        model, trace = training.train(model0, train_ds, val_ds, train_cfg)
+    except ValueError as err:
+        source = config_path or "the default configuration"
+        raise ValueError(f"{prepared_dir} with {source}: {err}") from None
     outputs = {
         "model": (model_out, model_to_json(model)),
         "trace": (trace_out, training.trace_to_csv(trace)),
@@ -268,14 +276,16 @@ def cmd_compare(
     force: bool = False,
 ) -> RunManifest:
     prepared = load_prepared(prepared_dir)
-    kf_method = config.kalman_params_from(cfg)
-    if stub_memorize:
-        test_range = prepared.split.test_range
-        cnn_method = predictor.memorization_predictor(prepared.residual_norm, test_range)
-        kf_method = predictor.memorization_predictor(prepared.residual_norm, test_range)
-    else:
-        cnn_method = load_model(model_path)
-    report = predictor.compare(cnn_method, kf_method, prepared)
+    model = None if stub_memorize else load_model(model_path)
+    try:
+        if model is None:
+            indices = predictor.eligible_indices(prepared.split.test_range)
+            actual = prepared.residual_norm.values[indices]
+            report = predictor.score(prepared, actual, actual)
+        else:
+            report = predictor.compare(model, config.kalman_params_from(cfg), prepared)
+    except ValueError as err:
+        raise ValueError(f"{model_path} on {prepared_dir}: {err}") from None
     if summary_out is None:
         summary_out = f"{report_out}.summary.json"
     outputs = {
@@ -351,14 +361,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    config_path = os.environ.get(config.ENV_CONFIG_PATH) if args.config is None else args.config
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(config_path)
         if args.command == "generate":
             cmd_generate(cfg, args.out, args.seed, args.force)
         elif args.command == "prepare":
             cmd_prepare(args.in_path, cfg, args.out_dir, args.in_path_b, args.force)
         elif args.command == "train":
-            cmd_train(args.prepared, cfg, args.model_out, args.trace_out, args.seed, args.force)
+            cmd_train(
+                args.prepared, cfg, args.model_out, args.trace_out, args.seed, args.force,
+                config_path,
+            )
         elif args.command == "compare":
             cmd_compare(
                 args.prepared, args.model, cfg, args.report_out, args.summary_out,

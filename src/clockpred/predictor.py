@@ -5,16 +5,17 @@ predictions are never fed back in.  Normalized predictions are mapped back
 to nanoseconds by undoing the scale and re-adding the quadratic trend, and
 both methods are scored with the root-mean-square prediction error.
 
-The windows form one (n, width) matrix, built once per comparison.  A
-window callable is applied to its rows one at a time; the Kalman
-baseline with fixed ``KalmanParams`` filters the whole matrix in one
-batched call.
+Evaluation has one path: the test windows form one (n, width) matrix,
+each method turns it into one vector of normalized predictions, and
+:func:`score` builds the report from the two vectors.  :func:`compare`
+runs the CNN and the Kalman baseline along that path; a caller with
+predictions of its own passes them to :func:`score`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .cnn import DEFAULT_INPUT_WIDTH, CnnModel, forward
 from .kalman import KalmanParams, kf_one_ahead, kf_one_ahead_batch
 from .series import NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries
-from .training import rmse_loss
+from .training import make_windows, rmse_loss
 
 REPORT_HEADER = "mjd,actual_ns,cnn_pred_ns,kf_pred_ns,cnn_diff_ns,kf_diff_ns"
 
@@ -42,23 +43,13 @@ def window_matrix(series_norm: TimeSeries, test_range: range) -> np.ndarray:
 
     Row j holds the 5 actual values preceding the j-th eligible index, in
     ascending epoch order; windows may reach back before ``test_range``
-    but never contain a prior prediction.
+    but never contain a prior prediction.  They are the inputs of
+    :func:`~clockpred.training.make_windows` over the range that starts 5
+    points before the first eligible index, which refuses a range with no
+    eligible index, or one that is not contiguous or not inside the series.
     """
-    width = DEFAULT_INPUT_WIDTH
-    if test_range.stop > len(series_norm):
-        raise ValueError(f"test range {test_range} out of bounds")
-    indices = eligible_indices(test_range)
-    if not indices:
-        raise ValueError(
-            f"test range {test_range} is too short: no index has {width} predecessors"
-        )
-    windows = series_norm.values[np.add.outer(np.subtract(indices, width), np.arange(width))]
-    windows.flags.writeable = False
-    return windows
-
-
-def _predict_rows(predict_fn: Callable[[np.ndarray], float], windows: np.ndarray) -> np.ndarray:
-    return np.array([float(predict_fn(window)) for window in windows])
+    start = max(test_range.start, DEFAULT_INPUT_WIDTH) - DEFAULT_INPUT_WIDTH
+    return make_windows(series_norm, range(start, test_range.stop, test_range.step)).inputs
 
 
 def rolling_predict(
@@ -68,7 +59,8 @@ def rolling_predict(
 
     ``predict_fn`` receives each row of :func:`window_matrix` in turn.
     """
-    return _predict_rows(predict_fn, window_matrix(series_norm, test_range))
+    windows = window_matrix(series_norm, test_range)
+    return np.array([float(predict_fn(window)) for window in windows])
 
 
 def reconstruct(
@@ -87,22 +79,6 @@ def reconstruct(
 def persistence_predictor(window) -> float:
     """Trivial baseline: tomorrow equals today."""
     return float(np.asarray(window)[-1])
-
-
-def memorization_predictor(
-    series_norm: TimeSeries, test_range: range
-) -> Callable[[np.ndarray], float]:
-    """Stub that returns each target's actual value (harness self-check)."""
-    answers = iter(float(series_norm.values[i]) for i in eligible_indices(test_range))
-
-    def predict(window) -> float:
-        return next(answers)
-
-    return predict
-
-
-def cnn_window_predictor(model: CnnModel) -> Callable[[np.ndarray], float]:
-    return lambda window: forward(model, window)
 
 
 def kalman_window_predictor(
@@ -126,59 +102,56 @@ class PredictionReport:
     kf_e_rms_ns: float
 
     def __post_init__(self):
-        columns = {}
-        for name in (
-            "epochs",
-            "actual_ns",
-            "cnn_pred_ns",
-            "kf_pred_ns",
-            "cnn_diff_ns",
-            "kf_diff_ns",
-        ):
-            arr = np.asarray(getattr(self, name))
+        for column in fields(self)[:6]:  # the per-epoch columns
+            arr = np.asarray(getattr(self, column.name))
             if arr.ndim != 1 or arr.size != self.n_pred:
-                raise ValueError(f"column {name} must hold {self.n_pred} entries")
+                raise ValueError(f"column {column.name} must hold {self.n_pred} entries")
             arr.flags.writeable = False
-            columns[name] = arr
-        for name, arr in columns.items():
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, column.name, arr)
 
 
-def compare(cnn_method, kf_method, prepared: PreparedSeries) -> PredictionReport:
-    """Run both predictors over the test partition's windows and score them.
+def compare(model: CnnModel, params: KalmanParams, prepared: PreparedSeries) -> PredictionReport:
+    """Predict the test partition with the CNN and the Kalman filter, and score both.
 
-    ``cnn_method`` may be a :class:`CnnModel` or any window callable;
-    ``kf_method`` may be a :class:`KalmanParams` or any window callable.
-    The window matrix is built once.  Callables see its rows one at a
-    time; ``KalmanParams`` filter all rows in one batched call, whose
-    predictions equal the per-window filter's bit for bit.  A method whose
-    RMS error is not finite is refused, naming its worst prediction's MJD.
+    The window matrix is built once.  The CNN predicts its rows one at a
+    time through the scalar ``forward``, whose rounding the report is
+    pinned to; the Kalman filter predicts all rows in one batched call,
+    whose predictions equal the per-window filter's bit for bit.
+    :func:`score` builds the report.
     """
-    test_range = prepared.split.test_range
-    windows = window_matrix(prepared.residual_norm, test_range)
-    cnn_fn = cnn_method if callable(cnn_method) else cnn_window_predictor(cnn_method)
-    indices = eligible_indices(test_range)
+    windows = window_matrix(prepared.residual_norm, prepared.split.test_range)
+    with np.errstate(over="ignore", invalid="ignore"):  # score refuses, not warns
+        cnn_norm = np.array([forward(model, window) for window in windows])
+        kf_norm = kf_one_ahead_batch(windows, prepared.series.interval, params)
+    return score(prepared, cnn_norm, kf_norm)
+
+
+def score(prepared: PreparedSeries, cnn_norm, kf_norm) -> PredictionReport:
+    """The report of two methods' normalized predictions of the test partition.
+
+    ``cnn_norm`` and ``kf_norm`` hold one prediction per eligible test
+    index, in ascending epoch order, as :func:`rolling_predict` gives them.
+    Each is mapped back to nanoseconds and scored against the series.  A
+    method whose RMS error is not finite is refused, naming its worst
+    prediction's MJD.
+    """
+    indices = eligible_indices(prepared.split.test_range)
     epochs = prepared.series.epochs[indices]
     actual = prepared.series.values[indices]
+    scale, trend = prepared.scale, prepared.trend
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        cnn_norm = _predict_rows(cnn_fn, windows)
-        if callable(kf_method):
-            kf_norm = _predict_rows(kf_method, windows)
-        else:
-            kf_norm = kf_one_ahead_batch(windows, prepared.series.interval, kf_method)
-        cnn_ns = reconstruct(cnn_norm, prepared.scale, prepared.trend, epochs)
-        kf_ns = reconstruct(kf_norm, prepared.scale, prepared.trend, epochs)
-        diffs = [cnn_ns - actual, kf_ns - actual]
-        scores = [e_rms_pred(cnn_ns, actual), e_rms_pred(kf_ns, actual)]
-    for method, diff, score in zip(("CNN", "KF"), diffs, scores):
-        if not np.isfinite(score):
+        preds = [reconstruct(p, scale, trend, epochs) for p in (cnn_norm, kf_norm)]
+        diffs = [pred - actual for pred in preds]
+        scores = [e_rms_pred(pred, actual) for pred in preds]
+    for method, diff, rms in zip(("CNN", "KF"), diffs, scores):
+        if not np.isfinite(rms):
             mjd = epochs[np.argmax(abs(diff))]  # the first NaN, if any
             raise ValueError(f"{method} prediction at MJD {mjd} gives a non-finite RMS error")
     return PredictionReport(
         epochs=epochs,
         actual_ns=actual,
-        cnn_pred_ns=cnn_ns,
-        kf_pred_ns=kf_ns,
+        cnn_pred_ns=preds[0],
+        kf_pred_ns=preds[1],
         cnn_diff_ns=diffs[0],
         kf_diff_ns=diffs[1],
         n_pred=len(indices),
@@ -189,19 +162,9 @@ def compare(cnn_method, kf_method, prepared: PreparedSeries) -> PredictionReport
 
 def report_to_csv(report: PredictionReport) -> str:
     """Full-precision CSV with one row per predicted epoch."""
-    ns_columns = (
-        report.actual_ns,
-        report.cnn_pred_ns,
-        report.kf_pred_ns,
-        report.cnn_diff_ns,
-        report.kf_diff_ns,
-    )
-    columns = [report.epochs.tolist()]
-    columns += [c.astype(np.float64, copy=False).tolist() for c in ns_columns]
-    rows = [
-        f"{mjd},{actual!r},{cnn!r},{kf!r},{cnn_diff!r},{kf_diff!r}"
-        for mjd, actual, cnn, kf, cnn_diff, kf_diff in zip(*columns)
-    ]
+    ns_columns = [getattr(report, f.name).astype(np.float64) for f in fields(report)[1:6]]
+    columns = zip(report.epochs.tolist(), *(c.tolist() for c in ns_columns))
+    rows = [",".join([str(mjd), *map(repr, values)]) for mjd, *values in columns]
     return "\n".join([REPORT_HEADER, *rows]) + "\n"
 
 

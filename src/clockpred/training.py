@@ -77,10 +77,9 @@ def make_windows(series: TimeSeries, indices: range) -> WindowDataset:
             f"range of {len(indices)} points is too short for width-{width} "
             "windows with a one-point-ahead target"
         )
-    starts = range(indices.start, indices.stop - width)
-    inputs = np.stack([series.values[j : j + width] for j in starts])
-    targets = np.array([series.values[j + width] for j in starts])
-    return WindowDataset(inputs, targets, indices)
+    targets = np.arange(indices.start + width, indices.stop)
+    inputs = series.values[np.add.outer(targets - width, np.arange(width))]
+    return WindowDataset(inputs, series.values[targets], indices)
 
 
 def rmse_loss(preds, targets) -> float:
@@ -286,7 +285,6 @@ def train(
     views = model.param_views(params)
     grad = np.empty_like(params)
     grad_views = model.param_views(grad)
-    l2_scale = (2.0 * cfg.l2_lambda) * model.weight_mask()
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     n_train = len(train_ds)
@@ -300,6 +298,7 @@ def train(
     stop_reason = STOP_MAX_UPDATES
     # Overflow and NaN are reported by the finiteness check below instead.
     with np.errstate(over="ignore", invalid="ignore"):
+        l2_scale = (2.0 * cfg.l2_lambda) * model.weight_mask()
         both = forward_cached(views, inputs)
         fwd = both.first(n_train)
         train_rmse = rmse_loss(fwd.outputs, train_ds.targets)

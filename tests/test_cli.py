@@ -382,7 +382,10 @@ class TestPipeline:
 
 
 _NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
-_PREPARED_DOCS = ("series.csv", "residual.csv", "trend.json", "scale.json", "split.json")
+_PREPARED_DOCS = tuple(
+    f"prepared/{name}"
+    for name in ("series.csv", "residual.csv", "trend.json", "scale.json", "split.json")
+)
 
 
 @pytest.fixture(scope="module")
@@ -489,6 +492,7 @@ class TestSafety:
             ({"train_l2_lambda": "inf"}, "l2_lambda must be nonnegative and finite"),
             ({"train_eps": "inf"}, "eps must be positive and finite"),
             ({"cnn_channels": "-2"}, "configuration key 'cnn_channels': must be at least 1"),
+            ({"train_l2_lambda": "1e308"}, "training diverged at update 1:"),
         ],
     )
     def test_bad_training_is_one_line_diagnostic(self, tmp_path, capsys, setting, message):
@@ -498,11 +502,12 @@ class TestSafety:
         argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", prepared]
         assert main(argv) == 0
         capsys.readouterr()
+        conf = fast_conf(tmp_path, **setting)
         code = main(
             [
                 "train",
                 "--config",
-                fast_conf(tmp_path, **setting),
+                conf,
                 "--prepared",
                 prepared,
                 "--model-out",
@@ -514,7 +519,9 @@ class TestSafety:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("clockpred: error:") and err.count("\n") == 1
-        assert message in err
+        assert conf in err and message in err
+        if message.startswith("training diverged"):
+            assert err.startswith(f"clockpred: error: {prepared} with {conf}: {message}")
         assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize(
@@ -717,6 +724,29 @@ class TestSafety:
         assert err == f"clockpred: error: {path}:7: malformed row '{lines[6]}'\n"
         assert not (tmp_path / "prepared").exists()
 
+    @pytest.mark.parametrize("as_second", [False, True], ids=["in", "in-b"])
+    @pytest.mark.filterwarnings("error")
+    def test_huge_input_value_names_the_inputs(self, tmp_path, capsys, as_second):
+        """1e308 is finite, so the series reads, but its trend is not; the line names
+        the input, or both inputs when they are summed."""
+        lines = series_to_csv(generate(SyntheticClockSpec(n=274))).splitlines()
+        lines[40] = lines[40].split(",")[0] + ",1e308"
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join(lines) + "\n")
+        argv = ["prepare", "--config", fast_conf(tmp_path), "--out-dir", str(tmp_path / "prepared")]
+        source = str(path)
+        if as_second:
+            other = tmp_path / "other.csv"
+            other.write_text(series_to_csv(generate(SyntheticClockSpec(n=274, seed=7))))
+            argv += ["--in", str(other), "--in-b", str(path)]
+            source = f"{other} + {path}"
+        else:
+            argv += ["--in", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"clockpred: error: {source}: trend coefficient c0 must be finite\n"
+        assert not (tmp_path / "prepared").exists()
+
     @pytest.mark.parametrize(
         "scale, head_bias", [(1e308, 0.01), (None, 1e308)], ids=["scale-1e308", "head-bias-1e308"]
     )
@@ -737,9 +767,26 @@ class TestSafety:
         report = tmp_path / "report.csv"
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
-        assert err.startswith("clockpred: error: CNN prediction at MJD ")
+        assert err.startswith(f"clockpred: error: {model} on {prepared}: CNN prediction at MJD ")
         assert err.endswith(" gives a non-finite RMS error\n") and err.count("\n") == 1
         assert not report.exists() and not (tmp_path / "report.csv.summary.json").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_trend_that_overflows_names_the_residual(self, tmp_path, capsys):
+        """A finite coefficient whose trend overflows on the series' epochs leaves the
+        residual infinitely far from series - trend."""
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        path = prepared / "trend.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "c1": 1e308}))
+        capsys.readouterr()
+        argv = ["train", "--config", conf, "--prepared", str(prepared)]
+        argv += ["--model-out", str(tmp_path / "model.json"), "--trace-out", str(tmp_path / "t.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        residual = prepared / "residual.csv"
+        assert err.startswith(f"clockpred: error: {residual}: residual at MJD 56939 is inf ns")
+        assert err.count("\n") == 1 and not (tmp_path / "model.json").exists()
 
     def test_scale_that_overflows_the_residual_names_scale_json(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)
@@ -764,7 +811,7 @@ class TestSafety:
             summary_to_json(report)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(st.sampled_from(["model.json", "experiment.conf", *_PREPARED_DOCS]), st.data())
+    @given(st.sampled_from(["series.csv", "model.json", "experiment.conf", *_PREPARED_DOCS]), st.data())
     def test_mutated_input_ends_in_finite_output_or_one_line(self, frozen_run, target, data):
         """Every stage that reads a mutated input exits 0 having written only finite
         numbers, or exits 1 with one error line that names a path."""
@@ -774,11 +821,11 @@ class TestSafety:
             "train": ["--prepared", "prepared", "--model-out", "m.json", "--trace-out", "t.csv"],
             "compare": ["--prepared", "prepared", "--model", "model.json", "--report-out", "r.csv"],
         }
-        readers = {"model.json": ["compare"], "experiment.conf": list(stages)}
+        readers = {"series.csv": ["prepare"], "model.json": ["compare"], "experiment.conf": list(stages)}
         with tempfile.TemporaryDirectory() as tmp:
             run = Path(tmp)
             shutil.copytree(frozen_run, run, dirs_exist_ok=True)
-            path = run / target if target in readers else run / "prepared" / target
+            path = run / target
             path.write_bytes(_mutated(data.draw, path.read_bytes()))
             for stage in readers.get(target, ["train", "compare"]):
                 args = ["--config", "experiment.conf", *stages[stage]]

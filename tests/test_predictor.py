@@ -6,18 +6,19 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from clockpred.cnn import init_weights
+import clockpred.predictor as predictor
+from clockpred.cnn import forward, init_weights
 from clockpred.kalman import KalmanParams
 from clockpred.predictor import (
     PredictionReport,
     compare,
     e_rms_pred,
     eligible_indices,
-    memorization_predictor,
     persistence_predictor,
     reconstruct,
     report_to_csv,
     rolling_predict,
+    score,
     summary_to_json,
 )
 from clockpred.series import NormalizationScale, QuadraticTrend, TimeSeries, prepare
@@ -37,13 +38,6 @@ def prepared():
 
 
 class TestRollingPredict:
-    def test_memorization_stub_is_perfect(self, prepared):
-        test_range = prepared.split.test_range
-        stub = memorization_predictor(prepared.residual_norm, test_range)
-        preds = rolling_predict(stub, prepared.residual_norm, test_range)
-        idx = eligible_indices(test_range)
-        npt.assert_array_equal(preds, prepared.residual_norm.values[idx])
-
     def test_persistence_on_constant_series(self):
         s = series_of(np.full(30, 4.2))
         preds = rolling_predict(persistence_predictor, s, range(20, 30))
@@ -146,15 +140,33 @@ class TestErmsPred:
 
 class TestCompare:
     def test_memorization_stubs_score_zero(self, prepared):
-        test_range = prepared.split.test_range
-        report = compare(
-            memorization_predictor(prepared.residual_norm, test_range),
-            memorization_predictor(prepared.residual_norm, test_range),
-            prepared,
-        )
-        npt.assert_allclose(report.cnn_e_rms_ns, 0.0, atol=1e-9)
-        npt.assert_allclose(report.kf_e_rms_ns, 0.0, atol=1e-9)
-        npt.assert_allclose(report.cnn_diff_ns, 0.0, atol=1e-9)
+        actual = prepared.residual_norm.values[eligible_indices(prepared.split.test_range)]
+        report = score(prepared, actual, actual)
+        assert (report.cnn_e_rms_ns, report.kf_e_rms_ns) == (0.0, 0.0)
+        npt.assert_array_equal(report.cnn_diff_ns, 0.0)
+        npt.assert_array_equal(report.kf_diff_ns, 0.0)
+
+    @pytest.mark.parametrize("method", ["CNN", "KF"])
+    def test_non_finite_prediction_is_refused_naming_method_and_mjd(self, prepared, method):
+        actual = prepared.residual_norm.values[eligible_indices(prepared.split.test_range)]
+        bad = actual.copy()
+        bad[7] = np.nan
+        preds = (bad, actual) if method == "CNN" else (actual, bad)
+        mjd = prepared.series.epochs[eligible_indices(prepared.split.test_range)[7]]
+        with pytest.raises(ValueError, match=f"^{method} prediction at MJD {mjd} gives a non"):
+            score(prepared, *preds)
+
+    def test_cnn_runs_per_window_through_the_module_forward(self, prepared, monkeypatch):
+        """Tracers count ``forward`` calls where ``compare`` looks it up."""
+        seen = []
+
+        def counted(model, window):
+            seen.append(window)
+            return forward(model, window)
+
+        monkeypatch.setattr(predictor, "forward", counted)
+        report = compare(init_weights(56934), KalmanParams(), prepared)
+        assert len(seen) == report.n_pred == 100
 
     def test_diff_columns_are_exact(self, prepared):
         report = compare(init_weights(56934), KalmanParams(), prepared)
@@ -185,16 +197,16 @@ class TestCompare:
         model = init_weights(56934)
         interval = prepared.series.interval
         batched = compare(model, params, prepared)
-        per_window = compare(
-            model, lambda window: kf_one_ahead_oracle(window, interval, params), prepared
+        series_norm, test_range = prepared.residual_norm, prepared.split.test_range
+        per_window = score(
+            prepared,
+            rolling_predict(lambda window: forward(model, window), series_norm, test_range),
+            rolling_predict(
+                lambda window: kf_one_ahead_oracle(window, interval, params), series_norm, test_range
+            ),
         )
         assert report_to_csv(batched) == report_to_csv(per_window)
         assert summary_to_json(batched) == summary_to_json(per_window)
-
-    def test_callables_and_models_mix(self, prepared):
-        report = compare(persistence_predictor, KalmanParams(), prepared)
-        assert report.n_pred == 100
-        assert np.isfinite(report.cnn_e_rms_ns)
 
 
 class TestExports:

@@ -27,7 +27,11 @@ one per ``train`` call.  ``train_C8_us`` times a whole 2-update ``cp.train``
 call at 8 channels on the same windows, the wide-train operation without
 its ``init_weights``, best of 10 repeats of 20 calls; ``train_C8_minflt``
 is the minor page faults (``getrusage`` ``ru_minflt``) per call over those
-200 calls.  Progress goes to standard error.
+200 calls.  ``compare_C1_us`` times ``cp.compare`` on the benchmark's frozen
+fixture (``benchmarks.workloads.build_fixture``: the frozen experiment and
+its trained C=1 CNN), best of 20 repeats of 20 calls, in process and apart
+from ``benchmarks/run.py``'s per-operation bookkeeping.  Progress goes to
+standard error.
 """
 
 from __future__ import annotations
@@ -83,6 +87,11 @@ best = min(timeit.repeat(train_call, number=20, repeat=10)) / 20
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
 result["train_C8_us"] = {"value": best * 1e6, "unit": "us"}
 result["train_C8_minflt"] = {"value": faults / 200, "unit": "faults"}
+from benchmarks.workloads import build_fixture
+fx = build_fixture()
+compare_call = lambda: cp.compare(fx.model, cp.KalmanParams(), fx.prepared)
+best = min(timeit.repeat(compare_call, number=20, repeat=20)) / 20
+result["compare_C1_us"] = {"value": best * 1e6, "unit": "us"}
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": result}))
 """
 
