@@ -288,16 +288,12 @@ def cmd_compare(
         raise ValueError(f"{model_path} on {prepared_dir}: {err}") from None
     if summary_out is None:
         summary_out = f"{report_out}.summary.json"
+    summary = predictor.summary_to_json(report)
     outputs = {
         "report": (report_out, predictor.report_to_csv(report)),
-        "summary": (summary_out, predictor.summary_to_json(report)),
+        "summary": (summary_out, summary),
     }
-    extra = {
-        "n_pred": report.n_pred,
-        "cnn_e_rms_ns": report.cnn_e_rms_ns,
-        "kf_e_rms_ns": report.kf_e_rms_ns,
-        "stub_memorize": stub_memorize,
-    }
+    extra = {**json.loads(summary), "stub_memorize": stub_memorize}
     inputs = {"prepared": str(prepared_dir), "model": str(model_path)}
     seed = config.seed_from(cfg)
     manifest_path = f"{report_out}.manifest.json"

@@ -162,9 +162,13 @@ def score(prepared: PreparedSeries, cnn_norm, kf_norm) -> PredictionReport:
 
 def report_to_csv(report: PredictionReport) -> str:
     """Full-precision CSV with one row per predicted epoch."""
-    ns_columns = [getattr(report, f.name).astype(np.float64) for f in fields(report)[1:6]]
-    columns = zip(report.epochs.tolist(), *(c.tolist() for c in ns_columns))
-    rows = [",".join([str(mjd), *map(repr, values)]) for mjd, *values in columns]
+    ns_columns = [getattr(report, column.name) for column in fields(report)[1:6]]
+    columns = [report.epochs.tolist()]
+    columns += [c.astype(np.float64, copy=False).tolist() for c in ns_columns]
+    rows = [
+        f"{mjd},{actual!r},{cnn!r},{kf!r},{cnn_diff!r},{kf_diff!r}"
+        for mjd, actual, cnn, kf, cnn_diff, kf_diff in zip(*columns)
+    ]
     return "\n".join([REPORT_HEADER, *rows]) + "\n"
 
 
