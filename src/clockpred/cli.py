@@ -6,7 +6,9 @@ independently inspectable.  A stage computes all its documents first and
 then commits them: it checks every target and its JSON manifest, and
 without --force refuses before writing anything if one exists; then it
 writes each document atomically, in order, and the manifest recording
-exactly what produced them last.
+exactly what produced them last.  Each stage takes its configuration's path;
+an error in its computation reads ``<inputs> with <config>: <reason>``, with
+``<config>`` that path or ``the default configuration``.
 
 The argument parser is built once per process and reused by every
 :func:`main` call, so a Python driver that runs several stages in one
@@ -17,6 +19,7 @@ time, so no option carries from one call into the next.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -87,20 +90,30 @@ def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) ->
     return manifest
 
 
-def _load_config(path: str | None) -> dict[str, str]:
+@contextlib.contextmanager
+def _computing(*sources):
+    """Compute with overflow left to the finiteness checks; name ``sources`` in a ValueError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except ValueError as err:
+        raise ValueError(f"{' with '.join(map(str, sources))}: {err}") from None
+
+
+def _load_config(path: str | None) -> tuple[dict[str, str], str]:
     overrides = config.parse_config(path) if path else None
-    cfg = config.effective_config(overrides)
-    try:  # every stage reads every value once, so a bad one is refused naming the file
+    cfg, name = config.effective_config(overrides), path or "the default configuration"
+    with _computing(name):  # every stage reads every value once, so a bad one is refused
         config.synthetic_spec_from(cfg), config.train_config_from(cfg), config.channels_from(cfg)
         config.prepare_options_from(cfg), config.kalman_params_from(cfg)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    return cfg
+    return cfg, name
 
 
-def cmd_generate(cfg: dict[str, str], out, seed: int | None, force: bool) -> RunManifest:
+def cmd_generate(config_path, out, seed: int | None, force: bool) -> RunManifest:
+    cfg, config_name = _load_config(config_path)
     spec = config.synthetic_spec_from(cfg, seed)
-    data = synthetic.generate(spec)
+    with _computing(config_name):
+        data = synthetic.generate(spec)
     outputs = {"series": (out, series.series_to_csv(data))}
     return _commit(
         "generate", spec.seed, cfg, {}, outputs, {"n": len(data)}, f"{out}.manifest.json", force
@@ -109,24 +122,19 @@ def cmd_generate(cfg: dict[str, str], out, seed: int | None, force: bool) -> Run
 
 def cmd_prepare(
     in_path,
-    cfg: dict[str, str],
+    config_path,
     out_dir,
     in_path_b=None,
     force: bool = False,
 ) -> RunManifest:
-    data = series.read_series(in_path)
+    cfg, config_name = _load_config(config_path)
+    data, inputs = series.read_series(in_path), {"series": str(in_path)}
     if in_path_b is not None:
-        data_b = series.read_series(in_path_b)
-        try:
+        data_b, inputs["series_b"] = series.read_series(in_path_b), str(in_path_b)
+        with _computing(in_path_b):
             data = series.combine_series(data, data_b)
-        except ValueError as err:
-            raise ValueError(f"{in_path_b}: {err}") from None
-    train_frac, val_frac, fit_on_full = config.prepare_options_from(cfg)
-    try:
-        prepared = series.prepare(data, train_frac, val_frac, fit_on_full)
-    except ValueError as err:
-        source = in_path if in_path_b is None else f"{in_path} + {in_path_b}"
-        raise ValueError(f"{source}: {err}") from None
+    with _computing(" + ".join(inputs.values()), config_name):
+        prepared = series.prepare(data, *config.prepare_options_from(cfg))
     residual = series.denormalize(prepared.residual_norm, prepared.scale)
     trend, parts = prepared.trend, prepared.split
     out_dir = Path(out_dir)
@@ -147,9 +155,6 @@ def cmd_prepare(
         ),
     }
     outputs = {name.split(".")[0]: (out_dir / name, text) for name, text in texts.items()}
-    inputs = {"series": str(in_path)}
-    if in_path_b is not None:
-        inputs["series_b"] = str(in_path_b)
     seed = config.seed_from(cfg)
     extra = {"split_sizes": list(parts.sizes)}
     return _commit("prepare", seed, cfg, inputs, outputs, extra, out_dir / "manifest.json", force)
@@ -177,11 +182,13 @@ _RESIDUAL_TOLERANCE_NS = 1e-3
 
 def _split_from_doc(doc) -> tuple[int, series.DataSplit, series.DataSplit, bool]:
     """The document's n, its partition, the partition ``prepare`` makes of n, fit_on_full."""
-    n, fractions = int(doc["n"]), tuple(doc["fractions"])
+    n, fractions, fit_on_full = doc["n"], tuple(doc["fractions"]), doc["fit_on_full"]
+    if type(n) is not int or type(fit_on_full) is not bool:
+        raise TypeError(f"n {n!r} must be an integer and fit_on_full {fit_on_full!r} a boolean")
     parts = series.DataSplit(
         range(*doc["train"]), range(*doc["val"]), range(*doc["test"]), fractions
     )
-    return n, parts, series.split(n, *fractions), bool(doc["fit_on_full"])
+    return n, parts, series.split(n, *fractions), fit_on_full
 
 
 def load_prepared(prepared_dir) -> PreparedSeries:
@@ -236,20 +243,16 @@ def load_prepared(prepared_dir) -> PreparedSeries:
 
 
 def cmd_train(
-    prepared_dir, cfg: dict[str, str], model_out, trace_out, seed: int | None, force: bool,
-    config_path=None,
+    prepared_dir, config_path, model_out, trace_out, seed: int | None, force: bool
 ) -> RunManifest:
-    """Train on ``prepared_dir``; ``config_path`` names the source of ``cfg`` in errors."""
+    cfg, config_name = _load_config(config_path)
     prepared = load_prepared(prepared_dir)
     train_cfg = config.train_config_from(cfg, seed)
     model0 = init_weights(train_cfg.seed, channels=config.channels_from(cfg))
-    try:
+    with _computing(prepared_dir, config_name):
         train_ds = training.make_windows(prepared.residual_norm, prepared.split.train_range)
         val_ds = training.make_windows(prepared.residual_norm, prepared.split.val_range)
         model, trace = training.train(model0, train_ds, val_ds, train_cfg)
-    except ValueError as err:
-        source = config_path or "the default configuration"
-        raise ValueError(f"{prepared_dir} with {source}: {err}") from None
     outputs = {
         "model": (model_out, model_to_json(model)),
         "trace": (trace_out, training.trace_to_csv(trace)),
@@ -269,23 +272,22 @@ def cmd_train(
 def cmd_compare(
     prepared_dir,
     model_path,
-    cfg: dict[str, str],
+    config_path,
     report_out,
     summary_out=None,
     stub_memorize: bool = False,
     force: bool = False,
 ) -> RunManifest:
+    cfg, config_name = _load_config(config_path)
     prepared = load_prepared(prepared_dir)
     model = None if stub_memorize else load_model(model_path)
-    try:
+    with _computing(f"{model_path} on {prepared_dir}", config_name):
         if model is None:
             indices = predictor.eligible_indices(prepared.split.test_range)
             actual = prepared.residual_norm.values[indices]
             report = predictor.score(prepared, actual, actual)
         else:
             report = predictor.compare(model, config.kalman_params_from(cfg), prepared)
-    except ValueError as err:
-        raise ValueError(f"{model_path} on {prepared_dir}: {err}") from None
     if summary_out is None:
         summary_out = f"{report_out}.summary.json"
     summary = predictor.summary_to_json(report)
@@ -359,19 +361,17 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     config_path = os.environ.get(config.ENV_CONFIG_PATH) if args.config is None else args.config
     try:
-        cfg = _load_config(config_path)
         if args.command == "generate":
-            cmd_generate(cfg, args.out, args.seed, args.force)
+            cmd_generate(config_path, args.out, args.seed, args.force)
         elif args.command == "prepare":
-            cmd_prepare(args.in_path, cfg, args.out_dir, args.in_path_b, args.force)
+            cmd_prepare(args.in_path, config_path, args.out_dir, args.in_path_b, args.force)
         elif args.command == "train":
             cmd_train(
-                args.prepared, cfg, args.model_out, args.trace_out, args.seed, args.force,
-                config_path,
+                args.prepared, config_path, args.model_out, args.trace_out, args.seed, args.force
             )
         elif args.command == "compare":
             cmd_compare(
-                args.prepared, args.model, cfg, args.report_out, args.summary_out,
+                args.prepared, args.model, config_path, args.report_out, args.summary_out,
                 args.stub_memorize, args.force,
             )
     except (ValueError, OSError) as err:

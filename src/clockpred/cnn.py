@@ -59,8 +59,8 @@ class ConvLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        kernel = np.asarray(self.kernel, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
+        kernel = np.array(self.kernel, dtype=np.float64)
+        bias = np.array(self.bias, dtype=np.float64)
         if kernel.ndim == 1:
             kernel = kernel.reshape(1, 1, -1)
         if bias.ndim == 0:
@@ -155,7 +155,7 @@ class CnnModel:
                     f"({channels}, {in_ch})"
                 )
             in_ch = channels
-        head = np.asarray(self.head_weights, dtype=np.float64)
+        head = np.array(self.head_weights, dtype=np.float64)
         if head.shape != (channels * DEFAULT_INPUT_WIDTH,):
             raise ValueError(
                 f"head expects {channels * DEFAULT_INPUT_WIDTH} weights, got shape {head.shape}"
@@ -480,12 +480,15 @@ def model_from_json(text: str) -> CnnModel:
     """Read a model document written from :func:`model_to_json`.
 
     Its width must be ``DEFAULT_INPUT_WIDTH``, the width of every window the
-    pipeline builds, and its channel count must be that of its kernels.
+    pipeline builds, and its channel count must be that of its kernels; both
+    must be JSON integers, so a float or a boolean is refused.
     """
     try:
         payload = json.loads(text)
         config = payload["config"]
-        width, channels = int(config["width"]), int(config["channels"])
+        width, channels = config["width"], config["channels"]
+        if type(width) is not int or type(channels) is not int:
+            raise TypeError(f"width {width!r} and channels {channels!r} must be integers")
         if width != DEFAULT_INPUT_WIDTH:
             raise ValueError(
                 f"model input width {width} is not the window "

@@ -103,7 +103,7 @@ class PredictionReport:
 
     def __post_init__(self):
         for column in fields(self)[:6]:  # the per-epoch columns
-            arr = np.asarray(getattr(self, column.name))
+            arr = np.array(getattr(self, column.name))
             if arr.ndim != 1 or arr.size != self.n_pred:
                 raise ValueError(f"column {column.name} must hold {self.n_pred} entries")
             arr.flags.writeable = False

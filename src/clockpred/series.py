@@ -53,7 +53,7 @@ class TimeSeries:
             if not (epochs == np.floor(epochs)).all():
                 raise ValueError("epochs must be whole MJD day numbers")
         epochs = epochs.astype(np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if epochs.ndim != 1 or values.ndim != 1:
             raise ValueError("epochs and values must be one-dimensional")
         if epochs.size != values.size:

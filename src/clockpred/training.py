@@ -49,8 +49,8 @@ class WindowDataset:
     source_range: range
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
+        inputs = np.array(self.inputs, dtype=np.float64)
+        targets = np.array(self.targets, dtype=np.float64)
         if inputs.ndim != 2 or targets.ndim != 1 or inputs.shape[0] != targets.size:
             raise ValueError("inputs must be (n, width) with one target per window")
         inputs.flags.writeable = False
@@ -119,8 +119,8 @@ class AdamState:
     eps: float
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
+        m = np.array(self.m, dtype=np.float64)
+        v = np.array(self.v, dtype=np.float64)
         if m.shape != v.shape or m.ndim != 1:
             raise ValueError("moment vectors must be 1D and congruent")
         if np.any(v < 0.0):
@@ -219,8 +219,8 @@ class TrainingTrace:
     best_update: int
 
     def __post_init__(self):
-        train = np.asarray(self.train_rmse, dtype=np.float64)
-        val = np.asarray(self.val_rmse, dtype=np.float64)
+        train = np.array(self.train_rmse, dtype=np.float64)
+        val = np.array(self.val_rmse, dtype=np.float64)
         if train.shape != val.shape or train.ndim != 1:
             raise ValueError("trace columns must be congruent 1D arrays")
         if self.stop_reason not in (STOP_MAX_UPDATES, STOP_EARLY):

@@ -149,6 +149,11 @@ def _respaced(csv_text, interval):
     return "\n".join(lines) + "\n"
 
 
+def _with(text, **values):
+    """The JSON document ``text`` with ``values`` set."""
+    return json.dumps({**json.loads(text), **values})
+
+
 def _without(text, key):
     """The JSON document ``text`` with ``key`` deleted."""
     doc = json.loads(text)
@@ -286,7 +291,9 @@ class TestPrepare:
             csv, out = Path(tmp) / "s.csv", Path(tmp) / "prepared"
             spec = SyntheticClockSpec(n=n, interval=interval, seed=seed)
             csv.write_text(series_to_csv(generate(spec)))
-            cmd_prepare(csv, cfg, out)
+            conf = Path(tmp) / "split.conf"
+            conf.write_text(f"fit_on_full = {cfg['fit_on_full']}\n")
+            cmd_prepare(csv, conf, out)
             got = load_prepared(out)
             want = prepare(read_series(csv), *config.prepare_options_from(cfg))
         for part in ("series", "residual_norm"):
@@ -411,7 +418,7 @@ def _mutated(draw, text: bytes) -> bytes:
     kind = draw(st.sampled_from(["number", "truncate", "delete-line", "insert-byte"]))
     if kind == "number":
         start, end = draw(st.sampled_from([m.span() for m in _NUMBER.finditer(text)]))
-        number = draw(st.sampled_from([b"nan", b"inf", b"1e400", b"1" + b"0" * 29]))
+        number = draw(st.sampled_from([b"nan", b"inf", b"1e400", b"1e308", b"1" + b"0" * 29]))
         return text[:start] + number + text[end:]
     if kind == "truncate":
         return text[: draw(st.integers(0, len(text) - 1))]
@@ -535,8 +542,19 @@ class TestSafety:
                 lambda doc: _respaced(doc, 10),
                 "epochs differ from those of series.csv",
             ),
+            ("split.json", lambda doc: _with(doc, fit_on_full="false"), "malformed"),
+            ("split.json", lambda doc: _with(doc, fit_on_full=0.5), "malformed"),
+            ("split.json", lambda doc: _with(doc, n=274.9), "malformed"),
         ],
-        ids=["split-without-val", "trend-as-list", "scale-cut", "residual-other-grid"],
+        ids=[
+            "split-without-val",
+            "trend-as-list",
+            "scale-cut",
+            "residual-other-grid",
+            "split-flag-string",
+            "split-flag-half",
+            "split-n-float",
+        ],
     )
     def test_malformed_prepared_document_is_one_line_diagnostic(
         self, tmp_path, capsys, name, edit, message
@@ -569,8 +587,14 @@ class TestSafety:
 
     @pytest.mark.parametrize(
         "edit",
-        [lambda doc: doc[: len(doc) // 2], lambda doc: json.dumps(list(json.loads(doc).values()))],
-        ids=["model-cut", "model-as-list"],
+        [
+            lambda doc: doc[: len(doc) // 2],
+            lambda doc: json.dumps(list(json.loads(doc).values())),
+            lambda doc: _with(doc, config={"channels": 1, "width": 5.7}),
+            lambda doc: _with(doc, config={"channels": 1.9, "width": 5}),
+            lambda doc: _with(doc, config={"channels": True, "width": 5}),
+        ],
+        ids=["model-cut", "model-as-list", "width-float", "channels-float", "channels-bool"],
     )
     def test_malformed_model_is_one_line_diagnostic(self, tmp_path, capsys, edit):
         conf = fast_conf(tmp_path)
@@ -733,13 +757,14 @@ class TestSafety:
         lines[40] = lines[40].split(",")[0] + ",1e308"
         path = tmp_path / "huge.csv"
         path.write_text("\n".join(lines) + "\n")
-        argv = ["prepare", "--config", fast_conf(tmp_path), "--out-dir", str(tmp_path / "prepared")]
-        source = str(path)
+        conf = fast_conf(tmp_path)
+        argv = ["prepare", "--config", conf, "--out-dir", str(tmp_path / "prepared")]
+        source = f"{path} with {conf}"
         if as_second:
             other = tmp_path / "other.csv"
             other.write_text(series_to_csv(generate(SyntheticClockSpec(n=274, seed=7))))
             argv += ["--in", str(other), "--in-b", str(path)]
-            source = f"{other} + {path}"
+            source = f"{other} + {path} with {conf}"
         else:
             argv += ["--in", str(path)]
         assert main(argv) == 1
@@ -767,7 +792,8 @@ class TestSafety:
         report = tmp_path / "report.csv"
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {model} on {prepared}: CNN prediction at MJD ")
+        head = f"clockpred: error: {model} on {prepared} with {conf}: CNN prediction at MJD "
+        assert err.startswith(head)
         assert err.endswith(" gives a non-finite RMS error\n") and err.count("\n") == 1
         assert not report.exists() and not (tmp_path / "report.csv.summary.json").exists()
 
@@ -890,6 +916,47 @@ class TestSafety:
         err = capsys.readouterr().err
         assert err.startswith(f"clockpred: error: {model}: malformed model document:")
         assert err.count("\n") == 1 and not report.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "key, value, stage",
+        [
+            ("gen_y0", "1e308", "generate"),
+            ("gen_y0", "-1e308", "generate"),
+            ("gen_drift", "1e308", "generate"),
+            ("gen_drift", "-1e308", "generate"),
+            ("gen_sigma_wfm", "1e308", "generate"),
+            ("gen_sigma_rwfm", "1e308", "generate"),
+            ("gen_x0", "1e308", "prepare"),
+            ("gen_x0", "-1e308", "prepare"),
+            ("train_frac", "1e-320", "prepare"),
+            ("val_frac", "1e-320", "prepare"),
+            ("kf_q1", "1e308", "compare"),
+            ("kf_q2", "1e308", "compare"),
+            ("kf_p0", "1e308", "compare"),
+        ],
+    )
+    def test_extreme_config_value_names_the_config_file(
+        self, frozen_run, capsys, key, value, stage
+    ):
+        """A finite configuration value that overflows a stage's arithmetic, or empties a
+        partition, ends the first stage it breaks with one unwarned line that names the
+        stage's inputs and the configuration file."""
+        inputs = {"generate": "", "prepare": "series.csv", "compare": "model.json on prepared"}
+        with tempfile.TemporaryDirectory() as tmp:
+            run, text = Path(tmp), (frozen_run / "experiment.conf").read_text()
+            conf = run / "experiment.conf"
+            conf.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+            for ran in ("generate", "prepare", "train", "compare"):
+                argv = [*FrozenCli.stage_argv(ran), "--config", str(conf)]
+                error = FrozenCli.run_stage(argv, run)
+                if error is not None:
+                    break
+            assert (ran, error) == (stage, f"{stage} returned 1")
+            assert not (run / "report.csv").exists()
+        err = capsys.readouterr().err
+        source = f"{inputs[stage]} with {conf}" if inputs[stage] else conf
+        assert err.startswith(f"clockpred: error: {source}: ") and err.count("\n") == 1
 
     def test_refused_prepare_writes_nothing(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import clockpred as cp
-from clockpred import cli, config
+from clockpred import cli
 from clockpred import training as tr
 from clockpred.cnn import model_to_json
 from clockpred.predictor import PredictionReport, report_to_csv
@@ -52,12 +52,13 @@ def frozen(tmp_path_factory):
     report = cp.compare(model, cp.KalmanParams(), prepared)
 
     root = tmp_path_factory.mktemp("frozen")
-    cfg = config.effective_config(config.parse_config(EXPERIMENT_CONF))
     (root / "model.json").write_text(model_to_json(model))
     manifests = [
-        cli.cmd_generate(cfg, root / "series.csv", None, False),
-        cli.cmd_prepare(root / "series.csv", cfg, root / "prepared"),
-        cli.cmd_compare(root / "prepared", root / "model.json", cfg, root / "report.csv"),
+        cli.cmd_generate(EXPERIMENT_CONF, root / "series.csv", None, False),
+        cli.cmd_prepare(root / "series.csv", EXPERIMENT_CONF, root / "prepared"),
+        cli.cmd_compare(
+            root / "prepared", root / "model.json", EXPERIMENT_CONF, root / "report.csv"
+        ),
     ]
     return {
         "series": [data, prepared.series, denormalize(prepared.residual_norm, prepared.scale)],
