@@ -14,10 +14,12 @@
 import numpy as np
 
 from clockpred import KalmanParams, default_maser_spec, generate, prepare, rmse_loss
-from clockpred.predictor import eligible_indices, kalman_window_predictor, rolling_predict
+from clockpred.kalman import kf_one_ahead_batch
+from clockpred.predictor import eligible_indices, window_matrix
 
 prepared = prepare(generate(default_maser_spec()), fit_on_full=True)
 val_range = prepared.split.val_range
+windows = window_matrix(prepared.residual_norm, val_range)
 actual = prepared.residual_norm.values[eligible_indices(val_range)]
 interval = prepared.series.interval
 
@@ -27,10 +29,7 @@ results = []
 for q1 in grid_q:
     for q2 in grid_q:
         for r in grid_r:
-            params = KalmanParams(q1=q1, q2=q2, r=r)
-            preds = rolling_predict(
-                kalman_window_predictor(params, interval), prepared.residual_norm, val_range
-            )
+            preds = kf_one_ahead_batch(windows, interval, KalmanParams(q1=q1, q2=q2, r=r))
             results.append((rmse_loss(preds, actual), q1, q2, r))
 results.sort()
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config, predictor, series, synthetic, training
-from .cnn import init_weights, load_model, model_to_json
+from .cnn import _numbers_only, init_weights, load_model, model_to_json
 from .series import PreparedSeries
 
 
@@ -180,14 +180,22 @@ def _read_json(path: Path, build):
 _RESIDUAL_TOLERANCE_NS = 1e-3
 
 
+def _numbers_object(doc) -> dict:
+    """``doc`` if it is a JSON object whose values are JSON numbers, not booleans or strings."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"a {type(doc).__name__} where a JSON object belongs")
+    return _numbers_only(doc.items())
+
+
 def _split_from_doc(doc) -> tuple[int, series.DataSplit, series.DataSplit, bool]:
     """The document's n, its partition, the partition ``prepare`` makes of n, fit_on_full."""
     n, fractions, fit_on_full = doc["n"], tuple(doc["fractions"]), doc["fit_on_full"]
     if type(n) is not int or type(fit_on_full) is not bool:
         raise TypeError(f"n {n!r} must be an integer and fit_on_full {fit_on_full!r} a boolean")
-    parts = series.DataSplit(
-        range(*doc["train"]), range(*doc["val"]), range(*doc["test"]), fractions
-    )
+    bounds = [doc["train"], doc["val"], doc["test"]]
+    if any(type(bound) is not int for pair in bounds for bound in pair):
+        raise TypeError(f"range bounds {bounds} must be integers")
+    parts = series.DataSplit(*[range(*pair) for pair in bounds], fractions)
     return n, parts, series.split(n, *fractions), fit_on_full
 
 
@@ -209,9 +217,13 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     prepared_dir = Path(prepared_dir)
     split_path = prepared_dir / "split.json"
     n, parts, expected, fit_on_full = _read_json(split_path, _split_from_doc)
-    trend = _read_json(prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**doc))
+    trend = _read_json(
+        prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**_numbers_object(doc))
+    )
     scale_path = prepared_dir / "scale.json"
-    scale = _read_json(scale_path, lambda doc: series.NormalizationScale(doc["d_max_abs"]))
+    scale = _read_json(
+        scale_path, lambda doc: series.NormalizationScale(_numbers_object(doc)["d_max_abs"])
+    )
     full = series.read_series(prepared_dir / "series.csv")
     residual_path = prepared_dir / "residual.csv"
     residual = series.read_series(residual_path)

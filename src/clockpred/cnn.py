@@ -9,8 +9,8 @@ widen the hidden layers (1 -> C -> C -> C) and the head to C * width inputs.
 Gradients are exact analytic derivatives; the ReLU subgradient at zero is
 taken to be zero.  Parameters and gradients share one flat vector order:
 per layer the kernel then the bias, then the head weights and the head
-bias.  ``CnnModel.param_views`` shapes such a vector like the model, and
-``ParamViews.to_vector`` flattens shaped arrays back into it.
+bias, as ``ParamViews.arrays`` alone states it.  ``CnnModel.param_views``
+shapes such a vector like the model, and ``to_vector`` flattens it back.
 
 There are two forward paths.  ``forward`` and ``conv1d_forward`` evaluate
 one window with ``np.correlate``; the compare report is computed with them,
@@ -173,21 +173,20 @@ class CnnModel:
         """Output channels of every conv layer, read from the first kernel's shape."""
         return self.layers[0].kernel.shape[0]
 
-    @property
+    @functools.cached_property
+    def params(self) -> "ParamViews":
+        """This model's own arrays, read-only, shaped as :meth:`param_views` shapes a vector."""
+        kernels, biases = zip(*[(layer.kernel, layer.bias) for layer in self.layers])
+        head_bias = np.frombuffer(np.float64(self.head_bias).tobytes())  # read-only
+        return ParamViews(kernels, biases, self.head_weights, head_bias)
+
+    @functools.cached_property
     def num_params(self) -> int:
-        count = self.head_weights.size + 1
-        for layer in self.layers:
-            count += layer.kernel.size + layer.bias.size
-        return count
+        return sum([a.size for a in self.params.arrays()])
 
     def to_vector(self) -> np.ndarray:
-        """Flatten all parameters in vector order (see :meth:`ParamViews.to_vector`)."""
-        return ParamViews(
-            tuple([layer.kernel for layer in self.layers]),
-            tuple([layer.bias for layer in self.layers]),
-            self.head_weights,
-            np.array([self.head_bias]),
-        ).to_vector()
+        """Flatten all parameters in vector order (see :class:`ParamViews`)."""
+        return self.params.to_vector()
 
     def param_views(self, vec: np.ndarray) -> "ParamViews":
         """Views of a flat float64 parameter vector, shaped like this model's parameters.
@@ -199,25 +198,17 @@ class CnnModel:
             raise ValueError(f"expected {self.num_params} parameters, got {vec.shape}")
         if not vec.flags.c_contiguous:
             raise ValueError("parameter views need a contiguous vector")
-        shapes = [s for layer in self.layers for s in (layer.kernel.shape, layer.bias.shape)]
-        *layers, head, head_bias = _carve(vec, [*shapes, self.head_weights.shape, (1,)])
-        return ParamViews(tuple(layers[0::2]), tuple(layers[1::2]), head, head_bias)
+        return ParamViews.from_arrays(_carve(vec, [a.shape for a in self.params.arrays()]))
 
     def from_vector(self, vec: np.ndarray) -> "CnnModel":
         """Rebuild a model of this shape from a flat parameter vector."""
-        p = self.param_views(np.array(vec, dtype=np.float64))
-        layers = tuple(ConvLayer(k, b) for k, b in zip(p.kernels, p.biases))
-        return CnnModel(layers, p.head_weights, float(p.head_bias[0]))
+        p = self.param_views(np.ascontiguousarray(vec, dtype=np.float64))
+        return CnnModel(tuple(map(ConvLayer, p.kernels, p.biases)), p.head_weights, p.head_bias[0])
 
     def weight_mask(self) -> np.ndarray:
         """1.0 for kernel and head weights, 0.0 for biases, in vector order."""
-        parts = []
-        for layer in self.layers:
-            parts.append(np.ones(layer.kernel.size))
-            parts.append(np.zeros(layer.bias.size))
-        parts.append(np.ones(self.head_weights.size))
-        parts.append(np.zeros(1))
-        return np.concatenate(parts)
+        flags = ParamViews((1.0,) * len(self.layers), (0.0,) * len(self.layers), 1.0, 0.0)
+        return np.repeat(flags.arrays(), [a.size for a in self.params.arrays()])
 
 
 def _carve(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -234,15 +225,18 @@ class ParamViews(NamedTuple):
     head_weights: np.ndarray
     head_bias: np.ndarray
 
+    def arrays(self) -> list[np.ndarray]:
+        """The arrays in vector order: per layer the kernel then the bias, then the head."""
+        return [*sum(zip(self.kernels, self.biases), ()), self.head_weights, self.head_bias]
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "ParamViews":
+        """The inverse of :meth:`arrays`: the views whose arrays are ``arrays``."""
+        return cls(tuple(arrays[0:-2:2]), tuple(arrays[1:-2:2]), arrays[-2], arrays[-1])
+
     def to_vector(self) -> np.ndarray:
-        """A new flat vector: per-layer kernel then bias, head weights, head bias."""
-        parts = []
-        for kernel, bias in zip(self.kernels, self.biases):
-            parts.append(kernel.ravel())
-            parts.append(bias)
-        parts.append(self.head_weights)
-        parts.append(self.head_bias)
-        return np.concatenate(parts)
+        """A new flat vector of :meth:`arrays`."""
+        return np.concatenate(self.arrays(), axis=None)
 
 
 def _check_batch(windows) -> np.ndarray:
@@ -261,10 +255,6 @@ def _check_window(window) -> np.ndarray:
             f"window of shape {x.shape} does not match input width {DEFAULT_INPUT_WIDTH}"
         )
     return x
-
-
-def _params(model: CnnModel) -> ParamViews:
-    return model.param_views(model.to_vector())
 
 
 def forward(model: CnnModel, window) -> float:
@@ -428,7 +418,7 @@ def backward_cached(
 
 def forward_batch(model: CnnModel, windows) -> np.ndarray:
     """Network outputs for a (n, width) batch of windows."""
-    return forward_cached(_params(model), _check_batch(windows)).outputs
+    return forward_cached(model.params, _check_batch(windows)).outputs
 
 
 def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
@@ -437,7 +427,7 @@ def backward_batch(model: CnnModel, windows, upstreams) -> np.ndarray:
     upstreams = np.asarray(upstreams, dtype=np.float64)
     if upstreams.shape != (windows.shape[0],):
         raise ValueError("one upstream scalar per window is required")
-    params = _params(model)
+    params = model.params
     grad = np.empty(model.num_params)
     backward_cached(params, forward_cached(params, windows), upstreams, model.param_views(grad))
     return grad
@@ -476,17 +466,23 @@ def model_to_json(model: CnnModel) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _numbers_only(pairs) -> dict:
+    """The JSON object of ``pairs``, if its values hold nothing but numbers and objects."""
+    if {type(x) for _, v in pairs for x in np.array(v, dtype=object).flat} - {int, float, dict}:
+        raise TypeError("values must be JSON numbers or objects, in lists of even depth")
+    return dict(pairs)
+
+
 def model_from_json(text: str) -> CnnModel:
     """Read a model document written from :func:`model_to_json`.
 
-    Its width must be ``DEFAULT_INPUT_WIDTH``, the width of every window the
-    pipeline builds, and its channel count must be that of its kernels; both
-    must be JSON integers, so a float or a boolean is refused.
+    Its values must be JSON numbers, so a boolean or a string is refused.  Its
+    width must be ``DEFAULT_INPUT_WIDTH``, the width of every window the
+    pipeline builds, and its channel count that of its kernels; both integers.
     """
     try:
-        payload = json.loads(text)
-        config = payload["config"]
-        width, channels = config["width"], config["channels"]
+        payload = json.loads(text, object_pairs_hook=_numbers_only)
+        width, channels = payload["config"]["width"], payload["config"]["channels"]
         if type(width) is not int or type(channels) is not int:
             raise TypeError(f"width {width!r} and channels {channels!r} must be integers")
         if width != DEFAULT_INPUT_WIDTH:
@@ -494,12 +490,8 @@ def model_from_json(text: str) -> CnnModel:
                 f"model input width {width} is not the window "
                 f"width {DEFAULT_INPUT_WIDTH} the pipeline feeds it"
             )
-        layers = tuple(
-            ConvLayer(np.array(item["kernel"]), np.array(item["bias"]))
-            for item in payload["layers"]
-        )
-        head = payload["head"]
-        model = CnnModel(layers, np.array(head["weights"]), float(head["bias"]))
+        layers = tuple(ConvLayer(item["kernel"], item["bias"]) for item in payload["layers"])
+        model = CnnModel(layers, payload["head"]["weights"], payload["head"]["bias"])
     except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as err:
         raise ValueError(f"malformed model document: {err}") from None
     if model.channels != channels:

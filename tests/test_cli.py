@@ -154,6 +154,13 @@ def _with(text, **values):
     return json.dumps({**json.loads(text), **values})
 
 
+def _with_kernel_entry(text, value):
+    """The model document ``text`` with one entry of its second kernel set to ``value``."""
+    doc = json.loads(text)
+    doc["layers"][1]["kernel"][0][0][1] = value
+    return json.dumps(doc)
+
+
 def _without(text, key):
     """The JSON document ``text`` with ``key`` deleted."""
     doc = json.loads(text)
@@ -545,6 +552,14 @@ class TestSafety:
             ("split.json", lambda doc: _with(doc, fit_on_full="false"), "malformed"),
             ("split.json", lambda doc: _with(doc, fit_on_full=0.5), "malformed"),
             ("split.json", lambda doc: _with(doc, n=274.9), "malformed"),
+            (
+                "split.json",
+                lambda doc: _with(doc, train=[False, json.loads(doc)["train"][1]]),
+                "malformed",
+            ),
+            ("trend.json", lambda doc: _with(doc, c2=True), "malformed"),
+            ("trend.json", lambda doc: _with(doc, c2="0"), "malformed"),
+            ("scale.json", lambda doc: _with(doc, d_max_abs=True), "malformed"),
         ],
         ids=[
             "split-without-val",
@@ -554,6 +569,10 @@ class TestSafety:
             "split-flag-string",
             "split-flag-half",
             "split-n-float",
+            "split-bound-bool",
+            "trend-bool",
+            "trend-string",
+            "scale-bool",
         ],
     )
     def test_malformed_prepared_document_is_one_line_diagnostic(
@@ -593,8 +612,20 @@ class TestSafety:
             lambda doc: _with(doc, config={"channels": 1, "width": 5.7}),
             lambda doc: _with(doc, config={"channels": 1.9, "width": 5}),
             lambda doc: _with(doc, config={"channels": True, "width": 5}),
+            lambda doc: _with(doc, head={**json.loads(doc)["head"], "bias": True}),
+            lambda doc: _with(doc, head={**json.loads(doc)["head"], "bias": "0.5"}),
+            lambda doc: _with_kernel_entry(doc, True),
         ],
-        ids=["model-cut", "model-as-list", "width-float", "channels-float", "channels-bool"],
+        ids=[
+            "model-cut",
+            "model-as-list",
+            "width-float",
+            "channels-float",
+            "channels-bool",
+            "head-bias-bool",
+            "head-bias-string",
+            "kernel-entry-bool",
+        ],
     )
     def test_malformed_model_is_one_line_diagnostic(self, tmp_path, capsys, edit):
         conf = fast_conf(tmp_path)

@@ -382,6 +382,31 @@ class TestModelStructure:
         npt.assert_array_equal(frozen.to_vector(), model.to_vector())
         assert forward(frozen, np.ones(DEFAULT_INPUT_WIDTH)) == before
 
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
+    def test_vector_layout(self, channels):
+        """Per layer the kernel then the bias, then the head weights and the head bias."""
+        rng = np.random.default_rng(channels)
+        layers = tuple(
+            ConvLayer(rng.normal(size=(channels, in_ch, k)), rng.normal(size=channels))
+            for in_ch, k in zip((1, channels, channels), KERNEL_SIZES)
+        )
+        model = CnnModel(layers, rng.normal(size=channels * DEFAULT_INPUT_WIDTH), rng.normal())
+        parts = [[layer.kernel.ravel(), layer.bias] for layer in layers]
+        parts.append([model.head_weights, [model.head_bias]])
+        npt.assert_array_equal(model.to_vector(), np.concatenate(sum(parts, [])))
+        assert model.num_params == model.to_vector().size
+        views = model.param_views(model.to_vector())
+        for layer, kernel, bias in zip(layers, views.kernels, views.biases, strict=True):
+            npt.assert_array_equal(kernel, layer.kernel)
+            npt.assert_array_equal(bias, layer.bias)
+        npt.assert_array_equal(views.head_weights, model.head_weights)
+        npt.assert_array_equal(views.head_bias, [model.head_bias])
+        mask = model.param_views(model.weight_mask())
+        for view in (*mask.kernels, mask.head_weights):
+            npt.assert_array_equal(view, 1.0)
+        for view in (*mask.biases, mask.head_bias):
+            npt.assert_array_equal(view, 0.0)
+
     def test_weight_mask_excludes_biases(self):
         model = init_weights(1)
         mask = model.weight_mask()

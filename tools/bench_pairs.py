@@ -7,8 +7,9 @@ for ``BENCHMARK.json``'s ``run_seconds`` once on each tree; the side that
 runs first alternates from pair to pair.  For every workload and
 end-to-end metric the JSON on standard output holds each side's runs,
 median and quartiles (linear interpolation), the parent's spread
-(q3 - q1) / median, and how many pairs the change wins (ties count for
-neither side).  Each end-to-end metric also carries its ``bound`` from
+(q3 - q1) / median and the change's median over the parent's (both null
+when the parent's median is 0), and how many pairs the change wins (ties
+count for neither side).  Each end-to-end metric also carries its ``bound`` from
 ``BENCHMARK.json``, ``worse_by``, the change's median relative to the
 parent's in the metric's worse direction ((c - p) / p when lower is
 better, (p - c) / p when higher is better; negative when the change is
@@ -23,14 +24,18 @@ experiment's 164 stacked windows at 1 and 8 channels, the best of 20
 repeats of 100 calls each, in microseconds per call.  ``forward_cached`` is
 the pass ``train`` runs after its first, which writes into an earlier pass's
 buffers (``out=``); ``forward_cached_fresh`` is the allocating first pass,
-one per ``train`` call.  ``train_C8_us`` times a whole 2-update ``cp.train``
-call at 8 channels on the same windows, the wide-train operation without
-its ``init_weights``, best of 10 repeats of 20 calls; ``train_C8_minflt``
-is the minor page faults (``getrusage`` ``ru_minflt``) per call over those
-200 calls.  ``compare_C1_us`` times ``cp.compare`` on the benchmark's frozen
-fixture (``benchmarks.workloads.build_fixture``: the frozen experiment and
-its trained C=1 CNN), best of 20 repeats of 20 calls, in process and apart
-from ``benchmarks/run.py``'s per-operation bookkeeping.  Progress goes to
+one per ``train`` call.  ``param_layout`` is the parameter layout calls of
+one ``train`` call: ``to_vector``, two ``param_views``, ``weight_mask`` and
+``from_vector``, made on the model the previous call's ``from_vector``
+built, since each ``train`` call gets a model it has not seen before.
+``train_C8_us`` times a whole 2-update ``cp.train`` call at 8 channels on
+the same windows, the wide-train operation without its ``init_weights``,
+best of 10 repeats of 20 calls; ``train_C8_minflt`` is the minor page
+faults (``getrusage`` ``ru_minflt``) per call over those 200 calls.
+``compare_C1_us`` times ``cp.compare`` on the benchmark's frozen fixture
+(``benchmarks.workloads.build_fixture``: the frozen experiment and its
+trained C=1 CNN), best of 20 repeats of 20 calls, in process and apart from
+``benchmarks/run.py``'s per-operation bookkeeping.  Progress goes to
 standard error.
 """
 
@@ -70,10 +75,21 @@ for channels in (1, 8):
     grads = model.param_views(np.empty(model.num_params))
     both = forward_cached(params, inputs)
     fwd = both.first(n)
+    latest = [model]
+
+    def param_layout():
+        m = latest.pop()
+        vec = m.to_vector()
+        m.param_views(vec)
+        m.param_views(np.empty_like(vec))
+        m.weight_mask()
+        latest.append(m.from_vector(vec))
+
     calls = {
         "forward_cached": lambda: forward_cached(params, inputs, out=both),
         "forward_cached_fresh": lambda: forward_cached(params, inputs),
         "backward_cached": lambda: backward_cached(params, fwd, upstreams, grads),
+        "param_layout": param_layout,
     }
     for name, call in calls.items():
         best = min(timeit.repeat(call, number=100, repeat=20)) / 100
@@ -143,12 +159,13 @@ def summarize(runs: dict, specs: dict, seeds: list[int], first: list[str]) -> di
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(per_run["parent"], per_run["change"]))
         parent = stats["parent"]
+        median = parent["median"]  # 0 for a count such as train_C8_minflt
         metrics[name] = {
             "better": direction,
             **stats,
             "per_run": per_run,
-            "change_over_parent": stats["change"]["median"] / parent["median"],
-            "parent_spread": (parent["q3"] - parent["q1"]) / parent["median"],
+            "change_over_parent": stats["change"]["median"] / median if median else None,
+            "parent_spread": (parent["q3"] - parent["q1"]) / median if median else None,
             "change_wins": f"{wins}/{len(seeds)}",
         }
         if "bound" in spec:
