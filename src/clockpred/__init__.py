@@ -13,11 +13,9 @@ from .cnn import (
     CnnModel,
     ConvLayer,
     backward,
-    conv1d_forward,
     forward,
     init_weights,
     load_model,
-    relu,
 )
 from .kalman import KalmanParams, kf_one_ahead
 from .predictor import (
@@ -76,7 +74,6 @@ __all__ = [
     "backward",
     "combine_series",
     "compare",
-    "conv1d_forward",
     "default_maser_spec",
     "denormalize",
     "detrend",
@@ -94,7 +91,6 @@ __all__ = [
     "prepare",
     "read_series",
     "reconstruct",
-    "relu",
     "retrend",
     "rmse_loss",
     "rolling_predict",

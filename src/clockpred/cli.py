@@ -205,8 +205,11 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     The interval is the spacing of the epochs in ``series.csv``; the
     manifest is not read.  The documents must agree with one another: the
     split is the partition ``prepare`` makes of the whole series with the
-    recorded fractions, the residual has the series' epochs, and the
-    residual equals series − trend to within ``_RESIDUAL_TOLERANCE_NS``.
+    recorded fractions, the residual has the series' epochs, the
+    residual equals series − trend to within ``_RESIDUAL_TOLERANCE_NS``,
+    and the scale is exactly the residual's largest magnitude over the
+    range it was fitted on: the whole series with ``fit_on_full``, else
+    the training range.
 
     Raises
     ------
@@ -244,6 +247,13 @@ def load_prepared(prepared_dir) -> PreparedSeries:
         )
     if not np.isfinite(norm).all():
         raise ValueError(f"{scale_path}: d_max_abs {scale.d_max_abs!r} overflows the residual")
+    fit = range(n) if fit_on_full else parts.train_range
+    peak = float(np.max(np.abs(residual.subseries(fit).values)))
+    if scale.d_max_abs != peak:
+        raise ValueError(
+            f"{scale_path}: d_max_abs {scale.d_max_abs!r} is not {peak!r}, the max |residual| "
+            f"over {'the whole series' if fit_on_full else 'the training range'}"
+        )
     return PreparedSeries(
         series=full,
         residual_norm=residual.with_values(norm),

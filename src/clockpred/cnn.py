@@ -12,9 +12,9 @@ per layer the kernel then the bias, then the head weights and the head
 bias, as ``ParamViews.arrays`` alone states it.  ``CnnModel.param_views``
 shapes such a vector like the model, and ``to_vector`` flattens it back.
 
-There are two forward paths.  ``forward`` and ``conv1d_forward`` evaluate
-one window with ``np.correlate``; the compare report is computed with them,
-so their rounding is part of that report.  The batched path
+There are two forward paths.  ``forward`` evaluates one window with one
+``np.correlate`` per pair of channels, bias first; the compare report is
+computed with it, so its rounding is part of that report.  The batched path
 (``forward_cached``, ``backward_cached`` and their ``_batch`` wrappers) is
 channel-major: one row per channel, columns ordered by window, then
 position.  Each layer caches its tap columns, (k, in_ch, n * width) in
@@ -44,11 +44,6 @@ import numpy as np
 KERNEL_SIZES = (4, 3, 3)
 DEFAULT_INPUT_WIDTH = 5
 DEFAULT_CHANNELS = 1
-
-
-def relu(v):
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(v, dtype=np.float64), 0.0)
 
 
 @dataclass(frozen=True)
@@ -81,51 +76,6 @@ class ConvLayer:
     @property
     def width(self) -> int:
         return self.kernel.shape[2]
-
-
-def conv1d_forward(x, layer: ConvLayer):
-    """Length-preserving cross-correlation with symmetric zero padding.
-
-    ``out[o, j] = bias[o] + sum_{c, m} kernel[o, c, m] * padded(x)[c, j + m]``.
-    A 1D input is treated as a single channel; the output is squeezed back
-    to 1D when the layer has one output channel.
-    """
-    arr = np.asarray(x, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[0] != layer.kernel.shape[1]:
-        raise ValueError(
-            f"input with {arr.shape[0] if arr.ndim == 2 else '?'} channels does not "
-            f"match layer expecting {layer.kernel.shape[1]}"
-        )
-    if arr.shape[1] < 1:
-        raise ValueError("input must contain at least one sample")
-    out = _correlate(arr, layer)
-    if squeeze and out.shape[0] == 1:
-        return out[0]
-    return out
-
-
-def _zero_padded(x: np.ndarray, k: int) -> np.ndarray:
-    """``x`` with ``k - 1`` zero cells added on its last axis, ``k // 2`` of them
-    on the left: even kernels put the extra cell on the left."""
-    width = x.shape[-1]
-    padded = np.zeros(x.shape[:-1] + (width + k - 1,))
-    padded[..., k // 2 : k // 2 + width] = x
-    return padded
-
-
-def _correlate(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    out_ch, in_ch, k = layer.kernel.shape
-    padded = _zero_padded(x, k)
-    out = np.empty((out_ch, x.shape[1]))
-    for o in range(out_ch):
-        acc = np.full(x.shape[1], layer.bias[o])
-        for c in range(in_ch):
-            acc = acc + np.correlate(padded[c], layer.kernel[o, c], "valid")
-        out[o] = acc
-    return out
 
 
 @dataclass(frozen=True)
@@ -179,6 +129,13 @@ class CnnModel:
         kernels, biases = zip(*[(layer.kernel, layer.bias) for layer in self.layers])
         head_bias = np.frombuffer(np.float64(self.head_bias).tobytes())  # read-only
         return ParamViews(kernels, biases, self.head_weights, head_bias)
+
+    @functools.cached_property
+    def forward_plan(self) -> tuple[tuple[tuple[float, tuple[np.ndarray, ...]], ...], ...]:
+        """What :func:`forward` reads: per layer, per output channel, the bias as a
+        float and the kernel's rows, one contiguous read-only array per input channel."""
+        return tuple([tuple(zip(layer.bias.tolist(), map(tuple, layer.kernel)))
+                      for layer in self.layers])
 
     @functools.cached_property
     def num_params(self) -> int:
@@ -257,16 +214,32 @@ def _check_window(window) -> np.ndarray:
     return x
 
 
+# (left pad, length) of each layer's input channels, zero-padded for its kernel
+# with the extra cell of an even kernel on the left, then of the head's.
+_PADDED = [(k // 2, DEFAULT_INPUT_WIDTH + k - 1) for k in KERNEL_SIZES]
+_PADDED.append((0, DEFAULT_INPUT_WIDTH))
+
+
 def forward(model: CnnModel, window) -> float:
     """Scalar network output for one input window.
 
-    Evaluated with ``np.correlate``, bias first, so it may differ from
-    ``forward_batch`` in the last bit; the compare report is pinned to it.
+    Each output channel is its bias plus one ``np.correlate`` per input
+    channel, added in channel order, so it may differ from ``forward_batch``
+    in the last bit; the compare report is pinned to it.  A layer writes its
+    rectified outputs straight into the next layer's zero-padded inputs.
     """
-    act = _check_window(window).reshape(1, -1)
-    for layer in model.layers:
-        act = np.maximum(_correlate(act, layer), 0.0)
-    return float(model.head_weights @ act.ravel() + model.head_bias)
+    (left, size), *outputs = _PADDED
+    act = [np.zeros(size)]
+    act[0][left : left + DEFAULT_INPUT_WIDTH] = _check_window(window)
+    for rows, (left, size) in zip(model.forward_plan, outputs):
+        padded, act = act, []
+        for bias, kernel in rows:
+            acc = bias + np.correlate(padded[0], kernel[0])
+            for x, row in zip(padded[1:], kernel[1:]):
+                acc += np.correlate(x, row)
+            act.append(np.zeros(size))
+            np.maximum(acc, 0.0, out=act[-1][left : left + DEFAULT_INPUT_WIDTH])
+    return float(model.head_weights @ np.concatenate(act) + model.head_bias)
 
 
 def backward(model: CnnModel, window, upstream: float = 1.0) -> ParamViews:

@@ -13,7 +13,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from clockpred.cnn import DEFAULT_INPUT_WIDTH, forward, forward_cached, init_weights
+from clockpred.cnn import (
+    DEFAULT_INPUT_WIDTH,
+    ConvLayer,
+    _check_window,
+    forward,
+    forward_cached,
+    init_weights,
+)
 from clockpred.kalman import KalmanParams, transition_matrix
 from clockpred.training import _data_gradient, rmse_loss
 
@@ -45,6 +52,41 @@ def forward_oracle(model, window):
                 total += conv_oracle(act[c], layer.kernel[o, c], 0.0)
             nxt[o] = total + layer.bias[o]
         act = np.maximum(nxt, 0.0)
+    return float(model.head_weights @ act.ravel() + model.head_bias)
+
+
+def _zero_padded(x: np.ndarray, k: int) -> np.ndarray:
+    """``x`` with ``k - 1`` zero cells added on its last axis, ``k // 2`` of them
+    on the left: even kernels put the extra cell on the left."""
+    width = x.shape[-1]
+    padded = np.zeros(x.shape[:-1] + (width + k - 1,))
+    padded[..., k // 2 : k // 2 + width] = x
+    return padded
+
+
+def correlate_reference(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """One layer's pre-activation for (in_ch, width) inputs: the bias, then each
+    channel's ``np.correlate`` added in channel order."""
+    out_ch, in_ch, k = layer.kernel.shape
+    padded = _zero_padded(x, k)
+    out = np.empty((out_ch, x.shape[1]))
+    for o in range(out_ch):
+        acc = np.full(x.shape[1], layer.bias[o])
+        for c in range(in_ch):
+            acc = acc + np.correlate(padded[c], layer.kernel[o, c], "valid")
+        out[o] = acc
+    return out
+
+
+def forward_reference(model, window) -> float:
+    """The scalar forward pass layer by layer through :func:`correlate_reference`.
+
+    ``cnn.forward`` must return these bits exactly: the compare report and
+    its pinned digests are computed with them.
+    """
+    act = _check_window(window).reshape(1, -1)
+    for layer in model.layers:
+        act = np.maximum(correlate_reference(act, layer), 0.0)
     return float(model.head_weights @ act.ravel() + model.head_bias)
 
 

@@ -809,8 +809,9 @@ class TestSafety:
     def test_non_finite_score_is_refused_naming_method_and_mjd(
         self, tmp_path, capsys, scale, head_bias
     ):
-        """A huge scale overflows the squared errors of finite predictions; a
-        huge head bias, the prediction itself."""
+        """A huge head bias overflows the errors of the CNN's predictions.  A huge
+        scale would overflow the squared errors of finite predictions, but it is
+        not the residual's peak, so the loader refuses it before any scoring."""
         conf = fast_conf(tmp_path)
         prepared = generate_and_prepare(tmp_path, conf)
         if scale is not None:
@@ -823,9 +824,14 @@ class TestSafety:
         report = tmp_path / "report.csv"
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
-        head = f"clockpred: error: {model} on {prepared} with {conf}: CNN prediction at MJD "
+        if scale is None:
+            head = f"clockpred: error: {model} on {prepared} with {conf}: CNN prediction at MJD "
+            tail = " gives a non-finite RMS error\n"
+        else:
+            head = f"clockpred: error: {prepared / 'scale.json'}: d_max_abs 1e+308 is not "
+            tail = ", the max |residual| over the whole series\n"
         assert err.startswith(head)
-        assert err.endswith(" gives a non-finite RMS error\n") and err.count("\n") == 1
+        assert err.endswith(tail) and err.count("\n") == 1
         assert not report.exists() and not (tmp_path / "report.csv.summary.json").exists()
 
     @pytest.mark.filterwarnings("error")
@@ -857,6 +863,32 @@ class TestSafety:
         err = capsys.readouterr().err
         assert err == f"clockpred: error: {path}: d_max_abs 1e-320 overflows the residual\n"
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("fit_on_full", ["true", "false"])
+    def test_scale_of_another_run_names_scale_json(self, tmp_path, capsys, fit_on_full):
+        """Another seed's scale.json is well formed and divides the residual finely,
+        so only its disagreement with the residual's peak gives it away."""
+        def conf_in(root, **extra):
+            conf = Path(fast_conf(root, **extra))
+            conf.write_text(conf.read_text().replace("true", fit_on_full))
+            return str(conf)
+
+        conf = conf_in(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        (tmp_path / "other").mkdir()
+        other_scale = generate_and_prepare(tmp_path / "other", conf_in(tmp_path / "other", seed=1003))
+        path = prepared / "scale.json"
+        path.write_bytes((other_scale / "scale.json").read_bytes())
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        fit = "the whole series" if fit_on_full == "true" else "the training range"
+        assert err.startswith(f"clockpred: error: {path}: d_max_abs ")
+        assert err.endswith(f", the max |residual| over {fit}\n") and err.count("\n") == 1
+        assert not report.exists()
 
     def test_json_documents_refuse_non_finite_numbers(self):
         manifest = RunManifest("compare", "0", 0, {}, {}, {}, {"cnn_e_rms_ns": math.inf})

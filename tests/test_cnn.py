@@ -15,45 +15,65 @@ from clockpred.cnn import (
     backward,
     backward_batch,
     backward_cached,
-    conv1d_forward,
     forward,
     forward_batch,
     forward_cached,
     init_weights,
     model_from_json,
     model_to_json,
-    relu,
 )
 from tests.helpers import (
     batch_loops_oracle,
     conv_oracle,
+    correlate_reference,
     fd_gradient,
     forward_oracle,
+    forward_reference,
     kink_free_instance,
 )
 
 
+def one_position_model(first_kernel, position, first_bias=0.0):
+    """A C=1 model whose output is ``position`` of its first layer's rectified
+    output: identity kernels after ``first_kernel``, a one-hot head."""
+    identity = ConvLayer([0.0, 1.0, 0.0], 0.0)
+    head = np.zeros(DEFAULT_INPUT_WIDTH)
+    head[position] = 1.0
+    return CnnModel((ConvLayer(first_kernel, first_bias), identity, identity), head, 0.0)
+
+
+def first_layer_outputs(window, first_kernel, first_bias=0.0):
+    """The first layer's rectified output, read position by position through ``forward``."""
+    return [
+        forward(one_position_model(first_kernel, j, first_bias), window)
+        for j in range(DEFAULT_INPUT_WIDTH)
+    ]
+
+
 class TestRelu:
+    """The ReLU inside ``forward``, read position by position."""
+
     def test_reference_values(self):
-        npt.assert_array_equal(relu([-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
+        assert first_layer_outputs([-1.0, 0.0, 2.0, 0.0, 0.0], [0, 0, 1, 0])[:3] == [0.0, 0.0, 2.0]
 
     def test_all_negative(self):
-        npt.assert_array_equal(relu([-3.0, -0.5]), [0.0, 0.0])
+        assert first_layer_outputs([-3.0, -0.5, -1.0, -2.0, -4.0], [0, 0, 1, 0]) == [0.0] * 5
 
     def test_all_positive_is_identity(self):
-        npt.assert_array_equal(relu([0.1, 7.0]), [0.1, 7.0])
+        x = [0.1, 7.0, 0.5, 2.0, 3.0]
+        assert first_layer_outputs(x, [0, 0, 1, 0]) == x
 
 
 class TestConv1dForward:
+    """One layer's zero-padded cross-correlation: inside ``forward``, read position
+    by position, and in ``correlate_reference``, whose bits ``forward`` must keep."""
+
     def test_identity_kernel(self):
-        layer = ConvLayer([0.0, 1.0, 0.0], 0.0)
-        npt.assert_array_equal(
-            conv1d_forward([1.0, 2.0, 3.0, 4.0, 5.0], layer), [1.0, 2.0, 3.0, 4.0, 5.0]
-        )
+        x = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert first_layer_outputs(x, [0, 0, 1, 0]) == x
 
     def test_zero_input_yields_bias(self):
-        layer = ConvLayer([0.3, -0.1, 0.9, 0.2], 1.5)
-        npt.assert_array_equal(conv1d_forward(np.zeros(5), layer), np.full(5, 1.5))
+        assert first_layer_outputs(np.zeros(5), [0.3, -0.1, 0.9, 0.2], 1.5) == [1.5] * 5
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(101)
@@ -63,30 +83,99 @@ class TestConv1dForward:
             kernel = rng.normal(size=k)
             bias = float(rng.normal())
             x = rng.normal(size=width)
-            got = conv1d_forward(x, ConvLayer(kernel, bias))
-            npt.assert_allclose(got, conv_oracle(x, kernel, bias), atol=1e-12)
+            got = correlate_reference(x.reshape(1, -1), ConvLayer(kernel, bias))
+            npt.assert_allclose(got[0], conv_oracle(x, kernel, bias), atol=1e-12)
 
     def test_output_length_preserved(self):
         rng = np.random.default_rng(5)
         for k in (3, 4):
             for width in (1, 2, 5, 11):
-                out = conv1d_forward(
-                    rng.normal(size=width), ConvLayer(rng.normal(size=k), 0.0)
+                out = correlate_reference(
+                    rng.normal(size=(1, width)), ConvLayer(rng.normal(size=k), 0.0)
                 )
-                assert out.shape == (width,)
+                assert out.shape == (1, width)
 
     def test_even_kernel_pads_extra_cell_left(self):
         # kernel [0,0,1,0] with left pad 2 selects x[j]; [0,1,0,0] selects x[j-1]
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        npt.assert_array_equal(conv1d_forward(x, ConvLayer([0, 0, 1, 0], 0.0)), x)
-        npt.assert_array_equal(
-            conv1d_forward(x, ConvLayer([0, 1, 0, 0], 0.0)), [0.0, 1.0, 2.0, 3.0, 4.0]
-        )
+        x = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert first_layer_outputs(x, [0, 0, 1, 0]) == x
+        assert first_layer_outputs(x, [0, 1, 0, 0]) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
     def test_channel_mismatch(self):
-        layer = ConvLayer(np.zeros((1, 2, 3)), np.zeros(1))
-        with pytest.raises(ValueError, match="channels"):
-            conv1d_forward(np.zeros(5), layer)
+        """A layer whose inputs are not the previous layer's outputs never reaches ``forward``."""
+        wide = ConvLayer(np.zeros((1, 2, 3)), np.zeros(1))
+        with pytest.raises(ValueError, match="channel"):
+            CnnModel((ConvLayer([0.0, 0.0, 1.0, 0.0], 0.0), wide, wide), np.zeros(5), 0.0)
+
+
+def float_bits(values) -> list[bytes]:
+    """Each value's IEEE 754 bytes: equal lists are equal bit for bit, NaN and signed zeros included."""
+    return [np.float64(v).tobytes() for v in values]
+
+
+def perturbed_model(seed, channels, scale=0.5):
+    rng = np.random.default_rng(seed)
+    model = init_weights(seed, channels=channels)
+    return model.from_vector(model.to_vector() + rng.normal(0, scale, model.num_params))
+
+
+class TestForwardBits:
+    """``forward`` returns :func:`forward_reference`'s bits, which the compare report pins."""
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8])
+    def test_random_models_and_windows(self, channels):
+        rng = np.random.default_rng(1700 + channels)
+        for trial in range(50):
+            model = perturbed_model(100 * channels + trial, channels)
+            windows = rng.uniform(-1, 1, (20, DEFAULT_INPUT_WIDTH))
+            assert float_bits([forward(model, w) for w in windows]) == float_bits(
+                [forward_reference(model, w) for w in windows]
+            )
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_zero_and_signed_zero_windows(self, channels):
+        windows = [np.zeros(5), np.full(5, -0.0), [0.0, -0.0, 0.0, -0.0, 0.0]]
+        models = [perturbed_model(seed, channels) for seed in range(20)]
+        zero = init_weights(0, channels).from_vector(np.zeros(init_weights(0, channels).num_params))
+        for model in [zero, zero.from_vector(-zero.to_vector() - 0.0), *models]:
+            assert float_bits([forward(model, w) for w in windows]) == float_bits(
+                [forward_reference(model, w) for w in windows]
+            )
+
+    @pytest.mark.parametrize("where", ["kernel", "head-bias"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_huge_parameters_overflow_alike(self, where, channels):
+        """1e308 is a finite parameter, but 1e308 kernel entries drive outputs to inf
+        and nan, and a 1e308 head bias the errors; both must come out as the
+        reference's, so ``compare`` refuses them."""
+        rng = np.random.default_rng(17)
+        got, want = [], []
+        for seed in range(10):
+            model = perturbed_model(seed, channels)
+            vec = model.to_vector()
+            views = model.param_views(vec)
+            for kernel in views.kernels if where == "kernel" else ():
+                kernel.flat[seed % kernel.size] = 1e308 * (-1) ** seed
+            views.head_bias[:] = 1e308 if where == "head-bias" else views.head_bias
+            model = model.from_vector(vec)
+            windows = rng.uniform(-1, 1, (20, DEFAULT_INPUT_WIDTH))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got += [forward(model, w) for w in windows]
+                want += [forward_reference(model, w) for w in windows]
+        assert float_bits(got) == float_bits(want)
+        if where == "kernel":
+            assert np.isinf(got).any() and np.isnan(got).any()
+
+    def test_frozen_test_windows(self):
+        from benchmarks.workloads import build_fixture
+        from clockpred.predictor import window_matrix
+
+        fx = build_fixture()
+        windows = window_matrix(fx.prepared.residual_norm, fx.prepared.split.test_range)
+        assert len(windows) == 100
+        assert float_bits([forward(fx.model, w) for w in windows]) == float_bits(
+            [forward_reference(fx.model, w) for w in windows]
+        )
 
 
 class TestForward:

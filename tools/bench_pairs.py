@@ -35,8 +35,10 @@ faults (``getrusage`` ``ru_minflt``) per call over those 200 calls.
 ``compare_C1_us`` times ``cp.compare`` on the benchmark's frozen fixture
 (``benchmarks.workloads.build_fixture``: the frozen experiment and its
 trained C=1 CNN), best of 20 repeats of 20 calls, in process and apart from
-``benchmarks/run.py``'s per-operation bookkeeping.  Progress goes to
-standard error.
+``benchmarks/run.py``'s per-operation bookkeeping.  ``forward_C1_us`` and
+``forward_C8_us`` time ``cp.forward`` over that fixture's 100 test windows,
+with its C=1 CNN and with an 8-channel ``init_weights`` model, the best of
+100 passes over the windows, per window.  Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -104,10 +106,16 @@ faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
 result["train_C8_us"] = {"value": best * 1e6, "unit": "us"}
 result["train_C8_minflt"] = {"value": faults / 200, "unit": "faults"}
 from benchmarks.workloads import build_fixture
+from clockpred.predictor import window_matrix
 fx = build_fixture()
 compare_call = lambda: cp.compare(fx.model, cp.KalmanParams(), fx.prepared)
 best = min(timeit.repeat(compare_call, number=20, repeat=20)) / 20
 result["compare_C1_us"] = {"value": best * 1e6, "unit": "us"}
+windows = window_matrix(fx.prepared.residual_norm, fx.prepared.split.test_range)
+for channels, model in ((1, fx.model), (8, cp.init_weights(int(sys.argv[1]), channels=8))):
+    forward_call = lambda: [cp.forward(model, w) for w in windows]
+    best = min(timeit.repeat(forward_call, number=1, repeat=100)) / len(windows)
+    result[f"forward_C{channels}_us"] = {"value": best * 1e6, "unit": "us"}
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": result}))
 """
 
