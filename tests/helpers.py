@@ -1,7 +1,9 @@
 """Shared independent oracles and instance generators for the test suite.
 
 Everything here recomputes results through a route different from the
-library code it checks: naive loops, rational arithmetic, closed forms.
+library code it checks: naive loops, rational arithmetic, closed forms,
+and ``forward_reference``, the scalar forward pass that ``cnn.forward``
+replaced and must match bit for bit.
 The one exception, ``_loss_gradient``, composes the library's own batched
 passes into the whole-dataset gradient that finite differences check.
 """

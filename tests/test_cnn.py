@@ -136,8 +136,9 @@ class TestForwardBits:
     def test_zero_and_signed_zero_windows(self, channels):
         windows = [np.zeros(5), np.full(5, -0.0), [0.0, -0.0, 0.0, -0.0, 0.0]]
         models = [perturbed_model(seed, channels) for seed in range(20)]
-        zero = init_weights(0, channels).from_vector(np.zeros(init_weights(0, channels).num_params))
-        for model in [zero, zero.from_vector(-zero.to_vector() - 0.0), *models]:
+        base = init_weights(0, channels)
+        zeros = [base.from_vector(np.full(base.num_params, z)) for z in (0.0, -0.0)]
+        for model in zeros + models:
             assert float_bits([forward(model, w) for w in windows]) == float_bits(
                 [forward_reference(model, w) for w in windows]
             )
@@ -154,9 +155,11 @@ class TestForwardBits:
             model = perturbed_model(seed, channels)
             vec = model.to_vector()
             views = model.param_views(vec)
-            for kernel in views.kernels if where == "kernel" else ():
-                kernel.flat[seed % kernel.size] = 1e308 * (-1) ** seed
-            views.head_bias[:] = 1e308 if where == "head-bias" else views.head_bias
+            if where == "kernel":
+                for kernel in views.kernels:
+                    kernel.flat[seed % kernel.size] = 1e308 * (-1) ** seed
+            else:
+                views.head_bias[:] = 1e308
             model = model.from_vector(vec)
             windows = rng.uniform(-1, 1, (20, DEFAULT_INPUT_WIDTH))
             with np.errstate(over="ignore", invalid="ignore"):
