@@ -49,7 +49,6 @@ from .training import (
     TrainingTrace,
     WindowDataset,
     adam_step,
-    loss_with_l2,
     make_windows,
     rmse_loss,
     train,
@@ -84,7 +83,6 @@ __all__ = [
     "init_weights",
     "kf_one_ahead",
     "load_model",
-    "loss_with_l2",
     "make_windows",
     "normalize",
     "persistence_predictor",

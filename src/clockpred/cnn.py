@@ -17,13 +17,14 @@ There are two forward paths.  ``forward`` evaluates one window with one
 computed with it, so its rounding is part of that report.  The batched path
 (``forward_cached``, ``backward_cached`` and their ``_batch`` wrappers) is
 channel-major: one row per channel, columns ordered by window, then
-position.  Each layer caches its tap columns, (k, in_ch, n * width) in
-(tap, channel) order.  With more than one channel, each of a layer's three
-contractions (pre-activation, kernel gradient, input gradient) is one GEMM
-over those columns.  With one, the bias and each tap's exact product are
-added in tap order and the kernel gradient sums each contiguous row
-pairwise, so the path rounds as an elementwise loop does; a GEMM's sums may
-round differently, by BLAS kernel and by batch size.  The two paths can
+position, so the first m windows of a pass lead each of its arrays.  Each
+layer caches its tap columns, (k, in_ch, n * width) in (tap, channel) order.
+With more than one channel, each of a layer's three contractions
+(pre-activation, kernel gradient, input gradient) is one GEMM over those
+columns.  With one, the bias and each tap's exact product are added in tap
+order and the kernel gradient sums each contiguous row pairwise, so the
+path rounds as an elementwise loop does; a GEMM's sums may round
+differently, by BLAS kernel and by batch size.  The two paths can
 differ in the last bit.  A fresh forward pass allocates its caches and a
 scratch buffer as one block, and a later pass over a batch of the same
 shape can write into that block, so a ``train`` call allocates it once.
@@ -262,6 +263,7 @@ class BatchForward:
     j + m - k // 2, zero in the padding; ``pre`` is the pre-activation,
     (out_ch, n * width).  ``features`` is the head's input, (n, C * width).
     ``scratch`` is a flat buffer that ``backward_cached`` forms input gradients in.
+    A plain record: the first r windows are a leading slice of each array.
     """
 
     cols: tuple[np.ndarray, ...]
@@ -269,19 +271,6 @@ class BatchForward:
     features: np.ndarray
     outputs: np.ndarray
     scratch: np.ndarray
-
-    def first(self, n: int) -> "BatchForward":
-        """The pass restricted to the first ``n`` windows, as views of these caches."""
-        end = n * (self.features.shape[1] // self.pre[-1].shape[0])
-        # Tuples from lists, not generators: a generator-built tuple is
-        # resized, and thousands of calls fill the interpreter's tuple free list.
-        return BatchForward(
-            tuple([c[:, :, :end] for c in self.cols]),
-            tuple([p[:, :end] for p in self.pre]),
-            self.features[:n],
-            self.outputs[:n],
-            self.scratch,
-        )
 
 
 @functools.cache
@@ -353,7 +342,8 @@ def backward_cached(
 ) -> None:
     """Write into ``grads`` the sum of per-window gradients scaled by ``upstreams``.
 
-    ``fwd`` must be the forward pass of ``params``; nothing is recomputed.
+    ``fwd`` must be a forward pass of ``params`` over at least n = ``upstreams.size``
+    windows; the sum runs over its first n, whose caches it reads, not recomputes.
     A layer with more than one input or output channel forms its kernel
     gradient as one GEMM, tap columns (k * in_ch, n * width) times the
     transposed pre-activation gradient; a one-channel layer sums each tap's
@@ -363,11 +353,12 @@ def backward_cached(
     n = upstreams.size
     head = params.head_weights.reshape(len(fwd.pre[-1]), 1, -1)
     width = head.shape[2]
-    grads.head_weights[:] = fwd.features.T @ upstreams
+    grads.head_weights[:] = fwd.features[:n].T @ upstreams
     grads.head_bias[:] = upstreams.sum()
     d_act = (head * upstreams[:, None]).reshape(len(head), n * width)
     for i in reversed(range(len(params.kernels))):
-        kernel, cols, pre = params.kernels[i], fwd.cols[i], fwd.pre[i]
+        kernel = params.kernels[i]
+        cols, pre = fwd.cols[i][:, :, : n * width], fwd.pre[i][:, : n * width]
         out_ch, in_ch, k = kernel.shape
         d_pre = d_act * (pre > 0.0)
         # Each bias sums its n * width terms pairwise in one contiguous

@@ -8,13 +8,14 @@ stopping with best-snapshot restoration.
 
 ``train`` fuses the steps of an update: the forward pass that gives one
 update's train RMSE also gives the next update's gradient, and it runs
-over the training and validation windows stacked, so an update costs one
-backward and one forward pass.  The first pass is stacked too, and every
-later one writes into its buffers.  With one channel its results are bit
-for bit those of the unfused composition of ``forward_batch``,
-``backward_batch`` and ``adam_step``; with more they may differ in the
-last bits.  A non-finite train or validation RMSE stops training with an
-error that names the update.
+over the training and validation windows stacked, training first, so an
+update costs one forward pass and one backward pass, which reads the
+pass's first rows.  The first pass is stacked too, and every later one
+writes into its buffers.  With one channel its results are bit for bit
+those of the unfused composition of ``forward_batch``, ``backward_batch``
+and ``adam_step``; with more they may differ in the last bits.  A
+non-finite train or validation RMSE stops training with an error that
+names the update.
 """
 
 from __future__ import annotations
@@ -91,19 +92,6 @@ def rmse_loss(preds, targets) -> float:
     if preds.size == 0:
         raise ValueError("rmse of empty vectors is undefined")
     return float(np.sqrt(np.mean((preds - targets) ** 2)))
-
-
-def weight_norm_sq(model: CnnModel) -> float:
-    """Sum of squared kernel and head weights; biases are excluded."""
-    total = float(np.sum(model.head_weights**2))
-    for layer in model.layers:
-        total += float(np.sum(layer.kernel**2))
-    return total
-
-
-def loss_with_l2(preds, targets, model: CnnModel, l2_lambda: float) -> float:
-    """RMSE plus ``l2_lambda`` times the squared weight norm."""
-    return rmse_loss(preds, targets) + float(l2_lambda) * weight_norm_sq(model)
 
 
 @dataclass(frozen=True)
@@ -244,11 +232,12 @@ def predict_dataset(model: CnnModel, ds: WindowDataset) -> np.ndarray:
 def _data_gradient(
     params: ParamViews, fwd: BatchForward, targets: np.ndarray, rmse: float, grads: ParamViews
 ) -> None:
-    """Write the gradient of the RMSE of ``fwd.outputs`` against ``targets`` into ``grads``.
+    """Write into ``grads`` the gradient of the RMSE against ``targets`` of the
+    first ``targets.size`` outputs of the pass ``fwd``, through those windows.
 
     ``rmse`` must be that RMSE, as ``rmse_loss`` gives it.
     """
-    resid = fwd.outputs - targets
+    resid = fwd.outputs[: targets.size] - targets
     upstreams = resid / (resid.size * rmse) if rmse > 0.0 else np.zeros_like(resid)
     backward_cached(params, fwd, upstreams, grads)
 
@@ -267,11 +256,11 @@ def train(
 
     The loop works on one flat parameter vector through views made once,
     and keeps the Adam moments in place.  Each update runs one backward
-    pass, through the training rows of the forward pass that gave the
-    previous update's train RMSE, one Adam step, and one cached forward
-    pass over the training and validation windows stacked.  The first
-    forward pass, before the loop, is stacked as well, and each later pass
-    writes its caches into that pass's arrays.
+    pass, over the first ``len(train_ds)`` windows of the forward pass that
+    gave the previous update's train RMSE, one Adam step, and one cached
+    forward pass over the training and validation windows stacked, training
+    first.  The first forward pass, before the loop, is stacked as well, and
+    each later pass writes its caches into that pass's arrays.
 
     Raises
     ------
@@ -300,15 +289,13 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         l2_scale = (2.0 * cfg.l2_lambda) * model.weight_mask()
         both = forward_cached(views, inputs)
-        fwd = both.first(n_train)
-        train_rmse = rmse_loss(fwd.outputs, train_ds.targets)
+        train_rmse = rmse_loss(both.outputs[:n_train], train_ds.targets)
         for update in range(cfg.max_updates):
-            _data_gradient(views, fwd, train_ds.targets, train_rmse, grad_views)
+            _data_gradient(views, both, train_ds.targets, train_rmse, grad_views)
             grad += l2_scale * params
             _adam_update(params, grad, m, v, update + 1, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
             both = forward_cached(views, inputs, out=both)
-            fwd = both.first(n_train)
-            train_rmse = rmse_loss(fwd.outputs, train_ds.targets)
+            train_rmse = rmse_loss(both.outputs[:n_train], train_ds.targets)
             val_rmse = rmse_loss(both.outputs[n_train:], val_ds.targets)
             if not (math.isfinite(train_rmse) and math.isfinite(val_rmse)):
                 raise ValueError(

@@ -6,6 +6,8 @@ and ``forward_reference``, the scalar forward pass that ``cnn.forward``
 replaced and must match bit for bit.
 The one exception, ``_loss_gradient``, composes the library's own batched
 passes into the whole-dataset gradient that finite differences check.
+``loss_with_l2`` and ``weight_norm_sq`` state the loss that gradient is of;
+training never evaluates it.
 """
 
 import json
@@ -17,6 +19,7 @@ import numpy as np
 
 from clockpred.cnn import (
     DEFAULT_INPUT_WIDTH,
+    CnnModel,
     ConvLayer,
     _check_window,
     forward,
@@ -181,6 +184,19 @@ def fd_gradient(model, window, h=1e-5):
             forward(model.from_vector(up), window) - forward(model.from_vector(down), window)
         ) / (2 * h)
     return grad
+
+
+def weight_norm_sq(model: CnnModel) -> float:
+    """Sum of squared kernel and head weights; biases are excluded."""
+    total = float(np.sum(model.head_weights**2))
+    for layer in model.layers:
+        total += float(np.sum(layer.kernel**2))
+    return total
+
+
+def loss_with_l2(preds, targets, model: CnnModel, l2_lambda: float) -> float:
+    """RMSE plus ``l2_lambda`` times the squared weight norm."""
+    return rmse_loss(preds, targets) + float(l2_lambda) * weight_norm_sq(model)
 
 
 def _loss_gradient(model, ds, l2_lambda):

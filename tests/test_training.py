@@ -26,15 +26,20 @@ from clockpred.training import (
     TrainingTrace,
     WindowDataset,
     adam_step,
-    loss_with_l2,
     make_windows,
     predict_dataset,
     rmse_loss,
     trace_to_csv,
     train,
+)
+from tests.helpers import (
+    _loss_gradient,
+    adam_reference,
+    kink_free_instance,
+    loss_with_l2,
+    preactivation_margin,
     weight_norm_sq,
 )
-from tests.helpers import _loss_gradient, adam_reference, kink_free_instance, preactivation_margin
 
 
 def series_of(values, interval=5):

@@ -24,10 +24,15 @@ experiment's 164 stacked windows at 1 and 8 channels, the best of 20
 repeats of 100 calls each, in microseconds per call.  ``forward_cached`` is
 the pass ``train`` runs after its first, which writes into an earlier pass's
 buffers (``out=``); ``forward_cached_fresh`` is the allocating first pass,
-one per ``train`` call.  ``param_layout`` is the parameter layout calls of
-one ``train`` call: ``to_vector``, two ``param_views``, ``weight_mask`` and
-``from_vector``, made on the model the previous call's ``from_vector``
-built, since each ``train`` call gets a model it has not seen before.
+one per ``train`` call.  ``backward_cached`` takes the gradient through the
+pass's first 136 windows, the training windows, as ``train`` does (through
+``BatchForward.first`` on a tree whose pass has it).  ``param_layout`` is
+the parameter layout calls of one ``train`` call: ``to_vector``, two
+``param_views``, ``weight_mask`` and ``from_vector``, made on the model the
+previous call's ``from_vector`` built, since each ``train`` call gets a
+model it has not seen before.
+``train_C1_us`` is the best of 5 runs of a 200-update C=1 ``cp.train`` on
+the same windows, per update: the loop every workload's ``setup_s`` runs.
 ``train_C8_us`` times a whole 2-update ``cp.train`` call at 8 channels on
 the same windows, the wide-train operation without its ``init_weights``,
 best of 10 repeats of 20 calls; ``train_C8_minflt`` is the minor page
@@ -76,7 +81,7 @@ for channels in (1, 8):
     params = model.param_views(model.to_vector())
     grads = model.param_views(np.empty(model.num_params))
     both = forward_cached(params, inputs)
-    fwd = both.first(n)
+    fwd = both.first(n) if hasattr(both, "first") else both
     latest = [model]
 
     def param_layout():
@@ -96,6 +101,10 @@ for channels in (1, 8):
     for name, call in calls.items():
         best = min(timeit.repeat(call, number=100, repeat=20)) / 100
         result[f"{name}_C{channels}_us"] = {"value": best * 1e6, "unit": "us"}
+model = cp.init_weights(int(sys.argv[1]))
+cfg = cp.TrainConfig(max_updates=200, patience=200)
+best = min(timeit.repeat(lambda: cp.train(model, train, val, cfg), number=1, repeat=5))
+result["train_C1_us"] = {"value": best / 200 * 1e6, "unit": "us"}
 model = cp.init_weights(int(sys.argv[1]), channels=8)
 cfg = cp.TrainConfig(max_updates=2, patience=2)
 train_call = lambda: cp.train(model, train, val, cfg)
