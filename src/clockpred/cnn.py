@@ -42,6 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .series import _freeze
+
 KERNEL_SIZES = (4, 3, 3)
 DEFAULT_INPUT_WIDTH = 5
 DEFAULT_CHANNELS = 1
@@ -69,10 +71,7 @@ class ConvLayer:
             )
         if not (np.isfinite(kernel).all() and np.isfinite(bias).all()):
             raise ValueError("layer parameters must be finite")
-        kernel.flags.writeable = False
-        bias.flags.writeable = False
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "bias", bias)
+        _freeze(self, kernel=kernel, bias=bias)
 
     @property
     def width(self) -> int:
@@ -114,10 +113,7 @@ class CnnModel:
         bias = float(self.head_bias)
         if not (np.isfinite(head).all() and math.isfinite(bias)):
             raise ValueError("head parameters must be finite")
-        head.flags.writeable = False
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "head_weights", head)
-        object.__setattr__(self, "head_bias", bias)
+        _freeze(self, layers=layers, head_weights=head, head_bias=bias)
 
     @property
     def channels(self) -> int:

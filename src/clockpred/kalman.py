@@ -84,13 +84,15 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     Raises
     ------
     ValueError
-        If the width is below two, or an innovation variance is not
-        positive, which can only happen with R = 0 and a degenerate phase
-        variance.
+        If the width is below two, the interval is not positive and finite,
+        or an innovation variance is not positive, which can only happen
+        with R = 0 and a degenerate phase variance.
     """
     if width < 2:
         raise ValueError(f"a window needs at least two samples, got {width}")
     tau = float(interval)
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"interval must be positive and finite, got {interval}")
     root = np.diag([math.sqrt(params.p0), math.sqrt(params.p0)])
     transition = transition_matrix(tau)
     # [F S | Q^(1/2)], re-triangularized by QR at each prediction.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cnn import DEFAULT_INPUT_WIDTH, CnnModel, forward
 from .kalman import KalmanParams, kf_one_ahead, kf_one_ahead_batch
-from .series import NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries
+from .series import NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries, _freeze
 from .training import make_windows, rmse_loss
 
 REPORT_HEADER = "mjd,actual_ns,cnn_pred_ns,kf_pred_ns,cnn_diff_ns,kf_diff_ns"
@@ -102,12 +102,11 @@ class PredictionReport:
     kf_e_rms_ns: float
 
     def __post_init__(self):
-        for column in fields(self)[:6]:  # the per-epoch columns
-            arr = np.array(getattr(self, column.name))
+        per_epoch = {f.name: np.array(getattr(self, f.name)) for f in fields(self)[:6]}
+        for name, arr in per_epoch.items():
             if arr.ndim != 1 or arr.size != self.n_pred:
-                raise ValueError(f"column {column.name} must hold {self.n_pred} entries")
-            arr.flags.writeable = False
-            object.__setattr__(self, column.name, arr)
+                raise ValueError(f"column {name} must hold {self.n_pred} entries")
+        _freeze(self, **per_epoch)
 
 
 def compare(model: CnnModel, params: KalmanParams, prepared: PreparedSeries) -> PredictionReport:

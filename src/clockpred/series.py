@@ -29,6 +29,18 @@ DEFAULT_FIT_ON_FULL = False
 CSV_HEADER = "mjd,ns"
 
 
+def _freeze(record, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``record``, each array among them read-only.
+
+    Every validated value type ends its ``__post_init__`` here, passing
+    arrays it owns: its own copies, never the caller's.
+    """
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        object.__setattr__(record, name, value)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A uniformly spaced offset series.
@@ -52,6 +64,8 @@ class TimeSeries:
         if epochs.dtype.kind == "f":
             if not (epochs == np.floor(epochs)).all():
                 raise ValueError("epochs must be whole MJD day numbers")
+        if epochs.dtype.kind in "uf" and not ((epochs >= -(2**63)) & (epochs < 2**63)).all():
+            raise ValueError("epochs must be MJD day numbers within the int64 range")
         epochs = epochs.astype(np.int64)
         values = np.array(self.values, dtype=np.float64)
         if epochs.ndim != 1 or values.ndim != 1:
@@ -74,11 +88,7 @@ class TimeSeries:
             )
         if not np.isfinite(values).all():
             raise ValueError("values must all be finite")
-        epochs.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "epochs", epochs)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "interval", interval)
+        _freeze(self, epochs=epochs, values=values, interval=interval)
 
     def __len__(self) -> int:
         return self.epochs.size
@@ -116,11 +126,11 @@ class QuadraticTrend:
     c2: float
 
     def __post_init__(self):
-        for name in ("t0", "c0", "c1", "c2"):
-            value = float(getattr(self, name))
+        coefficients = {name: float(getattr(self, name)) for name in ("t0", "c0", "c1", "c2")}
+        for name, value in coefficients.items():
             if not math.isfinite(value):
                 raise ValueError(f"trend coefficient {name} must be finite")
-            object.__setattr__(self, name, value)
+        _freeze(self, **coefficients)
 
     def __call__(self, epochs) -> np.ndarray:
         dt = np.asarray(epochs, dtype=np.float64) - self.t0
@@ -140,7 +150,7 @@ class NormalizationScale:
                 f"degenerate normalization scale {self.d_max_abs!r}; "
                 "the source series must contain a nonzero value"
             )
-        object.__setattr__(self, "d_max_abs", value)
+        _freeze(self, d_max_abs=value)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .cnn import (
     forward_batch,
     forward_cached,
 )
-from .series import TimeSeries
+from .series import TimeSeries, _freeze
 from .synthetic import DEFAULT_SEED
 
 STOP_MAX_UPDATES = "max-updates"
@@ -54,10 +54,7 @@ class WindowDataset:
         targets = np.array(self.targets, dtype=np.float64)
         if inputs.ndim != 2 or targets.ndim != 1 or inputs.shape[0] != targets.size:
             raise ValueError("inputs must be (n, width) with one target per window")
-        inputs.flags.writeable = False
-        targets.flags.writeable = False
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "targets", targets)
+        _freeze(self, inputs=inputs, targets=targets)
 
     def __len__(self) -> int:
         return self.targets.size
@@ -115,10 +112,7 @@ class AdamState:
             raise ValueError("second moments must be nonnegative")
         if self.t < 0:
             raise ValueError("step count must be nonnegative")
-        m.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "v", v)
+        _freeze(self, m=m, v=v)
 
     @classmethod
     def initial(
@@ -215,10 +209,7 @@ class TrainingTrace:
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
         if not (0 <= self.best_update < train.size):
             raise ValueError("best_update outside the recorded trace")
-        train.flags.writeable = False
-        val.flags.writeable = False
-        object.__setattr__(self, "train_rmse", train)
-        object.__setattr__(self, "val_rmse", val)
+        _freeze(self, train_rmse=train, val_rmse=val)
 
     def __len__(self) -> int:
         return self.train_rmse.size
@@ -283,7 +274,6 @@ def train(
     best_val = math.inf
     best_params = params.copy()
     best_update = 0
-    stale = 0
     stop_reason = STOP_MAX_UPDATES
     # Overflow and NaN are reported by the finiteness check below instead.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,12 +298,9 @@ def train(
                 best_val = val_rmse
                 best_params = params.copy()
                 best_update = update
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    stop_reason = STOP_EARLY
-                    break
+            elif update - best_update >= cfg.patience:
+                stop_reason = STOP_EARLY
+                break
     trace = TrainingTrace(np.array(train_curve), np.array(val_curve), stop_reason, best_update)
     return model.from_vector(best_params), trace
 

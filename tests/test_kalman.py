@@ -183,6 +183,14 @@ class TestOneAhead:
         with pytest.raises(ValueError, match="at least two"):
             kf_one_ahead([1.0], 5.0)
 
+    @pytest.mark.parametrize("interval", [0.0, -5.0, np.nan, np.inf])
+    def test_interval_must_be_positive_and_finite(self, interval):
+        message = f"interval must be positive and finite, got {interval}"
+        with pytest.raises(ValueError, match=message):
+            kf_one_ahead(np.arange(5.0), interval)
+        with pytest.raises(ValueError, match=message):
+            kf_one_ahead_batch(np.ones((3, 5)), interval)
+
 
 @pytest.fixture(scope="module")
 def frozen_windows():

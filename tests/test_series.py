@@ -65,6 +65,23 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="whole MJD"):
             TimeSeries([56934.5, 56939.5], [1.0, 2.0], 5)
 
+    @pytest.mark.parametrize(
+        "epochs",
+        [
+            [2**63, 2**63 + 5],
+            np.array([2**63, 2**63 + 5], dtype=np.uint64),
+            [np.inf, np.inf],
+            [-np.inf, -np.inf],
+            [1e300, 1e300],
+            [2.0**63, 2.0**63],
+        ],
+        ids=["int-2^63", "uint64-2^63", "inf", "minus-inf", "1e300", "float-2^63"],
+    )
+    def test_rejects_epochs_beyond_int64(self, epochs):
+        """Epochs that would wrap or saturate in the int64 cast are refused, not mangled."""
+        with pytest.raises(ValueError, match="within the int64 range"):
+            TimeSeries(epochs, [1.0, 1.0], 5)
+
     def test_values_are_immutable(self):
         s = make_series([1.0, 2.0])
         with pytest.raises(ValueError):

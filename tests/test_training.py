@@ -489,25 +489,34 @@ class TestTrainingTrace:
 REPORT_COLUMNS = ["epochs", "actual_ns", "cnn_pred_ns", "kf_pred_ns", "cnn_diff_ns", "kf_diff_ns"]
 ADAM = (0, 0.1, 0.9, 0.999, 1e-8)
 
-# Each value type built from a view ``a`` of a caller's array, and the field that holds it.
+FLOATS = np.linspace(1.0, 2.0, 12)
+EPOCHS = 56934 + 5 * np.arange(12, dtype=np.int64)
+
+# Each value type built from a view ``a`` of a caller's array, the field that holds it,
+# and the base array ``a`` is a view of.
 FREEZING_SITES = {
-    "ConvLayer.kernel": (lambda a: ConvLayer(a[:4], np.zeros(1)), "kernel"),
-    "ConvLayer.bias": (lambda a: ConvLayer(np.ones(4), a[:1]), "bias"),
+    "ConvLayer.kernel": (lambda a: ConvLayer(a[:4], np.zeros(1)), "kernel", FLOATS),
+    "ConvLayer.bias": (lambda a: ConvLayer(np.ones(4), a[:1]), "bias", FLOATS),
     "CnnModel.head_weights": (
-        lambda a: CnnModel(init_weights(0).layers, a[:5], 0.0), "head_weights"
+        lambda a: CnnModel(init_weights(0).layers, a[:5], 0.0), "head_weights", FLOATS
     ),
-    "TimeSeries.values": (lambda a: TimeSeries(56934 + 5 * np.arange(7), a[:7], 5), "values"),
+    "TimeSeries.values": (
+        lambda a: TimeSeries(56934 + 5 * np.arange(7), a[:7], 5), "values", FLOATS
+    ),
+    "TimeSeries.epochs": (lambda a: TimeSeries(a[:7], np.ones(7), 5), "epochs", EPOCHS),
     "WindowDataset.inputs": (
-        lambda a: WindowDataset(a[:10].reshape(2, 5), np.ones(2), range(7)), "inputs"
+        lambda a: WindowDataset(a[:10].reshape(2, 5), np.ones(2), range(7)), "inputs", FLOATS
     ),
-    "WindowDataset.targets": (lambda a: WindowDataset(np.ones((2, 5)), a[:2], range(7)), "targets"),
-    "AdamState.m": (lambda a: AdamState(a[:3], np.ones(3), *ADAM), "m"),
-    "AdamState.v": (lambda a: AdamState(np.ones(3), a[:3], *ADAM), "v"),
+    "WindowDataset.targets": (
+        lambda a: WindowDataset(np.ones((2, 5)), a[:2], range(7)), "targets", FLOATS
+    ),
+    "AdamState.m": (lambda a: AdamState(a[:3], np.ones(3), *ADAM), "m", FLOATS),
+    "AdamState.v": (lambda a: AdamState(np.ones(3), a[:3], *ADAM), "v", FLOATS),
     "TrainingTrace.train_rmse": (
-        lambda a: TrainingTrace(a[:3], np.ones(3), STOP_MAX_UPDATES, 0), "train_rmse"
+        lambda a: TrainingTrace(a[:3], np.ones(3), STOP_MAX_UPDATES, 0), "train_rmse", FLOATS
     ),
     "TrainingTrace.val_rmse": (
-        lambda a: TrainingTrace(np.ones(3), a[:3], STOP_MAX_UPDATES, 0), "val_rmse"
+        lambda a: TrainingTrace(np.ones(3), a[:3], STOP_MAX_UPDATES, 0), "val_rmse", FLOATS
     ),
     **{
         f"PredictionReport.{name}": (
@@ -515,21 +524,22 @@ FREEZING_SITES = {
                 *(a[:2] if j == i else np.ones(2) for j in range(6)), 2, 1.0, 1.0
             ),
             name,
+            FLOATS,
         )
         for i, name in enumerate(REPORT_COLUMNS)
     },
 }
 
 
-@pytest.mark.parametrize("build, name", FREEZING_SITES.values(), ids=FREEZING_SITES.keys())
-def test_value_types_freeze_a_copy_of_the_callers_array(build, name):
+@pytest.mark.parametrize("build, name, base", FREEZING_SITES.values(), ids=FREEZING_SITES.keys())
+def test_value_types_freeze_a_copy_of_the_callers_array(build, name, base):
     """The caller's array stays writable, and writing to it or to its base leaves the
     validated value as it was."""
-    base = np.linspace(1.0, 2.0, 12)
+    base = base.copy()
     view = base[:10]
     frozen = getattr(build(view), name)
     before = frozen.copy()
     assert view.flags.writeable and not frozen.flags.writeable
-    view[0] = -1.0
-    base[:] = np.nan
+    view[0] = -1
+    base += 1
     npt.assert_array_equal(frozen, before)
