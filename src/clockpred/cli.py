@@ -25,30 +25,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, config, predictor, series, synthetic, training
-from .cnn import _numbers_only, init_weights, load_model, model_to_json
-from .series import PreparedSeries
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one command bit-for-bit."""
-
-    command: str
-    tool_version: str
-    seed: int
-    config: dict[str, str]
-    inputs: dict[str, str]
-    outputs: dict[str, str]
-    extra: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return _json_text({f.name: getattr(self, f.name) for f in fields(self)})
+from .cnn import init_weights, load_model, model_to_json
+from .series import PreparedSeries, _numbers_only, _read_json
 
 
 def _json_text(doc) -> str:
@@ -69,12 +52,13 @@ def _write_atomic(path, text: str) -> None:
         raise
 
 
-def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) -> RunManifest:
+def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) -> dict:
     """Write a stage's documents in order, then the manifest that records them.
 
     ``outputs`` maps each manifest name to a ``(path, text)`` pair.  Every
     target is checked before the first write, so a refused stage writes
-    nothing.
+    nothing.  The manifest holds everything needed to reproduce the stage
+    bit-for-bit; it is returned as the dict that was written.
     """
     targets = [Path(path) for path, _ in outputs.values()] + [Path(manifest_path)]
     if len(set(targets)) < len(targets):
@@ -85,8 +69,11 @@ def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) ->
     for path, text in outputs.values():
         _write_atomic(path, text)
     paths = {name: str(path) for name, (path, _) in outputs.items()}
-    manifest = RunManifest(command, __version__, seed, cfg, inputs, paths, extra)
-    _write_atomic(manifest_path, manifest.to_json())
+    manifest = {
+        "command": command, "tool_version": __version__, "seed": seed, "config": cfg,
+        "inputs": inputs, "outputs": paths, "extra": extra,
+    }
+    _write_atomic(manifest_path, _json_text(manifest))
     return manifest
 
 
@@ -96,7 +83,7 @@ def _computing(*sources):
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
-    except ValueError as err:
+    except (ValueError, MemoryError) as err:  # an array too large to allocate, say
         raise ValueError(f"{' with '.join(map(str, sources))}: {err}") from None
 
 
@@ -109,7 +96,7 @@ def _load_config(path: str | None) -> tuple[dict[str, str], str]:
     return cfg, name
 
 
-def cmd_generate(config_path, out, seed: int | None, force: bool) -> RunManifest:
+def cmd_generate(config_path, out, seed: int | None, force: bool) -> dict:
     cfg, config_name = _load_config(config_path)
     spec = config.synthetic_spec_from(cfg, seed)
     with _computing(config_name):
@@ -126,7 +113,7 @@ def cmd_prepare(
     out_dir,
     in_path_b=None,
     force: bool = False,
-) -> RunManifest:
+) -> dict:
     cfg, config_name = _load_config(config_path)
     data, inputs = series.read_series(in_path), {"series": str(in_path)}
     if in_path_b is not None:
@@ -160,31 +147,10 @@ def cmd_prepare(
     return _commit("prepare", seed, cfg, inputs, outputs, extra, out_dir / "manifest.json", force)
 
 
-def _read_json(path: Path, build):
-    """Build a value from the JSON document at ``path``.
-
-    A missing key, a value of the wrong type, an infinite count or a value
-    its constructor rejects becomes a ``ValueError`` that names the path.
-    """
-    try:
-        return build(json.loads(path.read_text(encoding="utf-8")))
-    except KeyError as err:
-        raise ValueError(f"{path}: missing key {err}") from None
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ValueError(f"{path}: malformed document: {err}") from None
-
-
 # ``series.csv`` is rewritten at 1 ps (3 decimals of ns) while ``residual.csv``
 # keeps the residual of the unrounded input, so the two may differ by up to
 # half a picosecond plus round-off.
 _RESIDUAL_TOLERANCE_NS = 1e-3
-
-
-def _numbers_object(doc) -> dict:
-    """``doc`` if it is a JSON object whose values are JSON numbers, not booleans or strings."""
-    if not isinstance(doc, dict):
-        raise TypeError(f"a {type(doc).__name__} where a JSON object belongs")
-    return _numbers_only(doc.items())
 
 
 def _split_from_doc(doc) -> tuple[int, series.DataSplit, series.DataSplit, bool]:
@@ -221,11 +187,11 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     split_path = prepared_dir / "split.json"
     n, parts, expected, fit_on_full = _read_json(split_path, _split_from_doc)
     trend = _read_json(
-        prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**_numbers_object(doc))
+        prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**_numbers_only(doc))
     )
     scale_path = prepared_dir / "scale.json"
     scale = _read_json(
-        scale_path, lambda doc: series.NormalizationScale(_numbers_object(doc)["d_max_abs"])
+        scale_path, lambda doc: series.NormalizationScale(_numbers_only(doc)["d_max_abs"])
     )
     full = series.read_series(prepared_dir / "series.csv")
     residual_path = prepared_dir / "residual.csv"
@@ -266,7 +232,7 @@ def load_prepared(prepared_dir) -> PreparedSeries:
 
 def cmd_train(
     prepared_dir, config_path, model_out, trace_out, seed: int | None, force: bool
-) -> RunManifest:
+) -> dict:
     cfg, config_name = _load_config(config_path)
     prepared = load_prepared(prepared_dir)
     train_cfg = config.train_config_from(cfg, seed)
@@ -299,7 +265,7 @@ def cmd_compare(
     summary_out=None,
     stub_memorize: bool = False,
     force: bool = False,
-) -> RunManifest:
+) -> dict:
     cfg, config_name = _load_config(config_path)
     prepared = load_prepared(prepared_dir)
     model = None if stub_memorize else load_model(model_path)

@@ -37,12 +37,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .series import _freeze
+from .series import _freeze, _numbers_only, _read_json
 
 KERNEL_SIZES = (4, 3, 3)
 DEFAULT_INPUT_WIDTH = 5
@@ -414,7 +413,7 @@ def init_weights(seed: int, channels: int = DEFAULT_CHANNELS) -> CnnModel:
 
 
 def model_to_json(model: CnnModel) -> str:
-    """Serialize at full decimal precision; ``model_from_json`` restores it exactly."""
+    """Serialize at full decimal precision; :func:`load_model` restores it exactly."""
     payload = {
         "config": {"channels": model.channels, "width": DEFAULT_INPUT_WIDTH},
         "layers": [
@@ -426,50 +425,36 @@ def model_to_json(model: CnnModel) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _numbers_only(pairs) -> dict:
-    """The JSON object of ``pairs``, if its values hold nothing but numbers and objects."""
-    if {type(x) for _, v in pairs for x in np.array(v, dtype=object).flat} - {int, float, dict}:
-        raise TypeError("values must be JSON numbers or objects, in lists of even depth")
-    return dict(pairs)
-
-
-def model_from_json(text: str) -> CnnModel:
-    """Read a model document written from :func:`model_to_json`.
+def _model_from_doc(doc) -> CnnModel:
+    """The model of a document written from :func:`model_to_json`.
 
     Its values must be JSON numbers, so a boolean or a string is refused.  Its
     width must be ``DEFAULT_INPUT_WIDTH``, the width of every window the
     pipeline builds, and its channel count that of its kernels; both integers.
     """
-    try:
-        payload = json.loads(text, object_pairs_hook=_numbers_only)
-        width, channels = payload["config"]["width"], payload["config"]["channels"]
-        if type(width) is not int or type(channels) is not int:
-            raise TypeError(f"width {width!r} and channels {channels!r} must be integers")
-        if width != DEFAULT_INPUT_WIDTH:
-            raise ValueError(
-                f"model input width {width} is not the window "
-                f"width {DEFAULT_INPUT_WIDTH} the pipeline feeds it"
-            )
-        layers = tuple(ConvLayer(item["kernel"], item["bias"]) for item in payload["layers"])
-        model = CnnModel(layers, payload["head"]["weights"], payload["head"]["bias"])
-    except (KeyError, TypeError, OverflowError, json.JSONDecodeError) as err:
-        raise ValueError(f"malformed model document: {err}") from None
+    _numbers_only(doc)
+    width, channels = doc["config"]["width"], doc["config"]["channels"]
+    if type(width) is not int or type(channels) is not int:
+        raise TypeError(f"width {width!r} and channels {channels!r} must be integers")
+    if width != DEFAULT_INPUT_WIDTH:
+        raise ValueError(
+            f"model input width {width} is not the window "
+            f"width {DEFAULT_INPUT_WIDTH} the pipeline feeds it"
+        )
+    layers = tuple(ConvLayer(item["kernel"], item["bias"]) for item in doc["layers"])
+    model = CnnModel(layers, doc["head"]["weights"], doc["head"]["bias"])
     if model.channels != channels:
         raise ValueError(f"model document has {channels} channels, its kernels {model.channels}")
     return model
 
 
 def load_model(path) -> CnnModel:
-    """Read the model document at ``path`` with :func:`model_from_json`.
+    """Read the model document at ``path`` with :func:`_model_from_doc`.
 
     Raises
     ------
     ValueError
         When the document is not valid JSON, not a model, or a model
-        :func:`model_from_json` rejects; the message names the path.
+        :func:`_model_from_doc` rejects; the message names the path.
     """
-    text = Path(path).read_text(encoding="utf-8", errors="replace")
-    try:
-        return model_from_json(text)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    return _read_json(path, _model_from_doc)

@@ -7,11 +7,13 @@ such a series before a predictor sees it: combining partial offset
 streams, removing the slow quadratic drift, scaling into [-1, 1], and
 slicing into train / validation / test partitions.  Every transform keeps
 enough state (:class:`QuadraticTrend`, :class:`NormalizationScale`) to map
-predictions back to physical nanoseconds.
+predictions back to physical nanoseconds.  It also reads the pipeline's
+JSON documents (:func:`_read_json`), so every one is refused the same way.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,7 +66,7 @@ class TimeSeries:
         if epochs.dtype.kind == "f":
             if not (epochs == np.floor(epochs)).all():
                 raise ValueError("epochs must be whole MJD day numbers")
-        if epochs.dtype.kind in "uf" and not ((epochs >= -(2**63)) & (epochs < 2**63)).all():
+        if epochs.dtype.kind in "ufO" and not ((epochs >= -(2**63)) & (epochs < 2**63)).all():
             raise ValueError("epochs must be MJD day numbers within the int64 range")
         epochs = epochs.astype(np.int64)
         values = np.array(self.values, dtype=np.float64)
@@ -353,6 +355,31 @@ def read_series(path) -> TimeSeries:
         return TimeSeries(epochs, values, interval)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+def _numbers_only(doc):
+    """``doc``, if its lists and objects hold JSON numbers only: no boolean, string or null."""
+    if isinstance(doc, (dict, list)):
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            _numbers_only(value)
+    elif type(doc) not in (int, float):
+        raise TypeError(f"a {type(doc).__name__} where a JSON number belongs")
+    return doc
+
+
+def _read_json(path, build):
+    """Build a value from the JSON document at ``path``.
+
+    A missing key, a value of the wrong type, an infinite count, nesting too
+    deep to decode or a value its constructor rejects becomes a ``ValueError``
+    that names the path.
+    """
+    try:
+        return build(json.loads(Path(path).read_text(encoding="utf-8")))
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err}") from None
+    except (TypeError, ValueError, OverflowError, RecursionError) as err:
+        raise ValueError(f"{path}: malformed document: {err}") from None
 
 
 @dataclass(frozen=True)

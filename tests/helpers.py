@@ -10,9 +10,8 @@ passes into the whole-dataset gradient that finite differences check.
 training never evaluates it.
 """
 
-import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -425,8 +424,3 @@ def trace_to_csv_rowwise(trace):
     for i, (tr, vr) in enumerate(zip(trace.train_rmse, trace.val_rmse), start=1):
         lines.append(f"{i},{float(tr)!r},{float(vr)!r}")
     return "\n".join(lines) + "\n"
-
-
-def manifest_to_json_asdict(manifest):
-    """Manifest JSON through a deep copy by ``dataclasses.asdict``."""
-    return json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clockpred import config
-from clockpred.cli import RunManifest, _build_parser, cmd_prepare, load_prepared, main
+from clockpred.cli import _build_parser, _json_text, cmd_prepare, load_prepared, main
 from clockpred.cnn import init_weights, model_to_json
 from clockpred.kalman import KalmanParams, kf_one_ahead_batch
 from clockpred.predictor import (
@@ -640,7 +640,7 @@ class TestSafety:
         argv = ["compare", "--config", conf, "--prepared", prepared, "--model", str(model)]
         assert main(argv + ["--report-out", str(report)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {model}: malformed model document:")
+        assert err.startswith(f"clockpred: error: {model}: malformed document:")
         assert err.count("\n") == 1
         assert not report.exists()
 
@@ -736,7 +736,7 @@ class TestSafety:
         report = tmp_path / "report.csv"
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {model}: model input width 7")
+        assert err.startswith(f"clockpred: error: {model}: malformed document: model input width 7")
         assert err.count("\n") == 1
         assert not report.exists()
 
@@ -891,9 +891,8 @@ class TestSafety:
         assert not report.exists()
 
     def test_json_documents_refuse_non_finite_numbers(self):
-        manifest = RunManifest("compare", "0", 0, {}, {}, {}, {"cnn_e_rms_ns": math.inf})
         with pytest.raises(ValueError, match="not JSON compliant"):
-            manifest.to_json()
+            _json_text({"command": "compare", "extra": {"cnn_e_rms_ns": math.inf}})
         one = np.ones(1)
         report = PredictionReport(one, one, one, one, one, one, 1, math.nan, 1.0)
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -941,8 +940,12 @@ class TestSafety:
             ("cnn_channels", "1" + "0" * 29, "must be at least 1 and at most 1024"),
             ("gen_n", "1" + "0" * 29, "epochs 56934 to "),
             ("gen_interval", "1" + "0" * 29, "epochs 56934 to "),
+            ("gen_n", "1" + "0" * 17, "Unable to allocate"),
         ],
-        ids=["seed-nan", "train-frac-nan", "channels-30-digits", "n-30-digits", "step-30-digits"],
+        ids=[
+            "seed-nan", "train-frac-nan", "channels-30-digits", "n-30-digits", "step-30-digits",
+            "n-1e17",
+        ],
     )
     def test_bad_config_value_names_the_config_file(self, tmp_path, capsys, key, value, message):
         """Every stage reads every configuration value, so even ``generate`` refuses a
@@ -955,7 +958,8 @@ class TestSafety:
 
     @pytest.mark.parametrize("target", ["fast.conf", "model.json", "prepared/series.csv"])
     def test_undecodable_input_names_its_path(self, tmp_path, capsys, target):
-        """A byte that is not UTF-8 reads as U+FFFD, which no key, number or header accepts."""
+        """A byte that is not UTF-8 is refused: a JSON document does not decode, and in
+        a CSV or configuration file it reads as U+FFFD, which no key, number or header accepts."""
         conf = fast_conf(tmp_path)
         prepared = generate_and_prepare(tmp_path, conf)
         model = tmp_path / "model.json"
@@ -967,6 +971,36 @@ class TestSafety:
         err = capsys.readouterr().err
         assert err.startswith(f"clockpred: error: {path}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("nesting", ["100000-brackets", "value-100-deep"])
+    @pytest.mark.parametrize(
+        "name", ["model.json", "prepared/trend.json", "prepared/scale.json", "prepared/split.json"]
+    )
+    def test_deeply_nested_document_is_one_line_diagnostic(self, tmp_path, capsys, name, nesting):
+        """Brackets nested too deep to decode, or a value that is a list nested 100 deep,
+        end ``compare`` in one line that names the document."""
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        path = tmp_path / name
+        if nesting == "100000-brackets":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            doc, deep = json.loads(path.read_text()), 0.5
+            for _ in range(100):
+                deep = [deep]
+            if path.name == "model.json":
+                doc["head"]["bias"] = deep
+            else:
+                doc[{"trend.json": "c2", "scale.json": "d_max_abs", "split.json": "n"}[path.name]] = deep
+            path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {path}: ") and err.count("\n") == 1
+        assert not report.exists()
+
     def test_infinite_model_channel_count_is_one_line_diagnostic(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)
         prepared = generate_and_prepare(tmp_path, conf)
@@ -977,7 +1011,7 @@ class TestSafety:
         report = tmp_path / "report.csv"
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {model}: malformed model document:")
+        assert err.startswith(f"clockpred: error: {model}: malformed document:")
         assert err.count("\n") == 1 and not report.exists()
 
     @pytest.mark.filterwarnings("error")

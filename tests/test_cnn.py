@@ -19,7 +19,7 @@ from clockpred.cnn import (
     forward_batch,
     forward_cached,
     init_weights,
-    model_from_json,
+    load_model,
     model_to_json,
 )
 from tests.helpers import (
@@ -514,17 +514,25 @@ class TestSerialization:
             vec = model.to_vector() + rng.normal(0, 1, model.num_params)
             model = model.from_vector(vec)
             text = model_to_json(model)
-            restored = model_from_json(text)
+            (tmp_path / "model.json").write_text(text)
+            restored = load_model(tmp_path / "model.json")
             npt.assert_array_equal(restored.to_vector(), model.to_vector())
             assert restored.channels == model.channels
             assert json.loads(text)["config"]["width"] == DEFAULT_INPUT_WIDTH
 
-    def test_malformed_document(self):
-        with pytest.raises(ValueError, match="malformed"):
-            model_from_json('{"layers": []}')
+    def test_malformed_document(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"layers": []}')
+        with pytest.raises(ValueError, match="model.json: missing key 'config'"):
+            load_model(path)
+        path.write_text('{"layers": [], "config": null}')
+        with pytest.raises(ValueError, match="model.json: malformed document: a NoneType"):
+            load_model(path)
 
-    def test_channels_must_match_the_kernels(self):
+    def test_channels_must_match_the_kernels(self, tmp_path):
         doc = json.loads(model_to_json(init_weights(0, channels=2)))
         doc["config"]["channels"] = 1
-        with pytest.raises(ValueError, match="2 channels|1 channels"):
-            model_from_json(json.dumps(doc))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="has 1 channels, its kernels 2"):
+            load_model(path)

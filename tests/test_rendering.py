@@ -1,6 +1,8 @@
-"""The column-wise CSV renderers and the manifest serializer are byte-identical
-to the original row-wise ones kept in ``tests/helpers.py``."""
+"""The column-wise CSV renderers are byte-identical to the original row-wise
+ones kept in ``tests/helpers.py``, and each written manifest to the canonical
+rendering of its own JSON."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,6 @@ from clockpred.predictor import PredictionReport, report_to_csv
 from clockpred.series import TimeSeries, denormalize, series_to_csv
 from clockpred.training import STOP_MAX_UPDATES, TrainingTrace, trace_to_csv
 from tests.helpers import (
-    manifest_to_json_asdict,
     report_to_csv_rowwise,
     series_to_csv_rowwise,
     trace_to_csv_rowwise,
@@ -53,13 +54,17 @@ def frozen(tmp_path_factory):
 
     root = tmp_path_factory.mktemp("frozen")
     (root / "model.json").write_text(model_to_json(model))
-    manifests = [
-        cli.cmd_generate(EXPERIMENT_CONF, root / "series.csv", None, False),
-        cli.cmd_prepare(root / "series.csv", EXPERIMENT_CONF, root / "prepared"),
-        cli.cmd_compare(
+    manifests = {
+        root / "series.csv.manifest.json": cli.cmd_generate(
+            EXPERIMENT_CONF, root / "series.csv", None, False
+        ),
+        root / "prepared" / "manifest.json": cli.cmd_prepare(
+            root / "series.csv", EXPERIMENT_CONF, root / "prepared"
+        ),
+        root / "report.csv.manifest.json": cli.cmd_compare(
             root / "prepared", root / "model.json", EXPERIMENT_CONF, root / "report.csv"
         ),
-    ]
+    }
     return {
         "series": [data, prepared.series, denormalize(prepared.residual_norm, prepared.scale)],
         "report": report,
@@ -82,8 +87,11 @@ class TestFrozenData:
         assert trace_to_csv(frozen["trace"]) == trace_to_csv_rowwise(frozen["trace"])
 
     def test_manifests(self, frozen):
-        for manifest in frozen["manifests"]:
-            assert manifest.to_json() == manifest_to_json_asdict(manifest)
+        for path, manifest in frozen["manifests"].items():
+            text = path.read_text()
+            doc = json.loads(text)
+            assert doc == manifest
+            assert text == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 class TestArbitraryValues:
@@ -120,18 +128,3 @@ class TestArbitraryValues:
         n = data.draw(st.integers(1, 30))
         trace = TrainingTrace(data.draw(column(n)), data.draw(column(n)), STOP_MAX_UPDATES, 0)
         assert trace_to_csv(trace) == trace_to_csv_rowwise(trace)
-
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        cfg=st.dictionaries(st.text(), st.text(), max_size=5),
-        paths=st.dictionaries(st.text(), st.text(), max_size=3),
-        extra=st.dictionaries(
-            st.text(),
-            st.one_of(values, st.integers(), st.booleans(), st.lists(st.integers(), max_size=3)),
-            max_size=4,
-        ),
-    )
-    def test_manifest(self, seed, cfg, paths, extra):
-        manifest = cli.RunManifest("compare", cp.__version__, seed, cfg, paths, paths, extra)
-        assert manifest.to_json() == manifest_to_json_asdict(manifest)

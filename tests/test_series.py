@@ -74,8 +74,9 @@ class TestTimeSeries:
             [-np.inf, -np.inf],
             [1e300, 1e300],
             [2.0**63, 2.0**63],
+            [2**64, 2**64 + 5],
         ],
-        ids=["int-2^63", "uint64-2^63", "inf", "minus-inf", "1e300", "float-2^63"],
+        ids=["int-2^63", "uint64-2^63", "inf", "minus-inf", "1e300", "float-2^63", "int-2^64"],
     )
     def test_rejects_epochs_beyond_int64(self, epochs):
         """Epochs that would wrap or saturate in the int64 cast are refused, not mangled."""

@@ -25,12 +25,11 @@ repeats of 100 calls each, in microseconds per call.  ``forward_cached`` is
 the pass ``train`` runs after its first, which writes into an earlier pass's
 buffers (``out=``); ``forward_cached_fresh`` is the allocating first pass,
 one per ``train`` call.  ``backward_cached`` takes the gradient through the
-pass's first 136 windows, the training windows, as ``train`` does (through
-``BatchForward.first`` on a tree whose pass has it).  ``param_layout`` is
-the parameter layout calls of one ``train`` call: ``to_vector``, two
-``param_views``, ``weight_mask`` and ``from_vector``, made on the model the
-previous call's ``from_vector`` built, since each ``train`` call gets a
-model it has not seen before.
+pass's first 136 windows, the training windows, as ``train`` does.
+``param_layout`` is the parameter layout calls of one ``train`` call:
+``to_vector``, two ``param_views``, ``weight_mask`` and ``from_vector``,
+made on the model the previous call's ``from_vector`` built, since each
+``train`` call gets a model it has not seen before.
 ``train_C1_us`` is the best of 5 runs of a 200-update C=1 ``cp.train`` on
 the same windows, per update: the loop every workload's ``setup_s`` runs.
 ``train_C8_us`` times a whole 2-update ``cp.train`` call at 8 channels on
@@ -81,7 +80,6 @@ for channels in (1, 8):
     params = model.param_views(model.to_vector())
     grads = model.param_views(np.empty(model.num_params))
     both = forward_cached(params, inputs)
-    fwd = both.first(n) if hasattr(both, "first") else both
     latest = [model]
 
     def param_layout():
@@ -95,7 +93,7 @@ for channels in (1, 8):
     calls = {
         "forward_cached": lambda: forward_cached(params, inputs, out=both),
         "forward_cached_fresh": lambda: forward_cached(params, inputs),
-        "backward_cached": lambda: backward_cached(params, fwd, upstreams, grads),
+        "backward_cached": lambda: backward_cached(params, both, upstreams, grads),
         "param_layout": param_layout,
     }
     for name, call in calls.items():
