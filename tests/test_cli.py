@@ -736,7 +736,8 @@ class TestSafety:
         report = tmp_path / "report.csv"
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {model}: malformed document: model input width 7")
+        head = f"clockpred: error: {model}: malformed document: model input width 7"
+        assert err.startswith(head)
         assert err.count("\n") == 1
         assert not report.exists()
 
@@ -992,7 +993,8 @@ class TestSafety:
             if path.name == "model.json":
                 doc["head"]["bias"] = deep
             else:
-                doc[{"trend.json": "c2", "scale.json": "d_max_abs", "split.json": "n"}[path.name]] = deep
+                key = {"trend.json": "c2", "scale.json": "d_max_abs", "split.json": "n"}[path.name]
+                doc[key] = deep
             path.write_text(json.dumps(doc))
         capsys.readouterr()
         report = tmp_path / "report.csv"
