@@ -31,11 +31,7 @@ import numpy as np
 
 from . import __version__, config, predictor, series, synthetic, training
 from .cnn import init_weights, load_model, model_to_json
-from .series import PreparedSeries, _numbers_only, _read_json
-
-
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+from .series import PreparedSeries, _check_as_written, _json_text, _numbers_only, _read_json
 
 
 def _write_atomic(path, text: str) -> None:
@@ -130,16 +126,7 @@ def cmd_prepare(
         "residual.csv": series.series_to_csv(residual, decimals=None),
         "trend.json": _json_text({"t0": trend.t0, "c0": trend.c0, "c1": trend.c1, "c2": trend.c2}),
         "scale.json": _json_text({"d_max_abs": prepared.scale.d_max_abs}),
-        "split.json": _json_text(
-            {
-                "n": len(prepared.series),
-                "train": [parts.train_range.start, parts.train_range.stop],
-                "val": [parts.val_range.start, parts.val_range.stop],
-                "test": [parts.test_range.start, parts.test_range.stop],
-                "fractions": list(parts.fractions),
-                "fit_on_full": prepared.fit_on_full,
-            }
-        ),
+        "split.json": _json_text(_split_doc(len(prepared.series), parts, prepared.fit_on_full)),
     }
     outputs = {name.split(".")[0]: (out_dir / name, text) for name, text in texts.items()}
     seed = config.seed_from(cfg)
@@ -153,16 +140,19 @@ def cmd_prepare(
 _RESIDUAL_TOLERANCE_NS = 1e-3
 
 
-def _split_from_doc(doc) -> tuple[int, series.DataSplit, series.DataSplit, bool]:
-    """The document's n, its partition, the partition ``prepare`` makes of n, fit_on_full."""
-    n, fractions, fit_on_full = doc["n"], tuple(doc["fractions"]), doc["fit_on_full"]
-    if type(n) is not int or type(fit_on_full) is not bool:
-        raise TypeError(f"n {n!r} must be an integer and fit_on_full {fit_on_full!r} a boolean")
-    bounds = [doc["train"], doc["val"], doc["test"]]
-    if any(type(bound) is not int for pair in bounds for bound in pair):
-        raise TypeError(f"range bounds {bounds} must be integers")
-    parts = series.DataSplit(*[range(*pair) for pair in bounds], fractions)
-    return n, parts, series.split(n, *fractions), fit_on_full
+def _split_doc(n: int, parts: series.DataSplit, fit_on_full: bool) -> dict:
+    """The ``split.json`` document of ``parts``, a split of ``n`` points."""
+    ranges = {"train": parts.train_range, "val": parts.val_range, "test": parts.test_range}
+    bounds = {name: [r.start, r.stop] for name, r in ranges.items()}
+    return {"n": n, **bounds, "fractions": list(parts.fractions), "fit_on_full": fit_on_full}
+
+
+def _split_from_doc(doc, n: int) -> tuple[series.DataSplit, bool]:
+    """The split of ``n`` points by the document's fractions, and fit_on_full, if the
+    document is what :func:`_split_doc` writes for them (so fit_on_full is a boolean)."""
+    parts, fit_on_full = series.split(n, *doc["fractions"]), bool(doc["fit_on_full"])
+    _check_as_written(doc, _split_doc(n, parts, fit_on_full), f"the split of {n} points")
+    return parts, fit_on_full
 
 
 def load_prepared(prepared_dir) -> PreparedSeries:
@@ -170,9 +160,10 @@ def load_prepared(prepared_dir) -> PreparedSeries:
 
     The interval is the spacing of the epochs in ``series.csv``; the
     manifest is not read.  The documents must agree with one another: the
-    split is the partition ``prepare`` makes of the whole series with the
-    recorded fractions, the residual has the series' epochs, the
-    residual equals series − trend to within ``_RESIDUAL_TOLERANCE_NS``,
+    split is exactly what ``prepare`` writes for ``series.csv`` and the recorded
+    fractions (a refusal names the keys that differ, never their values), the
+    residual has the series' epochs, the residual equals series − trend to
+    within ``_RESIDUAL_TOLERANCE_NS``,
     and the scale is exactly the residual's largest magnitude over the
     range it was fitted on: the whole series with ``fit_on_full``, else
     the training range.
@@ -184,8 +175,9 @@ def load_prepared(prepared_dir) -> PreparedSeries:
         others; the message names its path.
     """
     prepared_dir = Path(prepared_dir)
+    full = series.read_series(prepared_dir / "series.csv")
     split_path = prepared_dir / "split.json"
-    n, parts, expected, fit_on_full = _read_json(split_path, _split_from_doc)
+    parts, fit_on_full = _read_json(split_path, lambda doc: _split_from_doc(doc, len(full)))
     trend = _read_json(
         prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**_numbers_only(doc))
     )
@@ -193,13 +185,8 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     scale = _read_json(
         scale_path, lambda doc: series.NormalizationScale(_numbers_only(doc)["d_max_abs"])
     )
-    full = series.read_series(prepared_dir / "series.csv")
     residual_path = prepared_dir / "residual.csv"
     residual = series.read_series(residual_path)
-    if n != len(full):
-        raise ValueError(f"{split_path}: split n {n} != {len(full)} points in series.csv")
-    if parts != expected:
-        raise ValueError(f"{split_path}: ranges are not the split of {n} points by the fractions")
     if len(residual) != len(full) or np.any(residual.epochs != full.epochs):
         raise ValueError(f"{residual_path}: epochs differ from those of series.csv")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
@@ -213,7 +200,7 @@ def load_prepared(prepared_dir) -> PreparedSeries:
         )
     if not np.isfinite(norm).all():
         raise ValueError(f"{scale_path}: d_max_abs {scale.d_max_abs!r} overflows the residual")
-    fit = range(n) if fit_on_full else parts.train_range
+    fit = range(len(full)) if fit_on_full else parts.train_range
     peak = float(np.max(np.abs(residual.subseries(fit).values)))
     if scale.d_max_abs != peak:
         raise ValueError(

@@ -34,14 +34,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .series import _freeze, _numbers_only, _read_json
+from .series import _check_as_written, _freeze, _json_text, _numbers_only, _read_json
 
 KERNEL_SIZES = (4, 3, 3)
 DEFAULT_INPUT_WIDTH = 5
@@ -93,14 +92,14 @@ class CnnModel:
         if channels < 1:
             raise ValueError("channels must be positive")
         in_ch = 1
-        for layer, k in zip(layers, KERNEL_SIZES):
+        for i, (layer, k) in enumerate(zip(layers, KERNEL_SIZES)):
             if layer.width != k:
                 raise ValueError(
-                    f"kernel length {layer.width} at a position requiring {k}"
+                    f"layers[{i}]: kernel length {layer.width} at a position requiring {k}"
                 )
             if layer.kernel.shape[:2] != (channels, in_ch):
                 raise ValueError(
-                    f"layer channel shape {layer.kernel.shape[:2]} does not match "
+                    f"layers[{i}]: channel shape {layer.kernel.shape[:2]} does not match "
                     f"({channels}, {in_ch})"
                 )
             in_ch = channels
@@ -422,29 +421,27 @@ def model_to_json(model: CnnModel) -> str:
         ],
         "head": {"weights": model.head_weights.tolist(), "bias": model.head_bias},
     }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _json_text(payload)
 
 
 def _model_from_doc(doc) -> CnnModel:
     """The model of a document written from :func:`model_to_json`.
 
     Its values must be JSON numbers, so a boolean or a string is refused.  Its
-    width must be ``DEFAULT_INPUT_WIDTH``, the width of every window the
-    pipeline builds, and its channel count that of its kernels; both integers.
+    ``config`` must be exactly what :func:`model_to_json` writes for its kernels:
+    their channel count and ``DEFAULT_INPUT_WIDTH``.  A refusal names the key.
     """
     _numbers_only(doc)
-    width, channels = doc["config"]["width"], doc["config"]["channels"]
-    if type(width) is not int or type(channels) is not int:
-        raise TypeError(f"width {width!r} and channels {channels!r} must be integers")
-    if width != DEFAULT_INPUT_WIDTH:
-        raise ValueError(
-            f"model input width {width} is not the window "
-            f"width {DEFAULT_INPUT_WIDTH} the pipeline feeds it"
-        )
-    layers = tuple(ConvLayer(item["kernel"], item["bias"]) for item in doc["layers"])
-    model = CnnModel(layers, doc["head"]["weights"], doc["head"]["bias"])
-    if model.channels != channels:
-        raise ValueError(f"model document has {channels} channels, its kernels {model.channels}")
+    config = doc["config"]
+    layers = []
+    for i, item in enumerate(doc["layers"]):
+        try:
+            layers.append(ConvLayer(item["kernel"], item["bias"]))
+        except ValueError as err:
+            raise ValueError(f"layers[{i}]: {err}") from None
+    model = CnnModel(tuple(layers), doc["head"]["weights"], doc["head"]["bias"])
+    written = {"channels": model.channels, "width": DEFAULT_INPUT_WIDTH}
+    _check_as_written(config, written, "the config of its kernels")
     return model
 
 

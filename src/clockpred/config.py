@@ -18,7 +18,9 @@ from typing import Mapping
 
 from .cnn import DEFAULT_CHANNELS
 from .kalman import KalmanParams
-from .series import DEFAULT_FIT_ON_FULL, DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC, check_fractions
+from .series import (
+    DEFAULT_FIT_ON_FULL, DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC, _brief, check_fractions
+)
 from .synthetic import DEFAULT_SEED, SyntheticClockSpec
 from .training import TrainConfig
 
@@ -71,10 +73,10 @@ def parse_config(path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {_brief.repr(raw)}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in DEFAULTS:
-            raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown configuration key {_brief.repr(key)}")
         if key in lines:
             raise ValueError(
                 f"{path}:{lineno}: duplicate key {key!r} (first set on line {lines[key]})"
@@ -100,7 +102,7 @@ def _value(cfg: Mapping[str, str], key: str):
     try:
         return parse(text)
     except (KeyError, ValueError):
-        raise ValueError(f"configuration key {key!r}: {text!r} is not {noun}") from None
+        raise ValueError(f"configuration key {key!r}: {_brief.repr(text)} is not {noun}") from None
 
 
 def _section(cls, cfg: Mapping[str, str], **given):

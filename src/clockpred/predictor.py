@@ -14,7 +14,6 @@ predictions of its own passes them to :func:`score`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -22,7 +21,9 @@ import numpy as np
 
 from .cnn import DEFAULT_INPUT_WIDTH, CnnModel, forward
 from .kalman import KalmanParams, kf_one_ahead, kf_one_ahead_batch
-from .series import NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries, _freeze
+from .series import (
+    NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries, _freeze, _json_text
+)
 from .training import make_windows, rmse_loss
 
 REPORT_HEADER = "mjd,actual_ns,cnn_pred_ns,kf_pred_ns,cnn_diff_ns,kf_diff_ns"
@@ -178,4 +179,4 @@ def summary_to_json(report: PredictionReport) -> str:
         "cnn_e_rms_ns": report.cnn_e_rms_ns,
         "kf_e_rms_ns": report.kf_e_rms_ns,
     }
-    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return _json_text(payload)

@@ -7,14 +7,15 @@ such a series before a predictor sees it: combining partial offset
 streams, removing the slow quadratic drift, scaling into [-1, 1], and
 slicing into train / validation / test partitions.  Every transform keeps
 enough state (:class:`QuadraticTrend`, :class:`NormalizationScale`) to map
-predictions back to physical nanoseconds.  It also reads the pipeline's
-JSON documents (:func:`_read_json`), so every one is refused the same way.
+predictions back to physical nanoseconds.  It also holds the one reader and
+the one writer of the pipeline's JSON documents (:func:`_read_json`, :func:`_json_text`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,8 @@ DEFAULT_VAL_FRAC = 0.1205
 DEFAULT_FIT_ON_FULL = False
 
 CSV_HEADER = "mjd,ns"
+_brief = reprlib.Repr()  # echoes a bad input's text in an error line, cut short
+_brief.maxstring, _brief.maxlist = 60, 4
 
 
 def _freeze(record, **fields) -> None:
@@ -338,16 +341,14 @@ def read_series(path) -> TimeSeries:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
         try:
-            epochs.append(int(fields[0]))
-            values.append(float(fields[1]))
+            mjd, ns = line.split(",")
+            epochs.append(int(mjd))
+            values.append(float(ns))
             if not -(2**63) <= epochs[-1] < 2**63:
                 raise ValueError("epoch out of the int64 range")
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+            raise ValueError(f"{path}:{lineno}: malformed row {_brief.repr(line)}") from None
     interval = epochs[1] - epochs[0] if len(epochs) > 1 else DEFAULT_INTERVAL_DAYS
     try:
         if interval <= 0:
@@ -357,14 +358,31 @@ def read_series(path) -> TimeSeries:
         raise ValueError(f"{path}: {err}") from None
 
 
-def _numbers_only(doc):
-    """``doc``, if its lists and objects hold JSON numbers only: no boolean, string or null."""
+def _numbers_only(doc, key=""):
+    """``doc``, if its lists and objects hold JSON numbers only: no boolean, string or null.
+    A refusal names the value's key path, such as ``layers[2].kernel[0][0][1]``."""
     if isinstance(doc, (dict, list)):
-        for value in doc.values() if isinstance(doc, dict) else doc:
-            _numbers_only(value)
+        for name, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            if type(value) not in (int, float):  # most values: skip the call and key path
+                _numbers_only(value, f"{key}.{name}" if type(name) is str else f"{key}[{name}]")
     elif type(doc) not in (int, float):
-        raise TypeError(f"a {type(doc).__name__} where a JSON number belongs")
+        at = _brief.repr(key.lstrip(".")) if key else "the top level"
+        raise TypeError(f"a {type(doc).__name__} at {at} where a JSON number belongs")
     return doc
+
+
+def _json_text(doc) -> str:
+    """The one JSON writer: sorted keys, two-space indents, finite numbers only."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _check_as_written(doc, written: dict, what: str) -> None:
+    """Refuse ``doc`` unless :func:`_json_text` writes each of its keys as ``written``'s;
+    the refusal names each key that differs or that ``written`` lacks, never a value."""
+    if _json_text(doc) != _json_text(written):
+        unlike = [key for key in written if _json_text(doc[key]) != _json_text(written[key])]
+        unlike += sorted(set(doc) - set(written))
+        raise ValueError(f"keys {_brief.repr(unlike)} differ from {what}")
 
 
 def _read_json(path, build):

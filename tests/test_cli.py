@@ -161,6 +161,20 @@ def _with_kernel_entry(text, value):
     return json.dumps(doc)
 
 
+def _with_third_layer(text, part, value):
+    """The model document ``text`` with its third layer's bias, or that kernel's entry
+    [0][0][1], set to the JSON text ``value``."""
+    doc = json.loads(text)
+    if part == "kernel":
+        doc["layers"][2]["kernel"][0][0][1] = "@"
+    else:
+        doc["layers"][2]["bias"] = "@"
+    return json.dumps(doc).replace('"@"', value)
+
+
+_SPLIT_KEYS = "malformed document: keys [{}] differ from the split of 274 points"
+
+
 def _without(text, key):
     """The JSON document ``text`` with ``key`` deleted."""
     doc = json.loads(text)
@@ -649,16 +663,15 @@ class TestSafety:
         [
             ("residual.csv", lambda doc: _shifted_rows(doc, 0, 5.0, rows=[50]), "residual at MJD"),
             ("residual.csv", lambda doc: _shifted_rows(doc, 5, 0.0), "epochs differ"),
-            ("split.json", lambda doc: json.dumps({**json.loads(doc), "n": 999}), "split n 999"),
+            ("split.json", lambda doc: _with(doc, n=999), _SPLIT_KEYS.format("'n'")),
+            ("split.json", lambda doc: _with(doc, train=[0, 274]), _SPLIT_KEYS.format("'train'")),
+            ("split.json", lambda doc: _with(doc, val=[142, 175]), _SPLIT_KEYS.format("'val'")),
+            ("split.json", lambda doc: _with(doc, note="x"), _SPLIT_KEYS.format("'note'")),
+            ("split.json", lambda doc: _with(doc, n=[274] * 200_000), _SPLIT_KEYS.format("'n'")),
             (
                 "split.json",
-                lambda doc: json.dumps({**json.loads(doc), "train": [0, 274]}),
-                "ranges are not the split",
-            ),
-            (
-                "split.json",
-                lambda doc: json.dumps({**json.loads(doc), "val": [142, 175]}),
-                "ranges are not the split",
+                lambda doc: _with(doc, fit_on_full=1),
+                _SPLIT_KEYS.format("'fit_on_full'"),
             ),
         ],
         ids=[
@@ -667,11 +680,16 @@ class TestSafety:
             "split-n-999",
             "split-train-overlaps-test",
             "split-val-shifted",
+            "split-extra-key",
+            "split-n-huge-list",
+            "split-flag-one",
         ],
     )
     def test_inconsistent_prepared_directory_is_one_line_diagnostic(
         self, tmp_path, capsys, name, edit, message
     ):
+        """A split.json that is not what ``prepare`` writes for series.csv is refused
+        naming the keys that differ, on a short line that never echoes their values."""
         conf = fast_conf(tmp_path)
         prepared = generate_and_prepare(tmp_path, conf)
         path = prepared / name
@@ -683,6 +701,7 @@ class TestSafety:
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"clockpred: error: {path}: {message}") and err.count("\n") == 1
+        assert len(err.encode()) < 500
         assert not report.exists()
 
     def test_six_decimal_input_round_trips(self, tmp_path):
@@ -736,10 +755,35 @@ class TestSafety:
         report = tmp_path / "report.csv"
         assert main(compare_argv(conf, prepared, model, report)) == 1
         err = capsys.readouterr().err
-        head = f"clockpred: error: {model}: malformed document: model input width 7"
+        head = f"clockpred: error: {model}: malformed document: keys ['width'] differ"
         assert err.startswith(head)
         assert err.count("\n") == 1
         assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"channels": 1, "width": 5, "note": 1}, "note"),
+            ({"channels": 1, "width": [5] * 200_000}, "width"),
+        ],
+        ids=["extra-key", "width-huge-list"],
+    )
+    def test_edited_model_config_is_one_line_diagnostic(self, tmp_path, capsys, config, key):
+        """The config must be exactly what the model's kernels give; the line names the
+        key and never echoes its value."""
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(_with(model_to_json(init_weights(0)), config=config))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"clockpred: error: {model}: malformed document: "
+            f"keys [{key!r}] differ from the config of its kernels\n"
+        )
+        assert len(err.encode()) < 500 and not report.exists()
 
     def test_nan_kalman_parameter_is_one_line_diagnostic(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)
@@ -779,6 +823,77 @@ class TestSafety:
         err = capsys.readouterr().err
         assert err == f"clockpred: error: {path}:7: malformed row '{lines[6]}'\n"
         assert not (tmp_path / "prepared").exists()
+
+    @pytest.mark.parametrize(
+        "target, text, where",
+        [
+            ("csv", "mjd,ns\n56934,1.0\n56939," + "9" * 1_000_000 + ",2\n", ":3: malformed row '"),
+            ("csv", "mjd,ns\n56934,1.0\n56939," + "x" * 1_000_000 + "\n", ":3: malformed row '"),
+            ("conf", "gen_n = 20\n" + "x" * 1_000_000 + "\n", ":2: expected 'key = value', got '"),
+            ("conf", "k" * 1_000_000 + " = 1\n", ":1: unknown configuration key '"),
+            ("conf", "gen_n = " + "x" * 1_000_000 + "\n", ": configuration key 'gen_n': '"),
+        ],
+        ids=["row-fields", "row-value", "config-line", "config-key", "config-value"],
+    )
+    def test_huge_input_text_is_echoed_cut_short(self, tmp_path, capsys, target, text, where):
+        """A row, line, key or value of a million characters ends in one short line
+        that still names the file and the line or the key."""
+        path = tmp_path / f"huge.{target}"
+        path.write_text(text)
+        if target == "csv":
+            argv = ["prepare", "--config", fast_conf(tmp_path), "--in", str(path)]
+            argv += ["--out-dir", str(tmp_path / "prepared")]
+        else:
+            argv = ["generate", "--config", str(path), "--out", str(tmp_path / "s.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"clockpred: error: {path}{where}") and err.count("\n") == 1
+        assert len(err.encode()) < 500
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "prepared/trend.json",
+                lambda doc: _with(doc, c1="x"),
+                "a str at 'c1' where a JSON number belongs",
+            ),
+            (
+                "model.json",
+                lambda doc: _with_third_layer(doc, "kernel", '"x"'),
+                "a str at 'layers[2].kernel[0][0][1]' where a JSON number belongs",
+            ),
+            (
+                "model.json",
+                lambda doc: _with_third_layer(doc, "kernel", "1e309"),
+                "layers[2]: layer parameters must be finite",
+            ),
+            (
+                "model.json",
+                lambda doc: _with_third_layer(doc, "bias", "[0.0, 0.0]"),
+                "layers[2]: bias shape (2,) does not match 1 output channels",
+            ),
+            (
+                "model.json",
+                lambda doc: _with(doc, layers=[{"kernel": [[[0.5] * 3]], "bias": [0.0]}] * 3),
+                "layers[0]: kernel length 3 at a position requiring 4",
+            ),
+        ],
+        ids=["trend-string", "kernel-string", "kernel-1e309", "bias-two-entries", "kernel-short"],
+    )
+    def test_refusal_names_the_key(self, tmp_path, capsys, name, edit, message):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        path = tmp_path / name
+        path.write_text(edit(path.read_text()))
+        capsys.readouterr()
+        report = tmp_path / "report.csv"
+        assert main(compare_argv(conf, prepared, model, report)) == 1
+        err = capsys.readouterr().err
+        assert err == f"clockpred: error: {path}: malformed document: {message}\n"
+        assert not report.exists()
 
     @pytest.mark.parametrize("as_second", [False, True], ids=["in", "in-b"])
     @pytest.mark.filterwarnings("error")
@@ -931,6 +1046,7 @@ class TestSafety:
                     line = err.getvalue()
                     assert code == 1 and line.startswith("clockpred: error: "), line
                     assert line.count("\n") == 1 and str(run) in line, line
+                    assert len(line.encode()) < 500, line[:500]
                     assert not written
 
     @pytest.mark.parametrize(
