@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, config, predictor, series, synthetic, training
 from .cnn import init_weights, load_model, model_to_json
-from .series import PreparedSeries, _check_as_written, _json_text, _numbers_only, _read_json
+from .series import PreparedSeries, _check_as_written, _json_text, _read_json
 
 
 def _write_atomic(path, text: str) -> None:
@@ -103,118 +103,88 @@ def cmd_generate(config_path, out, seed: int | None, force: bool) -> dict:
     )
 
 
-def cmd_prepare(
-    in_path,
-    config_path,
-    out_dir,
-    in_path_b=None,
-    force: bool = False,
-) -> dict:
+def cmd_prepare(in_path, config_path, out_dir, in_path_b=None, force: bool = False) -> dict:
+    """Prepare the input series as ``series.csv`` records it, at 1 ps (3 decimals of
+    ns), so :func:`load_prepared` can prepare it again; write the prepared directory."""
     cfg, config_name = _load_config(config_path)
-    data, inputs = series.read_series(in_path), {"series": str(in_path)}
+    text = Path(in_path).read_text(encoding="utf-8", errors="replace")
+    data, inputs = series.parse_series(text, in_path), {"series": str(in_path)}
     if in_path_b is not None:
         data_b, inputs["series_b"] = series.read_series(in_path_b), str(in_path_b)
         with _computing(in_path_b):
             data = series.combine_series(data, data_b)
+    out_dir = Path(out_dir)
+    csv = series.series_to_csv(data)
+    if csv != text:  # rounded to 1 ps, or summed
+        data = series.parse_series(csv, out_dir / "series.csv")
     with _computing(" + ".join(inputs.values()), config_name):
         prepared = series.prepare(data, *config.prepare_options_from(cfg))
-    residual = series.denormalize(prepared.residual_norm, prepared.scale)
-    trend, parts = prepared.trend, prepared.split
-    out_dir = Path(out_dir)
-    texts = {
-        "series.csv": series.series_to_csv(prepared.series),
-        "residual.csv": series.series_to_csv(residual, decimals=None),
-        "trend.json": _json_text({"t0": trend.t0, "c0": trend.c0, "c1": trend.c1, "c2": trend.c2}),
-        "scale.json": _json_text({"d_max_abs": prepared.scale.d_max_abs}),
-        "split.json": _json_text(_split_doc(len(prepared.series), parts, prepared.fit_on_full)),
-    }
+    texts = {"series.csv": csv, **_prepared_texts(prepared)}
     outputs = {name.split(".")[0]: (out_dir / name, text) for name, text in texts.items()}
     seed = config.seed_from(cfg)
-    extra = {"split_sizes": list(parts.sizes)}
+    extra = {"split_sizes": list(prepared.split.sizes)}
     return _commit("prepare", seed, cfg, inputs, outputs, extra, out_dir / "manifest.json", force)
 
 
-# ``series.csv`` is rewritten at 1 ps (3 decimals of ns) while ``residual.csv``
-# keeps the residual of the unrounded input, so the two may differ by up to
-# half a picosecond plus round-off.
-_RESIDUAL_TOLERANCE_NS = 1e-3
-
-
-def _split_doc(n: int, parts: series.DataSplit, fit_on_full: bool) -> dict:
-    """The ``split.json`` document of ``parts``, a split of ``n`` points."""
+def _prepared_texts(prepared: PreparedSeries) -> dict[str, str]:
+    """The text of each document ``prepare`` writes beside ``series.csv`` for ``prepared``."""
+    parts = prepared.split
     ranges = {"train": parts.train_range, "val": parts.val_range, "test": parts.test_range}
-    bounds = {name: [r.start, r.stop] for name, r in ranges.items()}
-    return {"n": n, **bounds, "fractions": list(parts.fractions), "fit_on_full": fit_on_full}
+    split = {name: [r.start, r.stop] for name, r in ranges.items()}
+    split.update(n=len(prepared.series), fractions=list(parts.fractions))
+    residual = series.denormalize(prepared.residual_norm, prepared.scale)
+    return {
+        "residual.csv": series.series_to_csv(residual, decimals=None),
+        "trend.json": _json_text(vars(prepared.trend)),
+        "scale.json": _json_text(vars(prepared.scale)),
+        "split.json": _json_text({**split, "fit_on_full": prepared.fit_on_full}),
+    }
 
 
-def _split_from_doc(doc, n: int) -> tuple[series.DataSplit, bool]:
-    """The split of ``n`` points by the document's fractions, and fit_on_full, if the
-    document is what :func:`_split_doc` writes for them (so fit_on_full is a boolean)."""
-    parts, fit_on_full = series.split(n, *doc["fractions"]), bool(doc["fit_on_full"])
-    _check_as_written(doc, _split_doc(n, parts, fit_on_full), f"the split of {n} points")
-    return parts, fit_on_full
+_AS_PREPARED = "what prepare writes for series.csv"
+
+
+def _split_options(doc) -> tuple[float, float, bool]:
+    """The fractions and ``fit_on_full`` that a ``split.json`` document records."""
+    train_frac, val_frac = map(float, doc["fractions"])
+    return train_frac, val_frac, bool(doc["fit_on_full"])
 
 
 def load_prepared(prepared_dir) -> PreparedSeries:
-    """Reassemble a :class:`PreparedSeries` from a prepare output directory.
+    """Prepare the ``series.csv`` of a prepared directory again, as ``prepare`` did.
 
-    The interval is the spacing of the epochs in ``series.csv``; the
-    manifest is not read.  The documents must agree with one another: the
-    split is exactly what ``prepare`` writes for ``series.csv`` and the recorded
-    fractions (a refusal names the keys that differ, never their values), the
-    residual has the series' epochs, the residual equals series − trend to
-    within ``_RESIDUAL_TOLERANCE_NS``,
-    and the scale is exactly the residual's largest magnitude over the
-    range it was fitted on: the whole series with ``fit_on_full``, else
-    the training range.
+    The fractions and ``fit_on_full`` are ``split.json``'s, the interval is the
+    spacing of the epochs; the manifest is not read.  ``residual.csv``,
+    ``trend.json``, ``scale.json`` and ``split.json`` must be what ``prepare``
+    writes for that series, save for layout: a document whose text differs is
+    parsed, and refused naming the keys that differ, never their values, or the
+    residual's first MJD that differs.
 
     Raises
     ------
     ValueError
-        When a document in the directory is malformed or contradicts the
-        others; the message names its path.
+        When a document in the directory is malformed or is not what
+        ``prepare`` writes; the message names its path.
     """
     prepared_dir = Path(prepared_dir)
     full = series.read_series(prepared_dir / "series.csv")
-    split_path = prepared_dir / "split.json"
-    parts, fit_on_full = _read_json(split_path, lambda doc: _split_from_doc(doc, len(full)))
-    trend = _read_json(
-        prepared_dir / "trend.json", lambda doc: series.QuadraticTrend(**_numbers_only(doc))
-    )
-    scale_path = prepared_dir / "scale.json"
-    scale = _read_json(
-        scale_path, lambda doc: series.NormalizationScale(_numbers_only(doc)["d_max_abs"])
-    )
-    residual_path = prepared_dir / "residual.csv"
-    residual = series.read_series(residual_path)
-    if len(residual) != len(full) or np.any(residual.epochs != full.epochs):
-        raise ValueError(f"{residual_path}: epochs differ from those of series.csv")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
-        gap = np.abs(residual.values - (full.values - trend(full.epochs)))
-        norm = residual.values / scale.d_max_abs
-    worst = int(np.argmax(gap))  # the first NaN, if any
-    if not gap[worst] <= _RESIDUAL_TOLERANCE_NS:
-        raise ValueError(
-            f"{residual_path}: residual at MJD {full.epochs[worst]} is "
-            f"{gap[worst]:.6g} ns from series - trend (tolerance {_RESIDUAL_TOLERANCE_NS} ns)"
-        )
-    if not np.isfinite(norm).all():
-        raise ValueError(f"{scale_path}: d_max_abs {scale.d_max_abs!r} overflows the residual")
-    fit = range(len(full)) if fit_on_full else parts.train_range
-    peak = float(np.max(np.abs(residual.subseries(fit).values)))
-    if scale.d_max_abs != peak:
-        raise ValueError(
-            f"{scale_path}: d_max_abs {scale.d_max_abs!r} is not {peak!r}, the max |residual| "
-            f"over {'the whole series' if fit_on_full else 'the training range'}"
-        )
-    return PreparedSeries(
-        series=full,
-        residual_norm=residual.with_values(norm),
-        trend=trend,
-        scale=scale,
-        split=parts,
-        fit_on_full=fit_on_full,
-    )
+    options = _read_json(prepared_dir / "split.json", _split_options)
+    with _computing(prepared_dir / "series.csv", prepared_dir / "split.json"):
+        prepared = series.prepare(full, *options)
+    for name, want in _prepared_texts(prepared).items():
+        path = prepared_dir / name
+        if path.read_text(encoding="utf-8", errors="replace") == want:
+            continue
+        if name.endswith(".json"):
+            _read_json(path, lambda doc: _check_as_written(doc, json.loads(want), _AS_PREPARED))
+            continue
+        got, residual = series.read_series(path), series.parse_series(want, path)
+        if not np.array_equal(got.epochs, full.epochs):
+            raise ValueError(f"{path}: epochs differ from those of series.csv")
+        unlike = full.epochs[got.values != residual.values]
+        if unlike.size:
+            raise ValueError(f"{path}: residual at MJD {unlike[0]} differs from {_AS_PREPARED}")
+    return prepared
 
 
 def cmd_train(

@@ -115,7 +115,7 @@ def _section(cls, cfg: Mapping[str, str], **given):
 def seed_from(cfg: Mapping[str, str], override: int | None = None) -> int:
     seed = _value(cfg, "seed") if override is None else int(override)
     if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+        raise ValueError(f"seed must be nonnegative, got {_brief.repr(seed)}")
     return seed
 
 
@@ -142,6 +142,6 @@ def channels_from(cfg: Mapping[str, str]) -> int:
     if not 1 <= channels <= MAX_CHANNELS:
         raise ValueError(
             f"configuration key 'cnn_channels': must be at least 1 and at most {MAX_CHANNELS}, "
-            f"got {channels}"
+            f"got {_brief.repr(channels)}"
         )
     return channels

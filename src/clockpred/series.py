@@ -318,7 +318,12 @@ def series_to_csv(s: TimeSeries, decimals: int | None = 3) -> str:
 
 
 def read_series(path) -> TimeSeries:
-    """Parse a ``mjd,ns`` CSV file into a :class:`TimeSeries`.
+    """Parse the ``mjd,ns`` CSV file at ``path`` with :func:`parse_series`."""
+    return parse_series(Path(path).read_text(encoding="utf-8", errors="replace"), path)
+
+
+def parse_series(text: str, path) -> TimeSeries:
+    """Parse a ``mjd,ns`` CSV document into a :class:`TimeSeries`; errors name ``path``.
 
     The interval is the step between the first two epochs (a file with one
     data row gets ``DEFAULT_INTERVAL_DAYS``), and every later step must
@@ -332,7 +337,6 @@ def read_series(path) -> TimeSeries:
         number), a first step of zero or less, or any other step that
         differs from the first.
     """
-    text = Path(path).read_text(encoding="utf-8", errors="replace")
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ValueError(f"{path}:1: expected header {CSV_HEADER!r}")
@@ -378,9 +382,16 @@ def _json_text(doc) -> str:
 
 def _check_as_written(doc, written: dict, what: str) -> None:
     """Refuse ``doc`` unless :func:`_json_text` writes each of its keys as ``written``'s;
-    the refusal names each key that differs or that ``written`` lacks, never a value."""
-    if _json_text(doc) != _json_text(written):
-        unlike = [key for key in written if _json_text(doc[key]) != _json_text(written[key])]
+    the refusal names each key that differs, that ``written`` lacks or whose value
+    ``_json_text`` refuses (a non-finite number), never a value."""
+    def differs(value, want) -> bool:
+        try:
+            return _json_text(value) != _json_text(want)
+        except ValueError:  # not finite
+            return True
+
+    if differs(doc, written):
+        unlike = [key for key in written if differs(doc[key], written[key])]
         unlike += sorted(set(doc) - set(written))
         raise ValueError(f"keys {_brief.repr(unlike)} differ from {what}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DEFAULT_INTERVAL_DAYS, TimeSeries
+from .series import DEFAULT_INTERVAL_DAYS, TimeSeries, _brief
 
 DEFAULT_START_EPOCH = 56934
 DEFAULT_SEED = 56934
@@ -42,12 +42,12 @@ class SyntheticClockSpec:
 
     def __post_init__(self):
         if self.n < 7:
-            raise ValueError(f"need at least 7 points, got {self.n}")
+            raise ValueError(f"need at least 7 points, got {_brief.repr(self.n)}")
         if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
-        last = self.start_epoch + (self.n - 1) * self.interval
-        if not (-(2**63) <= self.start_epoch and last < 2**63):
-            raise ValueError(f"epochs {self.start_epoch} to {last} do not fit in int64")
+            raise ValueError(f"interval must be positive, got {_brief.repr(self.interval)}")
+        first, last = self.start_epoch, self.start_epoch + (self.n - 1) * self.interval
+        if not (-(2**63) <= first and last < 2**63):
+            raise ValueError(f"epochs {_brief.repr(first)} to {_brief.repr(last)} overflow int64")
         if self.sigma_wfm < 0.0 or self.sigma_rwfm < 0.0:
             raise ValueError("noise amplitudes must be nonnegative")
         for name in ("x0", "y0", "drift", "sigma_wfm", "sigma_rwfm"):
