@@ -36,7 +36,6 @@ from .series import PreparedSeries, _check_as_written, _json_text, _read_json
 
 def _write_atomic(path, text: str) -> None:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
@@ -62,6 +61,8 @@ def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) ->
     for path in targets:
         if path.exists() and not force:
             raise ValueError(f"refusing to overwrite {path} (pass --force)")
+    for directory in dict.fromkeys(path.parent for path in targets):
+        directory.mkdir(parents=True, exist_ok=True)
     for path, text in outputs.values():
         _write_atomic(path, text)
     paths = {name: str(path) for name, (path, _) in outputs.items()}
@@ -119,7 +120,9 @@ def cmd_prepare(in_path, config_path, out_dir, in_path_b=None, force: bool = Fal
         data = series.parse_series(csv, out_dir / "series.csv")
     with _computing(" + ".join(inputs.values()), config_name):
         prepared = series.prepare(data, *config.prepare_options_from(cfg))
-    texts = {"series.csv": csv, **_prepared_texts(prepared)}
+    residual = series.denormalize(prepared.residual_norm, prepared.scale)
+    texts = {"series.csv": csv, "residual.csv": series.series_to_csv(residual, decimals=None)}
+    texts.update(_prepared_texts(prepared))
     outputs = {name.split(".")[0]: (out_dir / name, text) for name, text in texts.items()}
     seed = config.seed_from(cfg)
     extra = {"split_sizes": list(prepared.split.sizes)}
@@ -127,14 +130,12 @@ def cmd_prepare(in_path, config_path, out_dir, in_path_b=None, force: bool = Fal
 
 
 def _prepared_texts(prepared: PreparedSeries) -> dict[str, str]:
-    """The text of each document ``prepare`` writes beside ``series.csv`` for ``prepared``."""
+    """The text of each JSON document ``prepare`` writes for ``prepared``."""
     parts = prepared.split
     ranges = {"train": parts.train_range, "val": parts.val_range, "test": parts.test_range}
     split = {name: [r.start, r.stop] for name, r in ranges.items()}
     split.update(n=len(prepared.series), fractions=list(parts.fractions))
-    residual = series.denormalize(prepared.residual_norm, prepared.scale)
     return {
-        "residual.csv": series.series_to_csv(residual, decimals=None),
         "trend.json": _json_text(vars(prepared.trend)),
         "scale.json": _json_text(vars(prepared.scale)),
         "split.json": _json_text({**split, "fit_on_full": prepared.fit_on_full}),
@@ -156,9 +157,10 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     The fractions and ``fit_on_full`` are ``split.json``'s, the interval is the
     spacing of the epochs; the manifest is not read.  ``residual.csv``,
     ``trend.json``, ``scale.json`` and ``split.json`` must be what ``prepare``
-    writes for that series, save for layout: a document whose text differs is
-    parsed, and refused naming the keys that differ, never their values, or the
-    residual's first MJD that differs.
+    writes for that series, save for layout: ``residual.csv`` is parsed and
+    refused naming its first MJD whose value differs, bit for bit, and a JSON
+    document whose text differs is parsed and refused naming the keys that
+    differ, never their values.
 
     Raises
     ------
@@ -171,19 +173,18 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     options = _read_json(prepared_dir / "split.json", _split_options)
     with _computing(prepared_dir / "series.csv", prepared_dir / "split.json"):
         prepared = series.prepare(full, *options)
+    path = prepared_dir / "residual.csv"
+    got = series.read_series(path)
+    if not np.array_equal(got.epochs, full.epochs):
+        raise ValueError(f"{path}: epochs differ from those of series.csv")
+    residual = series.denormalize(prepared.residual_norm, prepared.scale)
+    unlike = full.epochs[got.values != residual.values]
+    if unlike.size:
+        raise ValueError(f"{path}: residual at MJD {unlike[0]} differs from {_AS_PREPARED}")
     for name, want in _prepared_texts(prepared).items():
         path = prepared_dir / name
-        if path.read_text(encoding="utf-8", errors="replace") == want:
-            continue
-        if name.endswith(".json"):
+        if path.read_text(encoding="utf-8", errors="replace") != want:
             _read_json(path, lambda doc: _check_as_written(doc, json.loads(want), _AS_PREPARED))
-            continue
-        got, residual = series.read_series(path), series.parse_series(want, path)
-        if not np.array_equal(got.epochs, full.epochs):
-            raise ValueError(f"{path}: epochs differ from those of series.csv")
-        unlike = full.epochs[got.values != residual.values]
-        if unlike.size:
-            raise ValueError(f"{path}: residual at MJD {unlike[0]} differs from {_AS_PREPARED}")
     return prepared
 
 

@@ -30,6 +30,8 @@ DEFAULT_VAL_FRAC = 0.1205
 DEFAULT_FIT_ON_FULL = False
 
 CSV_HEADER = "mjd,ns"
+_ROW = np.dtype([("mjd", np.int64), ("ns", np.float64)])
+_NO_ROWS = np.empty(0, _ROW)
 _brief = reprlib.Repr()  # echoes a bad input's text in an error line, cut short
 _brief.maxstring, _brief.maxlist = 60, 4
 
@@ -110,11 +112,9 @@ class TimeSeries:
             raise ValueError(
                 f"index range {indices} out of bounds for series of length {len(self)}"
             )
-        return TimeSeries(
-            self.epochs[indices.start : indices.stop],
-            self.values[indices.start : indices.stop],
-            self.interval,
-        )
+        part, cut = object.__new__(TimeSeries), slice(indices.start, indices.stop)
+        _freeze(part, epochs=self.epochs[cut], values=self.values[cut], interval=self.interval)
+        return part  # a slice of a valid series: read-only views, not validated again
 
 
 @dataclass(frozen=True)
@@ -247,11 +247,16 @@ def normalize(s: TimeSeries) -> tuple[TimeSeries, NormalizationScale]:
     ValueError
         If every value is zero, which leaves no usable scale.
     """
-    peak = float(np.max(np.abs(s.values)))
+    peak = _peak(s.values)
+    return s.with_values(s.values / peak), NormalizationScale(peak)
+
+
+def _peak(values: np.ndarray) -> float:
+    """The largest absolute value, the divisor of :func:`normalize`; refused when 0."""
+    peak = float(np.max(np.abs(values)))
     if peak == 0.0:
         raise ValueError("cannot normalize an all-zero series (degenerate scale)")
-    scale = NormalizationScale(peak)
-    return s.with_values(s.values / peak), scale
+    return peak
 
 
 def denormalize(s: TimeSeries, scale: NormalizationScale) -> TimeSeries:
@@ -309,12 +314,17 @@ def series_to_csv(s: TimeSeries, decimals: int | None = 3) -> str:
     writes full ``repr`` precision for intermediate files that must
     round-trip exactly.
     """
-    pairs = zip(s.epochs.tolist(), s.values.tolist())
-    if decimals is None:
-        rows = [f"{mjd},{value!r}" for mjd, value in pairs]
-    else:
-        rows = [f"{mjd},{value:.{decimals}f}" for mjd, value in pairs]
-    return "\n".join([CSV_HEADER, *rows]) + "\n"
+    row = "\n%d,%r" if decimals is None else f"\n%d,%.{decimals}f"
+    cells = [None] * (2 * len(s))
+    cells[::2], cells[1::2] = s.epochs.tolist(), s.values.tolist()
+    return (CSV_HEADER + row * len(s) + "\n") % tuple(cells)
+
+
+def _rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The epochs and values of the ``mjd,ns`` rows among ``lines``, blank lines skipped."""
+    rows = [line for line in lines if line.strip()]
+    table = np.loadtxt(rows, _ROW, comments=None, delimiter=",", ndmin=1) if rows else _NO_ROWS
+    return table["mjd"], table["ns"]
 
 
 def read_series(path) -> TimeSeries:
@@ -325,9 +335,11 @@ def read_series(path) -> TimeSeries:
 def parse_series(text: str, path) -> TimeSeries:
     """Parse a ``mjd,ns`` CSV document into a :class:`TimeSeries`; errors name ``path``.
 
-    The interval is the step between the first two epochs (a file with one
-    data row gets ``DEFAULT_INTERVAL_DAYS``), and every later step must
-    equal it; gaps are rejected, not interpolated, because a silently
+    A row is an integer MJD and a float in ASCII digits, each optionally
+    signed and spaced; digit-group underscores are refused.  Blank lines are
+    skipped.  The interval is the step between the first two epochs (a file
+    with one data row gets ``DEFAULT_INTERVAL_DAYS``), and every later step
+    must equal it; gaps are rejected, not interpolated, because a silently
     patched series would corrupt any downstream evaluation.
 
     Raises
@@ -340,20 +352,16 @@ def parse_series(text: str, path) -> TimeSeries:
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise ValueError(f"{path}:1: expected header {CSV_HEADER!r}")
-    epochs: list[int] = []
-    values: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            mjd, ns = line.split(",")
-            epochs.append(int(mjd))
-            values.append(float(ns))
-            if not -(2**63) <= epochs[-1] < 2**63:
-                raise ValueError("epoch out of the int64 range")
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed row {_brief.repr(line)}") from None
-    interval = epochs[1] - epochs[0] if len(epochs) > 1 else DEFAULT_INTERVAL_DAYS
+    try:
+        epochs, values = _rows(lines[1:])
+    except ValueError:  # name the first row that is malformed on its own
+        for lineno, line in enumerate(lines[1:], start=2):
+            try:
+                _rows([line])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: malformed row {_brief.repr(line)}") from None
+        raise
+    interval = int(epochs[1]) - int(epochs[0]) if len(epochs) > 1 else DEFAULT_INTERVAL_DAYS
     try:
         if interval <= 0:
             raise ValueError(f"epochs must increase; offending step {epochs[0]} -> {epochs[1]}")
@@ -443,7 +451,8 @@ def prepare(
     parts = split(len(series), train_frac, val_frac)
     fit_slice = range(0, len(series)) if fit_on_full else parts.train_range
     trend = fit_quadratic(series.subseries(fit_slice))
-    residual = detrend(series, trend)
-    _, scale = normalize(residual.subseries(fit_slice))
-    residual_norm = residual.with_values(residual.values / scale.d_max_abs)
+    residual = series.values - trend(series.epochs)
+    peak = _peak(residual[: fit_slice.stop])
+    residual_norm = series.with_values(residual / peak)  # refuses a non-finite residual
+    scale = NormalizationScale(peak)
     return PreparedSeries(series, residual_norm, trend, scale, parts, fit_on_full)

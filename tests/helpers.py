@@ -26,6 +26,7 @@ from clockpred.cnn import (
     init_weights,
 )
 from clockpred.kalman import KalmanParams, transition_matrix
+from clockpred.series import CSV_HEADER, DEFAULT_INTERVAL_DAYS, TimeSeries, _brief
 from clockpred.training import _data_gradient, rmse_loss
 
 
@@ -403,6 +404,37 @@ def series_to_csv_rowwise(s, decimals=3):
         else:
             lines.append(f"{mjd},{value:.{decimals}f}")
     return "\n".join(lines) + "\n"
+
+
+def parse_series_rowwise(text: str, path) -> TimeSeries:
+    """``series.parse_series`` as it parsed one row at a time with ``int`` and ``float``.
+
+    It accepts digit-group underscores and non-ASCII digits, which the
+    column-wise parser refuses; otherwise the two agree.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != CSV_HEADER:
+        raise ValueError(f"{path}:1: expected header {CSV_HEADER!r}")
+    epochs: list[int] = []
+    values: list[float] = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            mjd, ns = line.split(",")
+            epochs.append(int(mjd))
+            values.append(float(ns))
+            if not -(2**63) <= epochs[-1] < 2**63:
+                raise ValueError("epoch out of the int64 range")
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed row {_brief.repr(line)}") from None
+    interval = epochs[1] - epochs[0] if len(epochs) > 1 else DEFAULT_INTERVAL_DAYS
+    try:
+        if interval <= 0:
+            raise ValueError(f"epochs must increase; offending step {epochs[0]} -> {epochs[1]}")
+        return TimeSeries(epochs, values, interval)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def report_to_csv_rowwise(report):

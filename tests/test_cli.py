@@ -140,6 +140,14 @@ def _shifted_rows(csv_text, days, ns, rows=None):
     return "\n".join(lines) + "\n"
 
 
+def _ulp_moved(csv_text, row):
+    """The ``mjd,ns`` document with the value of line ``row`` moved up by one ulp."""
+    lines = csv_text.splitlines()
+    mjd, value = lines[row].split(",")
+    lines[row] = f"{mjd},{float(np.nextafter(float(value), np.inf))!r}"
+    return "\n".join(lines) + "\n"
+
+
 def _respaced(csv_text, interval):
     """The ``mjd,ns`` document with its epochs respaced ``interval`` days apart from the first."""
     lines = csv_text.splitlines()
@@ -332,8 +340,9 @@ class TestPrepare:
             assert got.fit_on_full == want.fit_on_full == fit_on_full
 
     def test_directory_that_differs_in_layout_alone_loads(self, tmp_path):
-        """JSON documents rewritten compact with their keys reordered, and a trailing
-        blank line in residual.csv, load as the directory ``prepare`` wrote."""
+        """JSON documents rewritten compact with their keys reordered, and residual.csv
+        rewritten at ``%.17g`` with a trailing blank line, load as the directory
+        ``prepare`` wrote."""
         prepared = generate_and_prepare(tmp_path, fast_conf(tmp_path))
         want = load_prepared(prepared)
         for name in ("trend.json", "scale.json", "split.json"):
@@ -341,7 +350,11 @@ class TestPrepare:
             doc = json.loads(path.read_text())
             path.write_text(json.dumps(dict(reversed(doc.items())), separators=(",", ":")))
         residual = prepared / "residual.csv"
-        residual.write_text(residual.read_text() + "\n")
+        header, *rows = residual.read_text().splitlines()
+        rows = [f"{mjd},{float(ns):.17g}" for mjd, ns in (row.split(",") for row in rows)]
+        text = "\n".join([header, *rows]) + "\n\n"
+        assert text.splitlines()[1:] != residual.read_text().splitlines()[1:]
+        residual.write_text(text)
         got = load_prepared(prepared)
         for part in ("series", "residual_norm"):
             npt.assert_array_equal(getattr(got, part).epochs, getattr(want, part).epochs)
@@ -686,7 +699,13 @@ class TestSafety:
                 lambda doc: _shifted_rows(doc, 0, 5.0, rows=[50]),
                 "residual at MJD 57179 differs from " + _AS_PREPARED,
             ),
+            (
+                "residual.csv",
+                lambda doc: _ulp_moved(doc, 50),
+                "residual at MJD 57179 differs from " + _AS_PREPARED,
+            ),
             ("residual.csv", lambda doc: _shifted_rows(doc, 5, 0.0), "epochs differ"),
+            ("residual.csv", lambda doc: doc[: doc.rindex("\n", 0, -1) + 1], "epochs differ"),
             ("split.json", lambda doc: _with(doc, n=999), _KEYS.format("'n'")),
             ("split.json", lambda doc: _with(doc, train=[0, 274]), _KEYS.format("'train'")),
             ("split.json", lambda doc: _with(doc, val=[142, 175]), _KEYS.format("'val'")),
@@ -711,7 +730,9 @@ class TestSafety:
         ],
         ids=[
             "residual-row-moved-5ns",
+            "residual-row-moved-1ulp",
             "residual-epochs-shifted",
+            "residual-last-row-dropped",
             "split-n-999",
             "split-train-overlaps-test",
             "split-val-shifted",

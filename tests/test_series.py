@@ -1,10 +1,15 @@
 """Tests for series handling: combination, detrending, normalization, splits, CSV."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clockpred.series import (
+    CSV_HEADER,
     DEFAULT_INTERVAL_DAYS,
     DataSplit,
     NormalizationScale,
@@ -15,13 +20,14 @@ from clockpred.series import (
     detrend,
     fit_quadratic,
     normalize,
+    parse_series,
     prepare,
     read_series,
     retrend,
     series_to_csv,
     split,
 )
-from tests.helpers import fit_quadratic_oracle
+from tests.helpers import fit_quadratic_oracle, parse_series_rowwise
 
 
 def make_series(values, start=56934, interval=5):
@@ -321,6 +327,80 @@ class TestCsvRoundTrip:
         path = tmp_path / "one.csv"
         path.write_text("mjd,ns\n56934,1.0\n")
         assert read_series(path).interval == DEFAULT_INTERVAL_DAYS
+
+    @pytest.mark.parametrize("row", ["56_934,1.0", "56939,1_0.5"])
+    def test_digit_group_underscore_is_a_malformed_row(self, tmp_path, row):
+        """``int`` and ``float`` read ``56_934`` as 56934 and ``1_0.5`` as 10.5."""
+        path = tmp_path / "grouped.csv"
+        path.write_text(f"mjd,ns\n56929,1.0\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            read_series(path)
+        assert str(err.value) == f"{path}:3: malformed row '{row}'"
+
+    def test_spaces_signs_blank_lines_and_crlf_are_accepted(self, tmp_path):
+        path = tmp_path / "loose.csv"
+        path.write_bytes(b"mjd,ns\r\n 56934 , +5 \r\n\r\n \t \r\n+56939,\t-1.5e0\r\n\n")
+        s = read_series(path)
+        npt.assert_array_equal(s.epochs, [56934, 56939])
+        npt.assert_array_equal(s.values, [5.0, -1.5])
+        assert s.interval == 5
+
+
+INT64_ENDS = [-(2**63), -(2**63) + 7, 2**63 - 40, 2**63 - 1]
+ODD_FIELDS = ["", "x", "1.5", "0x10", "--1", "1e", "nan", "-inf", "1e400", "\ufffd", "2**63"]
+ODD_FIELDS += [str(2**63), str(-(2**63) - 1)]
+
+
+@st.composite
+def series_texts(draw):
+    """A ``mjd,ns`` document at 3 decimals or ``repr``, often with one row mutated."""
+    n = draw(st.integers(0, 8))
+    start = draw(st.one_of(st.sampled_from([56934, *INT64_ENDS]), st.integers(-(2**63), 2**63 - 1)))
+    interval = draw(st.integers(-1, 30))
+    values = draw(st.lists(st.floats(width=64), min_size=n, max_size=n))
+    decimals = draw(st.sampled_from(["{:.3f}", "{!r}"]))
+    rows = [f"{start + interval * i},{decimals.format(v)}" for i, v in enumerate(values)]
+    lines = [CSV_HEADER, *rows]
+    at = draw(st.integers(1, len(lines)))
+    row = lines[at].split(",") if at < len(lines) else ["56934", "1.0"]
+    mutation = draw(st.sampled_from(["none", "drop", "add", "odd", "blank", "spaced", "insert"]))
+    if mutation == "drop":
+        lines[at:at + 1] = [row[draw(st.integers(0, 1))]]
+    elif mutation == "add":
+        lines[at:at + 1] = [",".join(row + [draw(st.sampled_from(["1", "", "x"]))])]
+    elif mutation == "odd":
+        row[draw(st.integers(0, 1))] = draw(st.sampled_from(ODD_FIELDS))
+        lines[at:at + 1] = [",".join(row)]
+    elif mutation == "blank":
+        lines.insert(at, draw(st.sampled_from(["", " ", "\t", " \t "])))
+    elif mutation == "spaced":
+        lines[at:at + 1] = [f" {row[0]} , {row[-1]}\t"]
+    elif mutation == "insert":
+        lines.insert(at, f"{draw(st.sampled_from(INT64_ENDS))},{draw(st.sampled_from(ODD_FIELDS))}")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline * draw(st.integers(0, 2))
+
+
+def parsed(parse, text):
+    """The epochs, value bits and interval ``parse`` reads from ``text``, or its error line."""
+    try:
+        s = parse(text, "s.csv")
+    except ValueError as err:
+        return str(err)
+    return s.epochs.tolist(), s.values.view(np.int64).tolist(), s.interval
+
+
+class TestColumnParser:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=series_texts())
+    @example(text=f"mjd,ns\n{2**63 - 1},1\n{-(2**63)},2\n")  # the first step overflows int64
+    @example(text=f"mjd,ns\n{-(2**63)},1\n{2**63 - 1},2\n")
+    def test_agrees_with_the_row_loop(self, text):
+        """The one ``np.loadtxt`` pass reads what the row-by-row parser reads,
+        bit for bit, and refuses what it refuses with the same line, warning about nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parsed(parse_series, text) == parsed(parse_series_rowwise, text)
 
 
 class TestPrepare:

@@ -16,7 +16,13 @@ better, (p - c) / p when higher is better; negative when the change is
 better), and ``within_bound``, whether ``worse_by`` is at most the bound.
 
     python3 tools/bench_pairs.py --workload wide-train --pairs 10 --seed 6101
+    python3 tools/bench_pairs.py --workload frozen-cli --trace --pairs 5 --seed 6301
     python3 tools/bench_pairs.py --layers --pairs 5 --seed 6601
+
+``--trace`` pairs traced runs (``--trace 1``) in place of untraced ones and
+summarizes each of ``BENCHMARK.json``'s per-layer metrics as above: each
+side's runs, median and quartiles, the parent's spread, the change over
+the parent and the change's wins, with no bound.
 
 ``--layers`` replaces the benchmark runs by a probe process per tree that
 times ``cnn.forward_cached`` and ``cnn.backward_cached`` on the frozen
@@ -139,15 +145,15 @@ def export(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str | None, seed: int, seconds: float) -> dict:
-    """One benchmark run (or layer probe) in ``tree``; its JSON result."""
+def run_once(tree: Path, workload: str | None, seed: int, seconds: float, trace: bool) -> dict:
+    """One benchmark run, traced or not (or a layer probe), in ``tree``; its JSON result."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     if workload is None:
         env["PYTHONPATH"] = str(tree / "src")
         argv = [sys.executable, "-c", LAYER_PROBE, str(seed)]
     else:
         argv = [sys.executable, "benchmarks/run.py", "--workload", workload,
-                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+                "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         tail = (proc.stderr.strip().splitlines() or ["(no stderr)"])[-1]
@@ -206,6 +212,9 @@ def main(argv=None) -> int:
     parser.add_argument("--head", default="HEAD", help="changed revision (default HEAD)")
     parser.add_argument("--workload", action="append", default=[], help="repeatable")
     parser.add_argument("--layers", action="store_true", help="time the CNN layer calls")
+    parser.add_argument(
+        "--trace", action="store_true", help="pair traced runs: the per-layer metrics"
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair")
     args = parser.parse_args(argv)
@@ -224,12 +233,12 @@ def main(argv=None) -> int:
             runs = {side: [] for side in SIDES}
             for seed, order in zip(seeds, orders):
                 for side in order:
-                    result = run_once(trees[side], workload, seed, spec["run_seconds"])
+                    result = run_once(trees[side], workload, seed, spec["run_seconds"], args.trace)
                     runs[side].append(result)
                     values = {k: v["value"] for k, v in result["metrics"].items()}
                     print(f"{label} seed {seed} {side}: {json.dumps(values)}", file=sys.stderr)
             if workload:
-                specs = {m["name"]: m for m in spec["end_to_end"]}
+                specs = {m["name"]: m for m in spec["per_layer" if args.trace else "end_to_end"]}
             else:
                 specs = dict.fromkeys(runs["parent"][0]["metrics"], {"better": "lower"})
             first = [order[0] for order in orders]
