@@ -39,8 +39,8 @@ _brief.maxstring, _brief.maxlist = 60, 4
 def _freeze(record, **fields) -> None:
     """Set ``fields`` on the frozen dataclass ``record``, each array among them read-only.
 
-    Every validated value type ends its ``__post_init__`` here, passing
-    arrays it owns: its own copies, never the caller's.
+    Every validated value type ends its ``__post_init__`` here, passing its own
+    copies, never the caller's; ``subseries`` passes read-only slices of its own.
     """
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
