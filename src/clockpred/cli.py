@@ -120,22 +120,21 @@ def cmd_prepare(in_path, config_path, out_dir, in_path_b=None, force: bool = Fal
         data = series.parse_series(csv, out_dir / "series.csv")
     with _computing(" + ".join(inputs.values()), config_name):
         prepared = series.prepare(data, *config.prepare_options_from(cfg))
-    residual = series.denormalize(prepared.residual_norm, prepared.scale)
-    texts = {"series.csv": csv, "residual.csv": series.series_to_csv(residual, decimals=None)}
-    texts.update(_prepared_texts(prepared))
+    residual, texts = _prepared_documents(prepared)
+    texts = {"series.csv": csv, "residual.csv": series.series_to_csv(residual, None), **texts}
     outputs = {name.split(".")[0]: (out_dir / name, text) for name, text in texts.items()}
     seed = config.seed_from(cfg)
     extra = {"split_sizes": list(prepared.split.sizes)}
     return _commit("prepare", seed, cfg, inputs, outputs, extra, out_dir / "manifest.json", force)
 
 
-def _prepared_texts(prepared: PreparedSeries) -> dict[str, str]:
-    """The text of each JSON document ``prepare`` writes for ``prepared``."""
+def _prepared_documents(prepared: PreparedSeries) -> tuple[series.TimeSeries, dict[str, str]]:
+    """The residual in ns that ``residual.csv`` holds and each JSON text ``prepare`` writes."""
     parts = prepared.split
     ranges = {"train": parts.train_range, "val": parts.val_range, "test": parts.test_range}
     split = {name: [r.start, r.stop] for name, r in ranges.items()}
     split.update(n=len(prepared.series), fractions=list(parts.fractions))
-    return {
+    return series.denormalize(prepared.residual_norm, prepared.scale), {
         "trend.json": _json_text(vars(prepared.trend)),
         "scale.json": _json_text(vars(prepared.scale)),
         "split.json": _json_text({**split, "fit_on_full": prepared.fit_on_full}),
@@ -157,10 +156,9 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     The fractions and ``fit_on_full`` are ``split.json``'s, the interval is the
     spacing of the epochs; the manifest is not read.  ``residual.csv``,
     ``trend.json``, ``scale.json`` and ``split.json`` must be what ``prepare``
-    writes for that series, save for layout: ``residual.csv`` is parsed and
-    refused naming its first MJD whose value differs, bit for bit, and a JSON
-    document whose text differs is parsed and refused naming the keys that
-    differ, never their values.
+    writes for that series, save for layout: ``residual.csv`` is parsed and refused
+    naming its first MJD whose value differs, bit for bit; a JSON document whose text
+    differs is parsed and refused naming the keys that differ, never their values.
 
     Raises
     ------
@@ -177,11 +175,11 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     got = series.read_series(path)
     if not np.array_equal(got.epochs, full.epochs):
         raise ValueError(f"{path}: epochs differ from those of series.csv")
-    residual = series.denormalize(prepared.residual_norm, prepared.scale)
+    residual, texts = _prepared_documents(prepared)
     unlike = full.epochs[got.values != residual.values]
     if unlike.size:
         raise ValueError(f"{path}: residual at MJD {unlike[0]} differs from {_AS_PREPARED}")
-    for name, want in _prepared_texts(prepared).items():
+    for name, want in texts.items():
         path = prepared_dir / name
         if path.read_text(encoding="utf-8", errors="replace") != want:
             _read_json(path, lambda doc: _check_as_written(doc, json.loads(want), _AS_PREPARED))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -323,7 +324,9 @@ def series_to_csv(s: TimeSeries, decimals: int | None = 3) -> str:
 def _rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """The epochs and values of the ``mjd,ns`` rows among ``lines``, blank lines skipped."""
     rows = [line for line in lines if line.strip()]
-    table = np.loadtxt(rows, _ROW, comments=None, delimiter=",", ndmin=1) if rows else _NO_ROWS
+    with warnings.catch_warnings():  # numpy 1.x reads '1.5' or '1e400' as an int64, warning only
+        warnings.simplefilter("error", DeprecationWarning)  # so it refuses them instead
+        table = np.loadtxt(rows, _ROW, comments=None, delimiter=",", ndmin=1) if rows else _NO_ROWS
     return table["mjd"], table["ns"]
 
 
@@ -335,12 +338,11 @@ def read_series(path) -> TimeSeries:
 def parse_series(text: str, path) -> TimeSeries:
     """Parse a ``mjd,ns`` CSV document into a :class:`TimeSeries`; errors name ``path``.
 
-    A row is an integer MJD and a float in ASCII digits, each optionally
-    signed and spaced; digit-group underscores are refused.  Blank lines are
-    skipped.  The interval is the step between the first two epochs (a file
-    with one data row gets ``DEFAULT_INTERVAL_DAYS``), and every later step
-    must equal it; gaps are rejected, not interpolated, because a silently
-    patched series would corrupt any downstream evaluation.
+    A row is an int64 MJD and a float in ASCII digits, each optionally signed and
+    spaced; digit-group underscores are refused and blank lines skipped.  The interval
+    is the step between the first two epochs (a file with one data row gets
+    ``DEFAULT_INTERVAL_DAYS``), and every later step must equal it; gaps are rejected,
+    not interpolated, because a silently patched series would corrupt any evaluation.
 
     Raises
     ------

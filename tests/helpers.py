@@ -11,6 +11,7 @@ training never evaluates it.
 """
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -456,3 +457,26 @@ def trace_to_csv_rowwise(trace):
     for i, (tr, vr) in enumerate(zip(trace.train_rmse, trace.val_rmse), start=1):
         lines.append(f"{i},{float(tr)!r},{float(vr)!r}")
     return "\n".join(lines) + "\n"
+
+
+def loadtxt_via_float(loadtxt):
+    """``loadtxt`` as numpy 1.x reads an int64 field that is no int64 text: as a float
+    cast to int64, with a ``DeprecationWarning`` that is a ``ValueError`` if made an error."""
+    def read(rows, dtype, **kwargs):
+        cast = []
+        for row in rows:
+            mjd, comma, rest = row.partition(",")
+            try:
+                fits = -(2**63) <= int(mjd) < 2**63
+            except ValueError:
+                fits = False
+            if not fits:
+                value = float(mjd)  # a ValueError for a non-number, as numpy gives
+                try:
+                    warnings.warn("Parsing an integer via a float is deprecated.", DeprecationWarning)
+                except DeprecationWarning as err:
+                    raise ValueError(f"could not convert string {mjd!r} to int64") from err
+                mjd = str(int(value) if -(2.0**63) <= value < 2.0**63 else -(2**63))
+            cast.append(mjd + comma + rest)
+        return loadtxt(cast, dtype, **kwargs)
+    return read

@@ -27,7 +27,7 @@ from clockpred.series import (
     series_to_csv,
     split,
 )
-from tests.helpers import fit_quadratic_oracle, parse_series_rowwise
+from tests.helpers import fit_quadratic_oracle, loadtxt_via_float, parse_series_rowwise
 
 
 def make_series(values, start=56934, interval=5):
@@ -337,6 +337,20 @@ class TestCsvRoundTrip:
             read_series(path)
         assert str(err.value) == f"{path}:3: malformed row '{row}'"
 
+    @pytest.mark.parametrize("reader", ["installed-numpy", "int-via-float"])
+    @pytest.mark.parametrize("mjd", ["56939.5", "5.6939e4", str(2**63), "1e400", "nan"])
+    def test_mjd_that_is_not_an_int64_is_a_malformed_row(self, tmp_path, monkeypatch, mjd, reader):
+        """numpy 1.x reads such a field through a float cast to int64, warning only
+        with a ``DeprecationWarning``, which Python ignores when a library gives it."""
+        if reader == "int-via-float":
+            monkeypatch.setattr(np, "loadtxt", loadtxt_via_float(np.loadtxt))
+        path = tmp_path / "odd.csv"
+        path.write_text(f"mjd,ns\n56934,1\n{mjd},2\n")
+        with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+            warnings.simplefilter("ignore", DeprecationWarning)
+            read_series(path)
+        assert str(err.value) == f"{path}:3: malformed row '{mjd},2'"
+
     def test_spaces_signs_blank_lines_and_crlf_are_accepted(self, tmp_path):
         path = tmp_path / "loose.csv"
         path.write_bytes(b"mjd,ns\r\n 56934 , +5 \r\n\r\n \t \r\n+56939,\t-1.5e0\r\n\n")
@@ -399,7 +413,7 @@ class TestColumnParser:
         """The one ``np.loadtxt`` pass reads what the row-by-row parser reads,
         bit for bit, and refuses what it refuses with the same line, warning about nothing."""
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
+            warnings.simplefilter("error", RuntimeWarning)
             assert parsed(parse_series, text) == parsed(parse_series_rowwise, text)
 
 
