@@ -24,7 +24,6 @@ import functools
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +35,14 @@ from .series import PreparedSeries, _check_as_written, _json_text, _read_json
 
 def _write_atomic(path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")  # new, ours, its mode from the umask
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -51,12 +50,13 @@ def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) ->
     """Write a stage's documents in order, then the manifest that records them.
 
     ``outputs`` maps each manifest name to a ``(path, text)`` pair.  Every
-    target is checked before the first write, so a refused stage writes
-    nothing.  The manifest holds everything needed to reproduce the stage
+    target is checked before the first write, so a refused stage writes nothing,
+    and two targets that are one file once ``..`` and symlinks are resolved are
+    refused.  The manifest holds everything needed to reproduce the stage
     bit-for-bit; it is returned as the dict that was written.
     """
     targets = [Path(path) for path, _ in outputs.values()] + [Path(manifest_path)]
-    if len(set(targets)) < len(targets):
+    if len(set(map(os.path.realpath, targets))) < len(targets):
         raise ValueError(f"two outputs of {command} share one path")
     for path in targets:
         if path.exists() and not force:

@@ -22,7 +22,7 @@ import numpy as np
 from .cnn import DEFAULT_INPUT_WIDTH, CnnModel, forward
 from .kalman import KalmanParams, kf_one_ahead, kf_one_ahead_batch
 from .series import (
-    NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries, _freeze, _json_text
+    NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries, _csv_text, _freeze, _json_text
 )
 from .training import make_windows, rmse_loss
 
@@ -162,14 +162,8 @@ def score(prepared: PreparedSeries, cnn_norm, kf_norm) -> PredictionReport:
 
 def report_to_csv(report: PredictionReport) -> str:
     """Full-precision CSV with one row per predicted epoch."""
-    ns_columns = [getattr(report, column.name) for column in fields(report)[1:6]]
-    columns = [report.epochs.tolist()]
-    columns += [c.astype(np.float64, copy=False).tolist() for c in ns_columns]
-    rows = [
-        f"{mjd},{actual!r},{cnn!r},{kf!r},{cnn_diff!r},{kf_diff!r}"
-        for mjd, actual, cnn, kf, cnn_diff, kf_diff in zip(*columns)
-    ]
-    return "\n".join([REPORT_HEADER, *rows]) + "\n"
+    ns = (getattr(report, f.name).astype(np.float64, copy=False) for f in fields(report)[1:6])
+    return _csv_text(REPORT_HEADER, "%d" + ",%r" * 5, report.epochs, *ns)
 
 
 def summary_to_json(report: PredictionReport) -> str:

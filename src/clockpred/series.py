@@ -8,7 +8,8 @@ streams, removing the slow quadratic drift, scaling into [-1, 1], and
 slicing into train / validation / test partitions.  Every transform keeps
 enough state (:class:`QuadraticTrend`, :class:`NormalizationScale`) to map
 predictions back to physical nanoseconds.  It also holds the one reader and
-the one writer of the pipeline's JSON documents (:func:`_read_json`, :func:`_json_text`).
+the one writer of the pipeline's JSON documents (:func:`_read_json`, :func:`_json_text`)
+and the one writer of its CSV documents (:func:`_csv_text`).
 """
 
 from __future__ import annotations
@@ -315,10 +316,16 @@ def series_to_csv(s: TimeSeries, decimals: int | None = 3) -> str:
     writes full ``repr`` precision for intermediate files that must
     round-trip exactly.
     """
-    row = "\n%d,%r" if decimals is None else f"\n%d,%.{decimals}f"
-    cells = [None] * (2 * len(s))
-    cells[::2], cells[1::2] = s.epochs.tolist(), s.values.tolist()
-    return (CSV_HEADER + row * len(s) + "\n") % tuple(cells)
+    row = "%d,%r" if decimals is None else f"%d,%.{decimals}f"
+    return _csv_text(CSV_HEADER, row, s.epochs, s.values)
+
+
+def _csv_text(header: str, row: str, *columns: np.ndarray) -> str:
+    """The one CSV writer: ``header``, then ``row`` % each entry of ``columns``; LF endings."""
+    cells = [None] * (len(columns) * len(columns[0]))
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column.tolist()
+    return (header + ("\n" + row) * len(columns[0]) + "\n") % tuple(cells)
 
 
 def _rows(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:

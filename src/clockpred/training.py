@@ -34,7 +34,7 @@ from .cnn import (
     forward_batch,
     forward_cached,
 )
-from .series import TimeSeries, _freeze
+from .series import TimeSeries, _csv_text, _freeze
 from .synthetic import DEFAULT_SEED
 
 STOP_MAX_UPDATES = "max-updates"
@@ -307,6 +307,5 @@ def train(
 
 def trace_to_csv(trace: TrainingTrace) -> str:
     """CSV document ``update,train_rmse,val_rmse`` with updates counted from 1."""
-    pairs = zip(trace.train_rmse.tolist(), trace.val_rmse.tolist())
-    rows = [f"{i},{tr!r},{vr!r}" for i, (tr, vr) in enumerate(pairs, start=1)]
-    return "\n".join(["update,train_rmse,val_rmse", *rows]) + "\n"
+    columns = np.arange(1, len(trace) + 1), trace.train_rmse, trace.val_rmse
+    return _csv_text("update,train_rmse,val_rmse", "%d,%r,%r", *columns)

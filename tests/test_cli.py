@@ -21,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clockpred import config
-from clockpred.cli import _build_parser, _json_text, cmd_prepare, load_prepared, main
+from clockpred.cli import (
+    _build_parser, _json_text, _write_atomic, cmd_prepare, load_prepared, main
+)
 from clockpred.cnn import init_weights, model_to_json
 from clockpred.kalman import KalmanParams, kf_one_ahead_batch
 from clockpred.predictor import (
@@ -1299,6 +1301,67 @@ class TestSafety:
         err = capsys.readouterr().err
         assert "two outputs of compare share one path" in err and err.count("\n") == 1
         assert not report.exists()
+
+    @pytest.mark.parametrize("spelling", ["dotdot", "symlink"])
+    def test_two_spellings_of_one_file_are_refused(self, tmp_path, capsys, spelling):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        out = tmp_path / "out"
+        if spelling == "dotdot":
+            summary = out / ".." / "out" / "r.csv"
+        else:
+            out.mkdir()
+            (tmp_path / "link").symlink_to(out, target_is_directory=True)
+            summary = tmp_path / "link" / "r.csv"
+        capsys.readouterr()
+        argv = compare_argv(conf, prepared, model, out / "r.csv") + ["--stub-memorize"]
+        assert main(argv + ["--summary-out", str(summary), "--force"]) == 1
+        err = capsys.readouterr().err
+        assert "two outputs of compare share one path" in err and err.count("\n") == 1
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_manifest_records_outputs_as_spelled(self, tmp_path):
+        conf = fast_conf(tmp_path)
+        prepared = generate_and_prepare(tmp_path, conf)
+        model = tmp_path / "model.json"
+        model.write_text(model_to_json(init_weights(0)))
+        summary = f"{tmp_path}/out/../out/s.json"
+        argv = compare_argv(conf, prepared, model, tmp_path / "out" / "r.csv")
+        assert main(argv + ["--stub-memorize", "--summary-out", summary]) == 0
+        manifest = json.loads((tmp_path / "out" / "r.csv.manifest.json").read_text())
+        report = str(tmp_path / "out" / "r.csv")
+        assert manifest["outputs"] == {"report": report, "summary": summary}
+        assert json.loads((tmp_path / "out" / "s.json").read_text())["n_pred"] > 0
+
+    def test_outputs_take_their_mode_from_the_umask(self, tmp_path):
+        conf = fast_conf(tmp_path)
+        out = tmp_path / "series.csv"
+        written = (out, tmp_path / "series.csv.manifest.json")
+        old = os.umask(0o022)
+        try:
+            for mask in (0o022, 0o077, 0o022):  # a first write, then two overwrites
+                os.umask(mask)
+                argv = ["generate", "--config", conf, "--out", str(out), "--force"]
+                for p in written:
+                    if p.exists():
+                        p.chmod(0o640)
+                assert main(argv) == 0
+                assert [p.stat().st_mode & 0o777 for p in written] == [0o666 & ~mask] * 2
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fast.conf", "series.csv", "series.csv.manifest.json"
+        ]
+
+    def test_failed_write_leaves_no_temporary_file(self, tmp_path):
+        target = tmp_path / "report.csv"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(IsADirectoryError):
+            _write_atomic(target, "mjd,ns\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+        assert list(target.iterdir()) == []
 
     def test_config_via_environment(self, tmp_path, monkeypatch):
         conf = fast_conf(tmp_path, gen_n=9)
