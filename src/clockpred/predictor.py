@@ -163,7 +163,7 @@ def score(prepared: PreparedSeries, cnn_norm, kf_norm) -> PredictionReport:
 def report_to_csv(report: PredictionReport) -> str:
     """Full-precision CSV with one row per predicted epoch."""
     ns = (getattr(report, f.name).astype(np.float64, copy=False) for f in fields(report)[1:6])
-    return _csv_text(REPORT_HEADER, "%d" + ",%r" * 5, report.epochs, *ns)
+    return _csv_text(REPORT_HEADER, "%s" + ",%r" * 5, report.epochs, *ns)
 
 
 def summary_to_json(report: PredictionReport) -> str:

@@ -24,7 +24,7 @@ from clockpred.predictor import (
 from clockpred.series import NormalizationScale, QuadraticTrend, TimeSeries, prepare
 from clockpred.synthetic import SyntheticClockSpec, generate
 from clockpred.training import rmse_loss
-from tests.helpers import kf_one_ahead_oracle
+from tests.helpers import kf_one_ahead_oracle, report_to_csv_rowwise
 
 
 def series_of(values, interval=5):
@@ -226,6 +226,13 @@ class TestExports:
         lines = text.strip().split("\n")
         assert lines[0] == "mjd,actual_ns,cnn_pred_ns,kf_pred_ns,cnn_diff_ns,kf_diff_ns"
         assert lines[1] == "56934,1.0,1.5,0.5,0.5,-0.5"
+
+    def test_csv_writes_epochs_as_given(self):
+        """A report built with float epochs keeps them, as the row-wise renderer wrote them."""
+        epochs = np.array([56934.5, 56939.0])
+        report = PredictionReport(epochs, *[np.ones(2)] * 5, 2, 0.0, 0.0)
+        assert report_to_csv(report) == report_to_csv_rowwise(report)
+        assert report_to_csv(report).split("\n")[1].startswith("56934.5,1.0,")
 
     def test_summary_json_fields(self, prepared):
         report = compare(init_weights(56934), KalmanParams(), prepared)
