@@ -35,7 +35,7 @@ from .series import PreparedSeries, _check_as_written, _json_text, _read_json
 
 def _write_atomic(path, text: str) -> None:
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}")
+    tmp = os.path.join(path.parent, f".{path.name}.{os.urandom(4).hex()}")
     fh = open(tmp, "x", encoding="utf-8", newline="\n")  # new, ours, its mode from the umask
     try:
         with fh:
