@@ -10,6 +10,8 @@ exactly what produced them last.  Each stage takes its configuration's path;
 an error in its computation reads ``<inputs> with <config>: <reason>``, with
 ``<config>`` that path or ``the default configuration``.
 
+Each sub-parser names its stage function, whose parameters are named as the
+sub-parser's options, and :func:`main` passes the parsed options to it by name.
 The argument parser is built once per process and reused by every
 :func:`main` call, so a Python driver that runs several stages in one
 process pays for it once; ``parse_args`` returns a fresh namespace each
@@ -85,7 +87,9 @@ def _computing(*sources):
 
 
 def _load_config(path: str | None) -> tuple[dict[str, str], str]:
-    overrides = config.parse_config(path) if path else None
+    if path == "":  # an unset shell variable, say: never the defaults in its place
+        raise ValueError("the configuration path is empty")
+    overrides = None if path is None else config.parse_config(path)
     cfg, name = config.effective_config(overrides), path or "the default configuration"
     with _computing(name):  # every stage reads every value once, so a bad one is refused
         config.synthetic_spec_from(cfg), config.train_config_from(cfg), config.channels_from(cfg)
@@ -186,16 +190,14 @@ def load_prepared(prepared_dir) -> PreparedSeries:
     return prepared
 
 
-def cmd_train(
-    prepared_dir, config_path, model_out, trace_out, seed: int | None, force: bool
-) -> dict:
+def cmd_train(prepared, config_path, model_out, trace_out, seed: int | None, force: bool) -> dict:
     cfg, config_name = _load_config(config_path)
-    prepared = load_prepared(prepared_dir)
+    loaded = load_prepared(prepared)
     train_cfg = config.train_config_from(cfg, seed)
     model0 = init_weights(train_cfg.seed, channels=config.channels_from(cfg))
-    with _computing(prepared_dir, config_name):
-        train_ds = training.make_windows(prepared.residual_norm, prepared.split.train_range)
-        val_ds = training.make_windows(prepared.residual_norm, prepared.split.val_range)
+    with _computing(prepared, config_name):
+        train_ds = training.make_windows(loaded.residual_norm, loaded.split.train_range)
+        val_ds = training.make_windows(loaded.residual_norm, loaded.split.val_range)
         model, trace = training.train(model0, train_ds, val_ds, train_cfg)
     outputs = {
         "model": (model_out, model_to_json(model)),
@@ -208,30 +210,25 @@ def cmd_train(
         "train_pairs": len(train_ds),
         "val_pairs": len(val_ds),
     }
-    inputs = {"prepared": str(prepared_dir)}
+    inputs = {"prepared": str(prepared)}
     manifest_path = f"{model_out}.manifest.json"
     return _commit("train", train_cfg.seed, cfg, inputs, outputs, extra, manifest_path, force)
 
 
 def cmd_compare(
-    prepared_dir,
-    model_path,
-    config_path,
-    report_out,
-    summary_out=None,
-    stub_memorize: bool = False,
-    force: bool = False,
+    prepared, model, config_path, report_out, summary_out=None,
+    stub_memorize: bool = False, force: bool = False,
 ) -> dict:
     cfg, config_name = _load_config(config_path)
-    prepared = load_prepared(prepared_dir)
-    model = None if stub_memorize else load_model(model_path)
-    with _computing(f"{model_path} on {prepared_dir}", config_name):
-        if model is None:
-            indices = predictor.eligible_indices(prepared.split.test_range)
-            actual = prepared.residual_norm.values[indices]
-            report = predictor.score(prepared, actual, actual)
+    loaded = load_prepared(prepared)
+    cnn = None if stub_memorize else load_model(model)
+    with _computing(f"{model} on {prepared}", config_name):
+        if cnn is None:
+            indices = predictor.eligible_indices(loaded.split.test_range)
+            actual = loaded.residual_norm.values[indices]
+            report = predictor.score(loaded, actual, actual)
         else:
-            report = predictor.compare(model, config.kalman_params_from(cfg), prepared)
+            report = predictor.compare(cnn, config.kalman_params_from(cfg), loaded)
     if summary_out is None:
         summary_out = f"{report_out}.summary.json"
     summary = predictor.summary_to_json(report)
@@ -240,7 +237,7 @@ def cmd_compare(
         "summary": (summary_out, summary),
     }
     extra = {**json.loads(summary), "stub_memorize": stub_memorize}
-    inputs = {"prepared": str(prepared_dir), "model": str(model_path)}
+    inputs = {"prepared": str(prepared), "model": str(model)}
     seed = config.seed_from(cfg)
     manifest_path = f"{report_out}.manifest.json"
     return _commit("compare", seed, cfg, inputs, outputs, extra, manifest_path, force)
@@ -249,7 +246,10 @@ def cmd_compare(
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a key=value configuration file")
+    common.add_argument(
+        "--config", dest="config_path", metavar="CONFIG",
+        help="path to a key=value configuration file",
+    )
     common.add_argument(
         "--force", action="store_true", help="allow overwriting existing outputs"
     )
@@ -266,11 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "generate", parents=[common, seeded], help="write a synthetic offset series"
     )
+    p.set_defaults(stage=cmd_generate)
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser(
         "prepare", parents=[common], help="detrend, normalize and split a series"
     )
+    p.set_defaults(stage=cmd_prepare)
     p.add_argument("--in", dest="in_path", required=True, help="input series CSV")
     p.add_argument(
         "--in-b",
@@ -282,6 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "train", parents=[common, seeded], help="train the convolutional predictor"
     )
+    p.set_defaults(stage=cmd_train)
     p.add_argument("--prepared", required=True, help="prepare output directory")
     p.add_argument("--model-out", required=True, help="trained model JSON path")
     p.add_argument("--trace-out", required=True, help="training trace CSV path")
@@ -289,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compare", parents=[common], help="score both predictors on the test partition"
     )
+    p.set_defaults(stage=cmd_compare)
     p.add_argument("--prepared", required=True, help="prepare output directory")
     p.add_argument("--model", required=True, help="trained model JSON path")
     p.add_argument("--report-out", required=True, help="per-epoch report CSV path")
@@ -302,22 +306,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config_path = os.environ.get(config.ENV_CONFIG_PATH) if args.config is None else args.config
+    options = vars(_build_parser().parse_args(argv))
+    stage = options.pop("stage")
+    del options["command"]
+    if options["config_path"] is None:
+        options["config_path"] = os.environ.get(config.ENV_CONFIG_PATH)
     try:
-        if args.command == "generate":
-            cmd_generate(config_path, args.out, args.seed, args.force)
-        elif args.command == "prepare":
-            cmd_prepare(args.in_path, config_path, args.out_dir, args.in_path_b, args.force)
-        elif args.command == "train":
-            cmd_train(
-                args.prepared, config_path, args.model_out, args.trace_out, args.seed, args.force
-            )
-        elif args.command == "compare":
-            cmd_compare(
-                args.prepared, args.model, config_path, args.report_out, args.summary_out,
-                args.stub_memorize, args.force,
-            )
+        stage(**options)
     except (ValueError, OSError) as err:
         print(f"clockpred: error: {err}", file=sys.stderr)
         return 1

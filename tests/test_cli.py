@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line pipeline."""
 
+import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clockpred import config
+from clockpred import cli, config
 from clockpred.cli import (
     _build_parser, _json_text, _write_atomic, cmd_prepare, load_prepared, main
 )
@@ -1370,6 +1372,19 @@ class TestSafety:
         assert main(["generate", "--out", str(out)]) == 0
         assert len(out.read_text().strip().split("\n")) == 10
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_empty_config_path_is_refused(self, tmp_path, capsys, monkeypatch, source):
+        """``--config "$CONF"`` with ``CONF`` unset must not run the default configuration."""
+        argv = ["generate", "--out", str(tmp_path / "series.csv")]
+        if source == "flag":
+            monkeypatch.delenv("CLOCKPRED_CONFIG", raising=False)
+            argv += ["--config", ""]
+        else:
+            monkeypatch.setenv("CLOCKPRED_CONFIG", "")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "clockpred: error: the configuration path is empty\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestParser:
     """One parser serves every ``main`` call in a process; no call leaks into the next."""
@@ -1378,6 +1393,16 @@ class TestParser:
         parser = _build_parser()
         generate_and_prepare(tmp_path, fast_conf(tmp_path))
         assert _build_parser() is parser
+
+    def test_each_stage_takes_its_sub_parsers_options(self):
+        """A new option reaches both its sub-parser and its stage's parameters, or neither."""
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, p in sub.choices.items():
+            stage = getattr(cli, f"cmd_{name}")
+            dests = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+            assert dests == set(inspect.signature(stage).parameters), name
+            assert p.get_default("stage") is stage, name
 
     def test_force_does_not_carry_over(self, tmp_path, capsys):
         conf = fast_conf(tmp_path)
