@@ -84,3 +84,20 @@ def test_quartiles_and_spread_interpolate_linearly():
     assert (doc["parent"]["q1"], doc["parent"]["median"], doc["parent"]["q3"]) == (1.5, 2.0, 3.0)
     assert doc["parent_spread"] == pytest.approx(0.75)
     assert doc["per_run"] == {"parent": [1.0, 2.0, 4.0], "change": [1.0, 2.0, 4.0]}
+
+
+@pytest.mark.parametrize(
+    "name, value, within",
+    [
+        ("op_s", 0.0, True), ("op_s", 0.5, False), ("op_s", -0.5, True),
+        ("work_per_s", 0.0, True), ("work_per_s", -0.5, False), ("work_per_s", 0.5, True),
+    ],
+    ids=[
+        "lower-equal", "lower-worse", "lower-better",
+        "higher-equal", "higher-worse", "higher-better",
+    ],
+)
+def test_a_parent_median_of_zero_bounds_only_a_worse_change(name, value, within):
+    doc = summary([{name: 0.0}] * 3, [{name: value}] * 3, {name: SPECS[name]})["metrics"][name]
+    assert doc["worse_by"] is None and doc["within_bound"] is within
+    assert doc["change_over_parent"] is None and doc["parent_spread"] is None

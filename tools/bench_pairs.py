@@ -7,13 +7,15 @@ for ``BENCHMARK.json``'s ``run_seconds`` once on each tree; the side that
 runs first alternates from pair to pair.  For every workload and
 end-to-end metric the JSON on standard output holds each side's runs,
 median and quartiles (linear interpolation), the parent's spread
-(q3 - q1) / median and the change's median over the parent's (both null
-when the parent's median is 0), and how many pairs the change wins (ties
-count for neither side).  Each end-to-end metric also carries its ``bound`` from
-``BENCHMARK.json``, ``worse_by``, the change's median relative to the
-parent's in the metric's worse direction ((c - p) / p when lower is
-better, (p - c) / p when higher is better; negative when the change is
-better), and ``within_bound``, whether ``worse_by`` is at most the bound.
+(q3 - q1) / median and the change's median over the parent's, and how many
+pairs the change wins (ties count for neither side).  Each end-to-end metric
+also carries its ``bound`` from ``BENCHMARK.json``, ``worse_by``, the
+change's median relative to the parent's in the metric's worse direction
+((c - p) / p when lower is better, (p - c) / p when higher is better;
+negative when the change is better), and ``within_bound``, whether
+``worse_by`` is at most the bound.  When the parent's median is 0 the three
+ratios are null, and ``within_bound`` holds only when the change's median
+is no worse than the parent's.
 
     python3 tools/bench_pairs.py --workload wide-train --pairs 10 --seed 6101
     python3 tools/bench_pairs.py --workload frozen-cli --trace --pairs 5 --seed 6301
@@ -179,21 +181,24 @@ def summarize(runs: dict, specs: dict, seeds: list[int], first: list[str]) -> di
         stats = {side: quartiles(per_run[side]) for side in SIDES}
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(per_run["parent"], per_run["change"]))
-        parent = stats["parent"]
+        parent, change = stats["parent"], stats["change"]["median"]
         median = parent["median"]  # 0 for a count such as train_C8_minflt
+        worse = -sign * (change - median)  # positive when the change's median is worse
+        over, spread, worse_by = (
+            (change / median, (parent["q3"] - parent["q1"]) / median, worse / median)
+            if median else (None, None, None)
+        )
         metrics[name] = {
             "better": direction,
             **stats,
             "per_run": per_run,
-            "change_over_parent": stats["change"]["median"] / median if median else None,
-            "parent_spread": (parent["q3"] - parent["q1"]) / median if median else None,
+            "change_over_parent": over,
+            "parent_spread": spread,
             "change_wins": f"{wins}/{len(seeds)}",
         }
         if "bound" in spec:
-            worse_by = -sign * (stats["change"]["median"] - parent["median"]) / parent["median"]
-            metrics[name].update(
-                bound=spec["bound"], worse_by=worse_by, within_bound=worse_by <= spec["bound"]
-            )
+            within = worse <= 0 if worse_by is None else worse_by <= spec["bound"]
+            metrics[name].update(bound=spec["bound"], worse_by=worse_by, within_bound=within)
     return {
         "runs": len(seeds),
         "seeds": seeds,
