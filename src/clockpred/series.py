@@ -190,14 +190,9 @@ def combine_series(a: TimeSeries, b: TimeSeries) -> TimeSeries:
         raise ValueError(
             f"cannot combine series with intervals {a.interval} and {b.interval}"
         )
+    if a.epochs[0] != b.epochs[0]:  # one interval: the grids differ at every index or at none
+        raise ValueError(f"epoch alignment error at index 0: {a.epochs[0]} != {b.epochs[0]}")
     n = min(len(a), len(b))
-    mismatch = np.flatnonzero(a.epochs[:n] != b.epochs[:n])
-    if mismatch.size:
-        i = int(mismatch[0])
-        raise ValueError(
-            f"epoch alignment error at index {i}: "
-            f"{a.epochs[i]} != {b.epochs[i]}"
-        )
     if len(a) != len(b):
         extra = a.epochs[n] if len(a) > len(b) else b.epochs[n]
         raise ValueError(

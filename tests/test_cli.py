@@ -51,88 +51,52 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def fast_conf(tmp_path, **extra):
-    """A configuration that keeps CLI tests quick: tiny training budget."""
-    lines = ["fit_on_full = true", "train_max_updates = 40", "train_patience = 40"]
-    lines += [f"{k} = {v}" for k, v in extra.items()]
+    """A configuration that keeps CLI tests quick: tiny training budget.  ``extra`` adds
+    keys or overrides these."""
+    values = {"fit_on_full": "true", "train_max_updates": 40, "train_patience": 40, **extra}
+    lines = [f"{k} = {v}" for k, v in values.items()]
     path = tmp_path / "fast.conf"
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
-def run_pipeline(tmp_path, conf):
-    root = tmp_path
-    assert main(["generate", "--config", conf, "--out", str(root / "series.csv")]) == 0
-    assert (
-        main(
-            [
-                "prepare",
-                "--config",
-                conf,
-                "--in",
-                str(root / "series.csv"),
-                "--out-dir",
-                str(root / "prepared"),
-            ]
-        )
-        == 0
-    )
-    assert (
-        main(
-            [
-                "train",
-                "--config",
-                conf,
-                "--prepared",
-                str(root / "prepared"),
-                "--model-out",
-                str(root / "model.json"),
-                "--trace-out",
-                str(root / "trace.csv"),
-            ]
-        )
-        == 0
-    )
-    assert (
-        main(
-            [
-                "compare",
-                "--config",
-                conf,
-                "--prepared",
-                str(root / "prepared"),
-                "--model",
-                str(root / "model.json"),
-                "--report-out",
-                str(root / "report.csv"),
-                "--summary-out",
-                str(root / "summary.json"),
-            ]
-        )
-        == 0
-    )
+STAGES = ("generate", "prepare", "train", "compare")
 
 
-def generate_and_prepare(tmp_path, conf):
-    """Run ``generate`` and ``prepare``; returns the prepared directory."""
-    assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
-    prepared = tmp_path / "prepared"
-    argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv")]
-    assert main(argv + ["--out-dir", str(prepared)]) == 0
-    return prepared
+def stage_argv(stage, root, conf, *extra):
+    """The benchmark's argv for ``stage`` (``FrozenCli.stage_argv``) with every file it names
+    under ``root``, read with ``conf``, then ``extra``; a repeated option takes its last value."""
+    name, *args = FrozenCli.stage_argv(stage)
+    args = [a if a.startswith("--") else str(Path(root) / a) for a in args]
+    return [name, *args, "--config", str(conf), *map(str, extra)]
 
 
-def compare_argv(conf, prepared, model, report):
-    return [
-        "compare",
-        "--config",
-        conf,
-        "--prepared",
-        str(prepared),
-        "--model",
-        str(model),
-        "--report-out",
-        str(report),
-    ]
+def run_stages(root, conf, *stages):
+    """Run each of ``stages`` in turn on the files under ``root``; each must succeed."""
+    for stage in stages:
+        assert main(stage_argv(stage, root, conf)) == 0, stage
+
+
+def ready_to_compare(root, **extra):
+    """A quick configuration with ``extra``, ``generate`` and ``prepare`` run under ``root``,
+    and an untrained model in ``model.json``; returns the configuration's path."""
+    conf = fast_conf(root, **extra)
+    run_stages(root, conf, "generate", "prepare")
+    (root / "model.json").write_text(model_to_json(init_weights(0)))
+    return conf
+
+
+def refused(argv, *absent):
+    """Run ``argv``, which must be refused: exit 1 with one ``clockpred: error: `` line,
+    and none of the paths ``absent`` written.  Returns the line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    line = err.getvalue()
+    assert code == 1 and line.startswith("clockpred: error: "), line[:500]
+    assert line.count("\n") == 1, line[:500]
+    assert [p for p in absent if Path(p).exists()] == []
+    return line
 
 
 def _shifted_rows(csv_text, days, ns, rows=None):
@@ -197,10 +161,8 @@ def _without(text, key):
 
 class TestGenerate:
     def test_default_spec_row_count(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        out = tmp_path / "series.csv"
-        assert main(["generate", "--config", conf, "--out", str(out)]) == 0
-        text = out.read_text()
+        run_stages(tmp_path, fast_conf(tmp_path), "generate")
+        text = (tmp_path / "series.csv").read_text()
         assert text.startswith("mjd,ns\n")
         assert len(text.strip().split("\n")) == 275
         assert (tmp_path / "series.csv.manifest.json").exists()
@@ -209,63 +171,36 @@ class TestGenerate:
         conf = fast_conf(tmp_path)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        main(["generate", "--config", conf, "--out", str(a)])
-        main(["generate", "--config", conf, "--out", str(b)])
+        main(stage_argv("generate", tmp_path, conf, "--out", a))
+        main(stage_argv("generate", tmp_path, conf, "--out", b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_minimum_n(self, tmp_path):
-        conf = fast_conf(tmp_path, gen_n=7)
-        out = tmp_path / "tiny.csv"
-        main(["generate", "--config", conf, "--out", str(out)])
-        assert len(out.read_text().strip().split("\n")) == 8
+        run_stages(tmp_path, fast_conf(tmp_path, gen_n=7), "generate")
+        assert len((tmp_path / "series.csv").read_text().strip().split("\n")) == 8
 
     def test_seed_flag_overrides(self, tmp_path):
         conf = fast_conf(tmp_path)
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        main(["generate", "--config", conf, "--seed", "1", "--out", str(a)])
-        main(["generate", "--config", conf, "--seed", "2", "--out", str(b)])
+        main(stage_argv("generate", tmp_path, conf, "--seed", 1, "--out", a))
+        main(stage_argv("generate", tmp_path, conf, "--seed", 2, "--out", b))
         assert a.read_bytes() != b.read_bytes()
 
 
 class TestPrepare:
     def test_split_manifest_counts(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        run = tmp_path
-        main(["generate", "--config", conf, "--out", str(run / "series.csv")])
-        main(
-            [
-                "prepare",
-                "--config",
-                conf,
-                "--in",
-                str(run / "series.csv"),
-                "--out-dir",
-                str(run / "prepared"),
-            ]
-        )
-        split_doc = json.loads((run / "prepared" / "split.json").read_text())
+        run_stages(tmp_path, fast_conf(tmp_path), "generate", "prepare")
+        split_doc = json.loads((tmp_path / "prepared" / "split.json").read_text())
         assert split_doc["n"] == 274
         assert split_doc["train"] == [0, 141]
         assert split_doc["val"] == [141, 174]
         assert split_doc["test"] == [174, 274]
-        manifest = json.loads((run / "prepared" / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "prepared" / "manifest.json").read_text())
         assert manifest["extra"]["split_sizes"] == [141, 33, 100]
 
     def test_outputs_reassemble_to_input(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        main(["generate", "--config", conf, "--out", str(tmp_path / "series.csv")])
-        main(
-            [
-                "prepare",
-                "--config",
-                conf,
-                "--in",
-                str(tmp_path / "series.csv"),
-                "--out-dir",
-                str(tmp_path / "prepared"),
-            ]
-        )
+        run_stages(tmp_path, fast_conf(tmp_path), "generate", "prepare")
         original = read_series(tmp_path / "series.csv")
         prep = load_prepared(tmp_path / "prepared")
         rebuilt = retrend(denormalize(prep.residual_norm, prep.scale), prep.trend)
@@ -273,19 +208,7 @@ class TestPrepare:
 
     def test_pure_quadratic_residual_is_zero(self, tmp_path):
         conf = fast_conf(tmp_path, gen_sigma_wfm=0.0, gen_sigma_rwfm=0.0)
-        main(["generate", "--config", conf, "--out", str(tmp_path / "series.csv")])
-        code = main(
-            [
-                "prepare",
-                "--config",
-                conf,
-                "--in",
-                str(tmp_path / "series.csv"),
-                "--out-dir",
-                str(tmp_path / "prepared"),
-            ]
-        )
-        assert code == 0
+        run_stages(tmp_path, conf, "generate", "prepare")
         residual = read_series(tmp_path / "prepared" / "residual.csv")
         # the fit cannot beat the 3-decimal quantization of the input file
         npt.assert_allclose(residual.values, 0.0, atol=1e-3)
@@ -296,22 +219,8 @@ class TestPrepare:
         half = s.with_values(s.values / 2.0)
         (tmp_path / "a.csv").write_text(series_to_csv(half, decimals=None))
         (tmp_path / "b.csv").write_text(series_to_csv(half, decimals=None))
-        assert (
-            main(
-                [
-                    "prepare",
-                    "--config",
-                    conf,
-                    "--in",
-                    str(tmp_path / "a.csv"),
-                    "--in-b",
-                    str(tmp_path / "b.csv"),
-                    "--out-dir",
-                    str(tmp_path / "prepared"),
-                ]
-            )
-            == 0
-        )
+        argv = stage_argv("prepare", tmp_path, conf, "--in", tmp_path / "a.csv")
+        assert main(argv + ["--in-b", str(tmp_path / "b.csv")]) == 0
         combined = read_series(tmp_path / "prepared" / "series.csv")
         npt.assert_allclose(combined.values, s.values, atol=1e-3)
 
@@ -347,7 +256,8 @@ class TestPrepare:
         """JSON documents rewritten compact with their keys reordered, and residual.csv
         rewritten at ``%.17g`` with a trailing blank line, load as the directory
         ``prepare`` wrote."""
-        prepared = generate_and_prepare(tmp_path, fast_conf(tmp_path))
+        run_stages(tmp_path, fast_conf(tmp_path), "generate", "prepare")
+        prepared = tmp_path / "prepared"
         want = load_prepared(prepared)
         for name in ("trend.json", "scale.json", "split.json"):
             path = prepared / name
@@ -370,8 +280,7 @@ class TestPrepare:
 
 class TestPipeline:
     def test_full_run_and_artifacts(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        run_pipeline(tmp_path, conf)
+        run_stages(tmp_path, fast_conf(tmp_path), *STAGES)
         trace_lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
         assert trace_lines[0] == "update,train_rmse,val_rmse"
         assert len(trace_lines) - 1 <= 40
@@ -385,8 +294,8 @@ class TestPipeline:
 
     def test_deterministic_artifacts(self, tmp_path):
         conf = fast_conf(tmp_path)
-        run_pipeline(tmp_path / "one", conf)
-        run_pipeline(tmp_path / "two", conf)
+        run_stages(tmp_path / "one", conf, *STAGES)
+        run_stages(tmp_path / "two", conf, *STAGES)
         for name in ("series.csv", "model.json", "trace.csv", "report.csv", "summary.json"):
             assert (tmp_path / "one" / name).read_bytes() == (
                 tmp_path / "two" / name
@@ -394,26 +303,9 @@ class TestPipeline:
 
     def test_memorization_stub_scores_zero(self, tmp_path):
         conf = fast_conf(tmp_path)
-        run_pipeline(tmp_path, conf)
-        assert (
-            main(
-                [
-                    "compare",
-                    "--config",
-                    conf,
-                    "--prepared",
-                    str(tmp_path / "prepared"),
-                    "--model",
-                    str(tmp_path / "model.json"),
-                    "--report-out",
-                    str(tmp_path / "stub.csv"),
-                    "--summary-out",
-                    str(tmp_path / "stub.json"),
-                    "--stub-memorize",
-                ]
-            )
-            == 0
-        )
+        run_stages(tmp_path, conf, *STAGES)
+        stub = ["--report-out", tmp_path / "stub.csv", "--summary-out", tmp_path / "stub.json"]
+        assert main(stage_argv("compare", tmp_path, conf, *stub, "--stub-memorize")) == 0
         doc = json.loads((tmp_path / "stub.json").read_text())
         assert doc["cnn_e_rms_ns"] == 0.0
         assert doc["kf_e_rms_ns"] == 0.0
@@ -422,24 +314,15 @@ class TestPipeline:
     def test_other_spacing_runs_under_config_without_interval(self, tmp_path, interval):
         """The Kalman filter's step is the data's spacing, not the generator key's default."""
         (tmp_path / "gen").mkdir()
-        gen_conf = fast_conf(tmp_path / "gen", gen_interval=interval)
-        assert main(["generate", "--config", gen_conf, "--out", str(tmp_path / "s.csv")]) == 0
-        conf = fast_conf(tmp_path)
-        out = tmp_path / "prepared"
-        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv")]
-        assert main(argv + ["--out-dir", str(out)]) == 0
-        argv = ["train", "--config", conf, "--prepared", str(out)]
-        argv += ["--model-out", str(tmp_path / "model.json"), "--trace-out"]
-        assert main(argv + [str(tmp_path / "trace.csv")]) == 0
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, out, tmp_path / "model.json", report)) == 0
-        prepared = load_prepared(out)
+        run_stages(tmp_path, fast_conf(tmp_path / "gen", gen_interval=interval), "generate")
+        run_stages(tmp_path, fast_conf(tmp_path), "prepare", "train", "compare")
+        prepared = load_prepared(tmp_path / "prepared")
         assert prepared.series.interval == interval
         test_range = prepared.split.test_range
         windows = window_matrix(prepared.residual_norm, test_range)
         epochs = prepared.series.epochs[eligible_indices(test_range)]
         kf_norm = kf_one_ahead_batch(windows, interval, KalmanParams())
-        rows = np.loadtxt(report, delimiter=",", skiprows=1)
+        rows = np.loadtxt(tmp_path / "report.csv", delimiter=",", skiprows=1)
         npt.assert_array_equal(rows[:, 0], epochs)
         npt.assert_array_equal(
             rows[:, 3], reconstruct(kf_norm, prepared.scale, prepared.trend, epochs)
@@ -455,7 +338,8 @@ _PREPARED_DOCS = tuple(
 
 @pytest.fixture(scope="module")
 def frozen_run(tmp_path_factory):
-    """The frozen experiment with a 5-update budget: config, series, prepared directory, model.
+    """The frozen experiment with a 5-update budget, every stage run in its directory with
+    the benchmark's relative paths: config, series, prepared directory, model, report.
 
     Patience 1 stops training at the first update that does not improve the
     validation RMSE, so a mutated budget still ends quickly.
@@ -465,9 +349,8 @@ def frozen_run(tmp_path_factory):
     text = text.replace("train_max_updates = 2000", "train_max_updates = 5")
     text = text.replace("train_patience = 2000", "train_patience = 1")
     (root / "experiment.conf").write_text(text)
-    for stage in ("generate", "prepare", "train"):
-        argv = [*FrozenCli.stage_argv(stage), "--config", str(root / "experiment.conf")]
-        assert FrozenCli.run_stage(argv, root) is None
+    for stage in STAGES:
+        assert FrozenCli.run_stage(stage_argv(stage, "", root / "experiment.conf"), root) is None
     return root
 
 
@@ -509,43 +392,24 @@ def _numbers(path: Path) -> list[float]:
 
 
 class TestSafety:
-    def test_refuses_overwrite_without_force(self, tmp_path, capsys):
+    def test_refuses_overwrite_without_force(self, tmp_path):
         conf = fast_conf(tmp_path)
-        out = tmp_path / "series.csv"
-        assert main(["generate", "--config", conf, "--out", str(out)]) == 0
-        assert main(["generate", "--config", conf, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "refusing to overwrite" in err and err.count("\n") == 1
+        run_stages(tmp_path, conf, "generate")
+        assert "refusing to overwrite" in refused(stage_argv("generate", tmp_path, conf))
 
     def test_force_overwrites(self, tmp_path):
         conf = fast_conf(tmp_path)
-        out = tmp_path / "series.csv"
-        main(["generate", "--config", conf, "--out", str(out)])
-        assert main(["generate", "--config", conf, "--out", str(out), "--force"]) == 0
+        main(stage_argv("generate", tmp_path, conf))
+        assert main(stage_argv("generate", tmp_path, conf, "--force")) == 0
 
-    def test_missing_input_is_one_line_diagnostic(self, tmp_path, capsys):
-        conf = fast_conf(tmp_path)
-        code = main(
-            [
-                "prepare",
-                "--config",
-                conf,
-                "--in",
-                str(tmp_path / "nope.csv"),
-                "--out-dir",
-                str(tmp_path / "prepared"),
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("clockpred: error:") and err.count("\n") == 1
+    def test_missing_input_is_one_line_diagnostic(self, tmp_path):
+        argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", tmp_path / "nope.csv")
+        refused(argv, tmp_path / "prepared")
 
-    def test_bad_config_reports_line(self, tmp_path, capsys):
+    def test_bad_config_reports_line(self, tmp_path):
         bad = tmp_path / "bad.conf"
         bad.write_text("gen_n = 274\nnot a pair\n")
-        code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "s.csv")])
-        assert code == 1
-        assert ":2" in capsys.readouterr().err
+        assert ":2" in refused(stage_argv("generate", tmp_path, bad), tmp_path / "series.csv")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -560,34 +424,14 @@ class TestSafety:
             ({"train_l2_lambda": "1e308"}, "training diverged at update 1:"),
         ],
     )
-    def test_bad_training_is_one_line_diagnostic(self, tmp_path, capsys, setting, message):
-        conf = fast_conf(tmp_path)
-        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
-        prepared = str(tmp_path / "prepared")
-        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", prepared]
-        assert main(argv) == 0
-        capsys.readouterr()
+    def test_bad_training_is_one_line_diagnostic(self, tmp_path, setting, message):
+        run_stages(tmp_path, fast_conf(tmp_path), "generate", "prepare")
         conf = fast_conf(tmp_path, **setting)
-        code = main(
-            [
-                "train",
-                "--config",
-                conf,
-                "--prepared",
-                prepared,
-                "--model-out",
-                str(tmp_path / "model.json"),
-                "--trace-out",
-                str(tmp_path / "trace.csv"),
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("clockpred: error:") and err.count("\n") == 1
+        err = refused(stage_argv("train", tmp_path, conf), tmp_path / "model.json")
         assert conf in err and message in err
         if message.startswith("training diverged"):
+            prepared = tmp_path / "prepared"
             assert err.startswith(f"clockpred: error: {prepared} with {conf}: {message}")
-        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize(
         "name, edit, message",
@@ -627,33 +471,14 @@ class TestSafety:
         ],
     )
     def test_malformed_prepared_document_is_one_line_diagnostic(
-        self, tmp_path, capsys, name, edit, message
+        self, tmp_path, name, edit, message
     ):
         conf = fast_conf(tmp_path)
-        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
-        prepared = tmp_path / "prepared"
-        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", str(prepared)]
-        assert main(argv) == 0
-        path = prepared / name
+        run_stages(tmp_path, conf, "generate", "prepare")
+        path = tmp_path / "prepared" / name
         path.write_text(edit(path.read_text()))
-        capsys.readouterr()
-        code = main(
-            [
-                "train",
-                "--config",
-                conf,
-                "--prepared",
-                str(prepared),
-                "--model-out",
-                str(tmp_path / "model.json"),
-                "--trace-out",
-                str(tmp_path / "trace.csv"),
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {path}: {message}") and err.count("\n") == 1
-        assert not (tmp_path / "model.json").exists()
+        err = refused(stage_argv("train", tmp_path, conf), tmp_path / "model.json")
+        assert err.startswith(f"clockpred: error: {path}: {message}")
 
     @pytest.mark.parametrize(
         "edit",
@@ -678,22 +503,12 @@ class TestSafety:
             "kernel-entry-bool",
         ],
     )
-    def test_malformed_model_is_one_line_diagnostic(self, tmp_path, capsys, edit):
-        conf = fast_conf(tmp_path)
-        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
-        prepared = str(tmp_path / "prepared")
-        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv"), "--out-dir", prepared]
-        assert main(argv) == 0
+    def test_malformed_model_is_one_line_diagnostic(self, tmp_path, edit):
+        conf = ready_to_compare(tmp_path)
         model = tmp_path / "model.json"
-        model.write_text(edit(model_to_json(init_weights(0))))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        argv = ["compare", "--config", conf, "--prepared", prepared, "--model", str(model)]
-        assert main(argv + ["--report-out", str(report)]) == 1
-        err = capsys.readouterr().err
+        model.write_text(edit(model.read_text()))
+        err = refused(stage_argv("compare", tmp_path, conf), tmp_path / "report.csv")
         assert err.startswith(f"clockpred: error: {model}: malformed document:")
-        assert err.count("\n") == 1
-        assert not report.exists()
 
     @pytest.mark.parametrize(
         "name, edit, message",
@@ -720,6 +535,11 @@ class TestSafety:
                 lambda doc: _with(doc, fit_on_full=1),
                 _KEYS.format("'fit_on_full'"),
             ),
+            (
+                "split.json",
+                lambda doc: _with(doc, n="@").replace('"@"', "1e400"),
+                _KEYS.format("'n'") + "\n",
+            ),
             ("scale.json", lambda doc: _with(doc, note=1), _KEYS.format("'note'")),
             (
                 "trend.json",
@@ -743,30 +563,25 @@ class TestSafety:
             "split-extra-key",
             "split-n-huge-list",
             "split-flag-one",
+            "split-n-1e400",
             "scale-extra-key",
             "trend-huge-key",
             "trend-c1-1e400",
         ],
     )
     def test_inconsistent_prepared_directory_is_one_line_diagnostic(
-        self, tmp_path, capsys, name, edit, message
+        self, tmp_path, name, edit, message
     ):
         """A document that is not what ``prepare`` writes for series.csv is refused
         naming the keys that differ, or the residual's first MJD that differs, on a
-        short line that never echoes their values."""
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        path = prepared / name
+        short line that never echoes their values.  A message that ends in a newline is
+        the whole line."""
+        conf = ready_to_compare(tmp_path)
+        path = tmp_path / "prepared" / name
         path.write_text(edit(path.read_text()))
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {path}: {message}") and err.count("\n") == 1
+        err = refused(stage_argv("compare", tmp_path, conf), tmp_path / "report.csv")
+        assert err.startswith(f"clockpred: error: {path}: {message}")
         assert len(err.encode()) < 500
-        assert not report.exists()
 
     def test_six_decimal_input_round_trips(self, tmp_path):
         """``prepare`` works on the series as ``series.csv`` keeps it, at 1 ps, so the
@@ -774,119 +589,69 @@ class TestSafety:
         conf = fast_conf(tmp_path)
         s = generate(SyntheticClockSpec(n=274))
         (tmp_path / "fine.csv").write_text(series_to_csv(s, decimals=6))
+        assert main(stage_argv("prepare", tmp_path, conf, "--in", tmp_path / "fine.csv")) == 0
         prepared = tmp_path / "prepared"
-        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "fine.csv")]
-        assert main(argv + ["--out-dir", str(prepared)]) == 0
         trend = QuadraticTrend(**json.loads((prepared / "trend.json").read_text()))
         rounded = detrend(read_series(prepared / "series.csv"), trend).values
         gap = np.abs(read_series(prepared / "residual.csv").values - rounded)
         assert gap.max() <= 1e-12
         load_prepared(prepared)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
-        assert main(compare_argv(conf, prepared, model, tmp_path / "report.csv")) == 0
+        (tmp_path / "model.json").write_text(model_to_json(init_weights(0)))
+        run_stages(tmp_path, conf, "compare")
 
     @pytest.mark.parametrize("second", [56939, 56934], ids=["zero-step", "backward-step"])
-    def test_first_step_not_positive_is_one_line_diagnostic(self, tmp_path, capsys, second):
+    def test_first_step_not_positive_is_one_line_diagnostic(self, tmp_path, second):
         path = tmp_path / "back.csv"
         path.write_text(f"mjd,ns\n56939,1.0\n{second},2.0\n56929,3.0\n")
-        argv = ["prepare", "--config", fast_conf(tmp_path), "--in", str(path)]
-        assert main(argv + ["--out-dir", str(tmp_path / "prepared")]) == 1
-        err = capsys.readouterr().err
-        assert err == (
+        argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", path)
+        assert refused(argv, tmp_path / "prepared") == (
             f"clockpred: error: {path}: epochs must increase; offending step 56939 -> {second}\n"
         )
-        assert not (tmp_path / "prepared").exists()
 
-    def test_second_input_on_other_grid_is_one_line_diagnostic(self, tmp_path, capsys):
+    def test_second_input_on_other_grid_is_one_line_diagnostic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text(series_to_csv(generate(SyntheticClockSpec(n=274))))
         b.write_text(series_to_csv(generate(SyntheticClockSpec(n=274, interval=10))))
-        argv = ["prepare", "--config", fast_conf(tmp_path), "--in", str(a), "--in-b", str(b)]
-        assert main(argv + ["--out-dir", str(tmp_path / "prepared")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {b}: ") and err.count("\n") == 1
-        assert "intervals 5 and 10" in err
-        assert not (tmp_path / "prepared").exists()
-
-    def test_model_of_other_width_is_one_line_diagnostic(self, tmp_path, capsys):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        doc = json.loads(model_to_json(init_weights(0)))
-        doc["config"]["width"] = 7
-        model.write_text(json.dumps(doc))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
-        head = f"clockpred: error: {model}: malformed document: keys ['width'] differ"
-        assert err.startswith(head)
-        assert err.count("\n") == 1
-        assert not report.exists()
+        argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", a, "--in-b", b)
+        err = refused(argv, tmp_path / "prepared")
+        assert err.startswith(f"clockpred: error: {b}: ") and "intervals 5 and 10" in err
 
     @pytest.mark.parametrize(
-        "config, key",
+        "edit, key",
         [
-            ({"channels": 1, "width": 5, "note": 1}, "note"),
-            ({"channels": 1, "width": [5] * 200_000}, "width"),
+            (lambda doc: _with(doc, config={"channels": 1, "width": 5, "note": 1}), "note"),
+            (lambda doc: _with(doc, config={"channels": 1, "width": [5] * 200_000}), "width"),
+            (lambda doc: _with(doc, config={"channels": 1, "width": 7}), "width"),
+            (lambda doc: doc.replace('"channels": 1', '"channels": 1e400'), "channels"),
         ],
-        ids=["extra-key", "width-huge-list"],
+        ids=["extra-key", "width-huge-list", "width-7", "channels-1e400"],
     )
-    def test_edited_model_config_is_one_line_diagnostic(self, tmp_path, capsys, config, key):
+    def test_edited_model_config_is_one_line_diagnostic(self, tmp_path, edit, key):
         """The config must be exactly what the model's kernels give; the line names the
         key and never echoes its value."""
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
+        conf = ready_to_compare(tmp_path)
         model = tmp_path / "model.json"
-        model.write_text(_with(model_to_json(init_weights(0)), config=config))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
+        model.write_text(edit(model.read_text()))
+        err = refused(stage_argv("compare", tmp_path, conf), tmp_path / "report.csv")
         assert err == (
             f"clockpred: error: {model}: malformed document: "
             f"keys [{key!r}] differ from the config of its kernels\n"
         )
-        assert len(err.encode()) < 500 and not report.exists()
+        assert len(err.encode()) < 500
 
-    def test_nan_kalman_parameter_is_one_line_diagnostic(self, tmp_path, capsys):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(fast_conf(tmp_path, kf_q1="nan"), prepared, model, report)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("clockpred: error:") and err.count("\n") == 1
-        assert not report.exists() and not (tmp_path / "report.csv.summary.json").exists()
+    def test_nan_kalman_parameter_is_one_line_diagnostic(self, tmp_path):
+        ready_to_compare(tmp_path)
+        argv = stage_argv("compare", tmp_path, fast_conf(tmp_path, kf_q1="nan"))
+        refused(argv, tmp_path / "report.csv", tmp_path / "summary.json")
 
-    def test_infinite_split_count_is_one_line_diagnostic(self, tmp_path, capsys):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        path = prepared / "split.json"
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps(doc).replace(f'"n": {doc["n"]}', '"n": 1e400'))
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
-        assert err == f"clockpred: error: {path}: {_KEYS.format(repr('n'))}\n"
-        assert not report.exists()
-
-    def test_epoch_beyond_int64_is_one_line_diagnostic(self, tmp_path, capsys):
+    def test_epoch_beyond_int64_is_one_line_diagnostic(self, tmp_path):
         lines = series_to_csv(generate(SyntheticClockSpec(n=274))).splitlines()
         lines[6] = "123456789012345678901234567890,1.0"
         path = tmp_path / "big.csv"
         path.write_text("\n".join(lines) + "\n")
-        argv = ["prepare", "--config", fast_conf(tmp_path), "--in", str(path)]
-        assert main(argv + ["--out-dir", str(tmp_path / "prepared")]) == 1
-        err = capsys.readouterr().err
+        argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", path)
+        err = refused(argv, tmp_path / "prepared")
         assert err == f"clockpred: error: {path}:7: malformed row '{lines[6]}'\n"
-        assert not (tmp_path / "prepared").exists()
 
     @pytest.mark.parametrize(
         "target, text, where",
@@ -909,20 +674,17 @@ class TestSafety:
             "config-n", "config-channels",
         ],
     )
-    def test_huge_input_text_is_echoed_cut_short(self, tmp_path, capsys, target, text, where):
+    def test_huge_input_text_is_echoed_cut_short(self, tmp_path, target, text, where):
         """A row, line, key or value of a million characters, or an integer of 4,001
         digits, ends in one short line that still names the file and the line or the key."""
         path = tmp_path / f"huge.{target}"
         path.write_text(text)
         if target == "csv":
-            argv = ["prepare", "--config", fast_conf(tmp_path), "--in", str(path)]
-            argv += ["--out-dir", str(tmp_path / "prepared")]
+            argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", path)
         else:
-            argv = ["generate", "--config", str(path), "--out", str(tmp_path / "s.csv")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {path}{where}") and err.count("\n") == 1
-        assert len(err.encode()) < 500
+            argv = stage_argv("generate", tmp_path, path)
+        err = refused(argv, tmp_path / "prepared", tmp_path / "series.csv")
+        assert err.startswith(f"clockpred: error: {path}{where}") and len(err.encode()) < 500
 
     @pytest.mark.parametrize(
         "name, edit, message",
@@ -955,23 +717,16 @@ class TestSafety:
         ],
         ids=["trend-string", "kernel-string", "kernel-1e309", "bias-two-entries", "kernel-short"],
     )
-    def test_refusal_names_the_key(self, tmp_path, capsys, name, edit, message):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
+    def test_refusal_names_the_key(self, tmp_path, name, edit, message):
+        conf = ready_to_compare(tmp_path)
         path = tmp_path / name
         path.write_text(edit(path.read_text()))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
+        err = refused(stage_argv("compare", tmp_path, conf), tmp_path / "report.csv")
         assert err == f"clockpred: error: {path}: malformed document: {message}\n"
-        assert not report.exists()
 
     @pytest.mark.parametrize("as_second", [False, True], ids=["in", "in-b"])
     @pytest.mark.filterwarnings("error")
-    def test_huge_input_value_names_the_inputs(self, tmp_path, capsys, as_second):
+    def test_huge_input_value_names_the_inputs(self, tmp_path, as_second):
         """1e308 is finite, so the series reads, but its trend is not; the line names
         the input, or both inputs when they are summed."""
         lines = series_to_csv(generate(SyntheticClockSpec(n=274))).splitlines()
@@ -979,103 +734,73 @@ class TestSafety:
         path = tmp_path / "huge.csv"
         path.write_text("\n".join(lines) + "\n")
         conf = fast_conf(tmp_path)
-        argv = ["prepare", "--config", conf, "--out-dir", str(tmp_path / "prepared")]
+        argv = stage_argv("prepare", tmp_path, conf, "--in", path)
         source = f"{path} with {conf}"
         if as_second:
             other = tmp_path / "other.csv"
             other.write_text(series_to_csv(generate(SyntheticClockSpec(n=274, seed=7))))
             argv += ["--in", str(other), "--in-b", str(path)]
             source = f"{other} + {path} with {conf}"
-        else:
-            argv += ["--in", str(path)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
+        err = refused(argv, tmp_path / "prepared")
         assert err == f"clockpred: error: {source}: trend coefficient c0 must be finite\n"
-        assert not (tmp_path / "prepared").exists()
 
     @pytest.mark.parametrize(
         "scale, head_bias", [(1e308, 0.01), (None, 1e308)], ids=["scale-1e308", "head-bias-1e308"]
     )
-    def test_non_finite_score_is_refused_naming_method_and_mjd(
-        self, tmp_path, capsys, scale, head_bias
-    ):
+    def test_non_finite_score_is_refused_naming_method_and_mjd(self, tmp_path, scale, head_bias):
         """A huge head bias overflows the errors of the CNN's predictions.  A huge
         scale would overflow the squared errors of finite predictions, but it is
         not what ``prepare`` writes, so the loader refuses it before any scoring."""
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
+        conf = ready_to_compare(tmp_path)
+        prepared = tmp_path / "prepared"
         if scale is not None:
             (prepared / "scale.json").write_text(json.dumps({"d_max_abs": scale}))
         model = tmp_path / "model.json"
-        doc = json.loads(model_to_json(init_weights(0)))
+        doc = json.loads(model.read_text())
         doc["head"]["bias"] = head_bias
         model.write_text(json.dumps(doc))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
+        argv = stage_argv("compare", tmp_path, conf)
+        err = refused(argv, tmp_path / "report.csv", tmp_path / "summary.json")
         if scale is None:
             head = f"clockpred: error: {model} on {prepared} with {conf}: CNN prediction at MJD "
             tail = " gives a non-finite RMS error\n"
         else:
             head = f"clockpred: error: {prepared / 'scale.json'}: {_KEYS.format(repr('d_max_abs'))}"
             tail = "\n"
-        assert err.startswith(head)
-        assert err.endswith(tail) and err.count("\n") == 1
-        assert not report.exists() and not (tmp_path / "report.csv.summary.json").exists()
+        assert err.startswith(head) and err.endswith(tail)
 
     @pytest.mark.filterwarnings("error")
-    def test_trend_that_overflows_names_its_key(self, tmp_path, capsys):
+    def test_trend_that_overflows_names_its_key(self, tmp_path):
         """A finite coefficient whose trend overflows on the series' epochs is not what
         ``prepare`` writes; the line names trend.json and the key."""
         conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        path = prepared / "trend.json"
+        run_stages(tmp_path, conf, "generate", "prepare")
+        path = tmp_path / "prepared" / "trend.json"
         path.write_text(json.dumps({**json.loads(path.read_text()), "c1": 1e308}))
-        capsys.readouterr()
-        argv = ["train", "--config", conf, "--prepared", str(prepared)]
-        argv += ["--model-out", str(tmp_path / "model.json"), "--trace-out", str(tmp_path / "t.csv")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
+        err = refused(stage_argv("train", tmp_path, conf), tmp_path / "model.json")
         assert err == f"clockpred: error: {path}: {_KEYS.format(repr('c1'))}\n"
-        assert not (tmp_path / "model.json").exists()
 
-    def test_scale_that_overflows_the_residual_names_scale_json(self, tmp_path, capsys):
+    def test_scale_that_overflows_the_residual_names_scale_json(self, tmp_path):
         conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        path = prepared / "scale.json"
+        run_stages(tmp_path, conf, "generate", "prepare")
+        path = tmp_path / "prepared" / "scale.json"
         path.write_text(json.dumps({"d_max_abs": 1e-320}))
-        capsys.readouterr()
-        argv = ["train", "--config", conf, "--prepared", str(prepared)]
-        argv += ["--model-out", str(tmp_path / "model.json"), "--trace-out", str(tmp_path / "t.csv")]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
+        err = refused(stage_argv("train", tmp_path, conf), tmp_path / "model.json")
         assert err == f"clockpred: error: {path}: {_KEYS.format(repr('d_max_abs'))}\n"
-        assert not (tmp_path / "model.json").exists()
 
     @pytest.mark.parametrize("fit_on_full", ["true", "false"])
-    def test_scale_of_another_run_names_scale_json(self, tmp_path, capsys, fit_on_full):
+    def test_scale_of_another_run_names_scale_json(self, tmp_path, fit_on_full):
         """Another seed's scale.json is well formed and divides the residual finely,
         but it is not what ``prepare`` writes for this series.csv."""
-        def conf_in(root, **extra):
-            conf = Path(fast_conf(root, **extra))
-            conf.write_text(conf.read_text().replace("true", fit_on_full))
-            return str(conf)
-
-        conf = conf_in(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        (tmp_path / "other").mkdir()
-        other_scale = generate_and_prepare(tmp_path / "other", conf_in(tmp_path / "other", seed=1003))
-        path = prepared / "scale.json"
-        path.write_bytes((other_scale / "scale.json").read_bytes())
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
+        conf = ready_to_compare(tmp_path, fit_on_full=fit_on_full)
+        other = tmp_path / "other"
+        other.mkdir()
+        other_conf = fast_conf(other, seed=1003, fit_on_full=fit_on_full)
+        run_stages(other, other_conf, "generate", "prepare")
+        path = tmp_path / "prepared" / "scale.json"
+        path.write_bytes((other / "prepared" / "scale.json").read_bytes())
+        err = refused(stage_argv("compare", tmp_path, conf), tmp_path / "report.csv")
         assert err == f"clockpred: error: {path}: {_KEYS.format(repr('d_max_abs'))}\n"
-        assert not report.exists()
 
     def test_json_documents_refuse_non_finite_numbers(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
@@ -1089,22 +814,20 @@ class TestSafety:
     @given(st.sampled_from(["series.csv", "model.json", "experiment.conf", *_PREPARED_DOCS]), st.data())
     def test_mutated_input_ends_in_finite_output_or_one_line(self, frozen_run, target, data):
         """Every stage that reads a mutated input exits 0 having written only finite
-        numbers, or exits 1 with one error line that names a path."""
-        stages = {
-            "generate": ["--out", "g.csv"],
-            "prepare": ["--in", "series.csv", "--out-dir", "p"],
-            "train": ["--prepared", "prepared", "--model-out", "m.json", "--trace-out", "t.csv"],
-            "compare": ["--prepared", "prepared", "--model", "model.json", "--report-out", "r.csv"],
-        }
-        readers = {"series.csv": ["prepare"], "model.json": ["compare"], "experiment.conf": list(stages)}
-        with tempfile.TemporaryDirectory() as tmp:
-            run = Path(tmp)
-            shutil.copytree(frozen_run, run, dirs_exist_ok=True)
-            path = run / target
-            path.write_bytes(_mutated(data.draw, path.read_bytes()))
-            for stage in readers.get(target, ["train", "compare"]):
-                args = ["--config", "experiment.conf", *stages[stage]]
-                argv = [stage, *(a if a.startswith("--") else str(run / a) for a in args)]
+        numbers, or exits 1 with one error line that names a path.  Each stage runs on
+        its own copy of the frozen run, without the frozen run's outputs of that stage."""
+        readers = {"series.csv": ["prepare"], "model.json": ["compare"], "experiment.conf": STAGES}
+        mutant = _mutated(data.draw, (frozen_run / target).read_bytes())
+        for stage in readers.get(target, ["train", "compare"]):
+            with tempfile.TemporaryDirectory() as tmp:
+                run = Path(tmp)
+                shutil.copytree(frozen_run, run, dirs_exist_ok=True)
+                (run / target).write_bytes(mutant)
+                argv = stage_argv(stage, run, run / "experiment.conf")
+                for option, out in zip(argv, argv[1:]):
+                    if option in ("--out", "--out-dir") or option.endswith("-out"):
+                        shutil.rmtree(out) if os.path.isdir(out) else os.remove(out)
+                        Path(f"{out}.manifest.json").unlink(missing_ok=True)
                 before = set(run.rglob("*"))
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), warnings.catch_warnings():
@@ -1135,41 +858,31 @@ class TestSafety:
             "n-1e17",
         ],
     )
-    def test_bad_config_value_names_the_config_file(self, tmp_path, capsys, key, value, message):
+    def test_bad_config_value_names_the_config_file(self, tmp_path, key, value, message):
         """Every stage reads every configuration value, so even ``generate`` refuses a
         bad training or split value, and the line names the file."""
         conf = fast_conf(tmp_path, **{key: value})
-        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {conf}: ") and err.count("\n") == 1
-        assert message in err and not (tmp_path / "s.csv").exists()
+        err = refused(stage_argv("generate", tmp_path, conf), tmp_path / "series.csv")
+        assert err.startswith(f"clockpred: error: {conf}: ") and message in err
 
     @pytest.mark.parametrize("target", ["fast.conf", "model.json", "prepared/series.csv"])
-    def test_undecodable_input_names_its_path(self, tmp_path, capsys, target):
+    def test_undecodable_input_names_its_path(self, tmp_path, target):
         """A byte that is not UTF-8 is refused: a JSON document does not decode, and in
         a CSV or configuration file it reads as U+FFFD, which no key, number or header accepts."""
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
+        conf = ready_to_compare(tmp_path)
         path = tmp_path / target
         path.write_bytes(b"\x80" + path.read_bytes())
-        capsys.readouterr()
-        assert main(compare_argv(conf, prepared, model, tmp_path / "report.csv")) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {path}") and err.count("\n") == 1
+        err = refused(stage_argv("compare", tmp_path, conf), tmp_path / "report.csv")
+        assert err.startswith(f"clockpred: error: {path}")
 
     @pytest.mark.parametrize("nesting", ["100000-brackets", "value-100-deep"])
     @pytest.mark.parametrize(
         "name", ["model.json", "prepared/trend.json", "prepared/scale.json", "prepared/split.json"]
     )
-    def test_deeply_nested_document_is_one_line_diagnostic(self, tmp_path, capsys, name, nesting):
+    def test_deeply_nested_document_is_one_line_diagnostic(self, tmp_path, name, nesting):
         """Brackets nested too deep to decode, or a value that is a list nested 100 deep,
         end ``compare`` in one line that names the document."""
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
+        conf = ready_to_compare(tmp_path)
         path = tmp_path / name
         if nesting == "100000-brackets":
             path.write_text("[" * 100_000 + "]" * 100_000)
@@ -1183,28 +896,8 @@ class TestSafety:
                 key = {"trend.json": "c2", "scale.json": "d_max_abs", "split.json": "n"}[path.name]
                 doc[key] = deep
             path.write_text(json.dumps(doc))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"clockpred: error: {path}: ") and err.count("\n") == 1
-        assert not report.exists()
-
-    def test_infinite_model_channel_count_is_one_line_diagnostic(self, tmp_path, capsys):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        text = model_to_json(init_weights(0))
-        model.write_text(text.replace('"channels": 1', '"channels": 1e400'))
-        capsys.readouterr()
-        report = tmp_path / "report.csv"
-        assert main(compare_argv(conf, prepared, model, report)) == 1
-        err = capsys.readouterr().err
-        assert err == (
-            f"clockpred: error: {model}: malformed document: "
-            "keys ['channels'] differ from the config of its kernels\n"
-        )
-        assert not report.exists()
+        err = refused(stage_argv("compare", tmp_path, conf), tmp_path / "report.csv")
+        assert err.startswith(f"clockpred: error: {path}: ")
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -1236,9 +929,8 @@ class TestSafety:
             run, text = Path(tmp), (frozen_run / "experiment.conf").read_text()
             conf = run / "experiment.conf"
             conf.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
-            for ran in ("generate", "prepare", "train", "compare"):
-                argv = [*FrozenCli.stage_argv(ran), "--config", str(conf)]
-                error = FrozenCli.run_stage(argv, run)
+            for ran in STAGES:
+                error = FrozenCli.run_stage(stage_argv(ran, "", conf), run)
                 if error is not None:
                     break
             assert (ran, error) == (stage, f"{stage} returned 1")
@@ -1247,39 +939,32 @@ class TestSafety:
         source = f"{inputs[stage]} with {conf}" if inputs[stage] else conf
         assert err.startswith(f"clockpred: error: {source}: ") and err.count("\n") == 1
 
-    def test_refused_prepare_writes_nothing(self, tmp_path, capsys):
+    def test_refused_prepare_writes_nothing(self, tmp_path):
         conf = fast_conf(tmp_path)
-        assert main(["generate", "--config", conf, "--out", str(tmp_path / "s.csv")]) == 0
+        run_stages(tmp_path, conf, "generate")
         prepared = tmp_path / "prepared"
         prepared.mkdir()
         (prepared / "split.json").write_text("stale\n")
-        capsys.readouterr()
-        argv = ["prepare", "--config", conf, "--in", str(tmp_path / "s.csv")]
-        assert main(argv + ["--out-dir", str(prepared)]) == 1
-        err = capsys.readouterr().err
-        assert f"refusing to overwrite {prepared / 'split.json'}" in err and err.count("\n") == 1
+        err = refused(stage_argv("prepare", tmp_path, conf))
+        assert f"refusing to overwrite {prepared / 'split.json'}" in err
         assert [p.name for p in prepared.iterdir()] == ["split.json"]
         assert (prepared / "split.json").read_text() == "stale\n"
 
-    def test_refused_train_writes_no_model(self, tmp_path, capsys):
+    def test_refused_train_writes_no_model(self, tmp_path):
         conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
+        run_stages(tmp_path, conf, "generate", "prepare")
         (tmp_path / "trace.csv").write_text("stale\n")
-        capsys.readouterr()
-        argv = ["train", "--config", conf, "--prepared", str(prepared), "--model-out"]
-        argv += [str(tmp_path / "model.json"), "--trace-out", str(tmp_path / "trace.csv")]
-        assert main(argv) == 1
-        assert "refusing to overwrite" in capsys.readouterr().err
-        assert not (tmp_path / "model.json").exists()
-        assert not (tmp_path / "model.json.manifest.json").exists()
+        model = tmp_path / "model.json"
+        err = refused(stage_argv("train", tmp_path, conf), model, f"{model}.manifest.json")
+        assert "refusing to overwrite" in err
         assert (tmp_path / "trace.csv").read_text() == "stale\n"
 
     def test_force_rewrites_every_output_and_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         conf = fast_conf(tmp_path)
         written = {}
-        for stage in ("generate", "prepare", "train", "compare"):
-            argv = [*FrozenCli.stage_argv(stage), "--config", conf]
+        for stage in STAGES:
+            argv = stage_argv(stage, "", conf)
             before = set(tmp_path.rglob("*"))
             assert main(argv) == 0
             outputs = [p for p in set(tmp_path.rglob("*")) - before if p.is_file()]
@@ -1291,25 +976,15 @@ class TestSafety:
             written.update(fresh)
         assert len(written) == 14
 
-    def test_two_outputs_on_one_path_are_refused(self, tmp_path, capsys):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
-        capsys.readouterr()
+    def test_two_outputs_on_one_path_are_refused(self, tmp_path):
+        conf = ready_to_compare(tmp_path)
         report = tmp_path / "report.csv"
-        argv = compare_argv(conf, prepared, model, report) + ["--summary-out", str(report)]
-        assert main(argv + ["--force"]) == 1
-        err = capsys.readouterr().err
-        assert "two outputs of compare share one path" in err and err.count("\n") == 1
-        assert not report.exists()
+        argv = stage_argv("compare", tmp_path, conf, "--summary-out", report, "--force")
+        assert "two outputs of compare share one path" in refused(argv, report)
 
     @pytest.mark.parametrize("spelling", ["dotdot", "symlink"])
-    def test_two_spellings_of_one_file_are_refused(self, tmp_path, capsys, spelling):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
+    def test_two_spellings_of_one_file_are_refused(self, tmp_path, spelling):
+        conf = ready_to_compare(tmp_path)
         out = tmp_path / "out"
         if spelling == "dotdot":
             summary = out / ".." / "out" / "r.csv"
@@ -1317,25 +992,51 @@ class TestSafety:
             out.mkdir()
             (tmp_path / "link").symlink_to(out, target_is_directory=True)
             summary = tmp_path / "link" / "r.csv"
-        capsys.readouterr()
-        argv = compare_argv(conf, prepared, model, out / "r.csv") + ["--stub-memorize"]
-        assert main(argv + ["--summary-out", str(summary), "--force"]) == 1
-        err = capsys.readouterr().err
-        assert "two outputs of compare share one path" in err and err.count("\n") == 1
+        argv = stage_argv("compare", tmp_path, conf, "--report-out", out / "r.csv")
+        argv += ["--stub-memorize", "--summary-out", str(summary), "--force"]
+        assert "two outputs of compare share one path" in refused(argv)
         assert not out.exists() or list(out.iterdir()) == []
 
     def test_manifest_records_outputs_as_spelled(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
+        conf = ready_to_compare(tmp_path)
         summary = f"{tmp_path}/out/../out/s.json"
-        argv = compare_argv(conf, prepared, model, tmp_path / "out" / "r.csv")
+        argv = stage_argv("compare", tmp_path, conf, "--report-out", tmp_path / "out" / "r.csv")
         assert main(argv + ["--stub-memorize", "--summary-out", summary]) == 0
         manifest = json.loads((tmp_path / "out" / "r.csv.manifest.json").read_text())
         report = str(tmp_path / "out" / "r.csv")
         assert manifest["outputs"] == {"report": report, "summary": summary}
         assert json.loads((tmp_path / "out" / "s.json").read_text())["n_pred"] > 0
+
+    def test_every_manifest_of_a_run_replays_its_stage(self, frozen_run, tmp_path):
+        """Run from a copy of the run's directory, each manifest's command with its
+        configuration, seed, inputs and outputs writes its outputs and itself again, byte
+        for byte.  The manifests record paths as spelled, relative to that directory."""
+        run = tmp_path / "run"
+        shutil.copytree(frozen_run, run)
+        options = {"series": "--in", "series_b": "--in-b"}  # else an input's name is its option
+        manifests = sorted(run.rglob("*manifest.json"))
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            command, outputs = manifest["command"], manifest["outputs"]
+            conf = tmp_path / f"{command}.conf"
+            conf.write_text("".join(f"{k} = {v}\n" for k, v in manifest["config"].items()))
+            argv = [command, "--config", str(conf), "--force"]
+            if command in ("generate", "train"):
+                argv += ["--seed", str(manifest["seed"])]
+            for name, value in manifest["inputs"].items():
+                argv += [options.get(name, f"--{name}"), value]
+            if command == "prepare":
+                argv += ["--out-dir", str(Path(outputs["series"]).parent)]
+            else:
+                for name, value in outputs.items():
+                    argv += ["--out" if command == "generate" else f"--{name}-out", value]
+            if manifest["extra"].get("stub_memorize"):
+                argv.append("--stub-memorize")
+            written = [path, *(run / p for p in outputs.values())]
+            want = {p: p.read_bytes() for p in written}
+            assert FrozenCli.run_stage(argv, run) is None, argv
+            assert {p: p.read_bytes() for p in written} == want, command
+        assert sorted(json.loads(p.read_text())["command"] for p in manifests) == sorted(STAGES)
 
     def test_outputs_take_their_mode_from_the_umask(self, tmp_path):
         conf = fast_conf(tmp_path)
@@ -1345,7 +1046,7 @@ class TestSafety:
         try:
             for mask in (0o022, 0o077, 0o022):  # a first write, then two overwrites
                 os.umask(mask)
-                argv = ["generate", "--config", conf, "--out", str(out), "--force"]
+                argv = stage_argv("generate", tmp_path, conf, "--force")
                 for p in written:
                     if p.exists():
                         p.chmod(0o640)
@@ -1373,7 +1074,7 @@ class TestSafety:
         assert len(out.read_text().strip().split("\n")) == 10
 
     @pytest.mark.parametrize("source", ["flag", "environment"])
-    def test_empty_config_path_is_refused(self, tmp_path, capsys, monkeypatch, source):
+    def test_empty_config_path_is_refused(self, tmp_path, monkeypatch, source):
         """``--config "$CONF"`` with ``CONF`` unset must not run the default configuration."""
         argv = ["generate", "--out", str(tmp_path / "series.csv")]
         if source == "flag":
@@ -1381,8 +1082,7 @@ class TestSafety:
             argv += ["--config", ""]
         else:
             monkeypatch.setenv("CLOCKPRED_CONFIG", "")
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "clockpred: error: the configuration path is empty\n"
+        assert refused(argv) == "clockpred: error: the configuration path is empty\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -1391,7 +1091,7 @@ class TestParser:
 
     def test_built_once(self, tmp_path):
         parser = _build_parser()
-        generate_and_prepare(tmp_path, fast_conf(tmp_path))
+        run_stages(tmp_path, fast_conf(tmp_path), "generate", "prepare")
         assert _build_parser() is parser
 
     def test_each_stage_takes_its_sub_parsers_options(self):
@@ -1404,28 +1104,25 @@ class TestParser:
             assert dests == set(inspect.signature(stage).parameters), name
             assert p.get_default("stage") is stage, name
 
-    def test_force_does_not_carry_over(self, tmp_path, capsys):
+    def test_force_does_not_carry_over(self, tmp_path):
         conf = fast_conf(tmp_path)
-        out = str(tmp_path / "series.csv")
-        assert main(["generate", "--config", conf, "--out", out, "--force"]) == 0
-        assert main(["generate", "--config", conf, "--out", out]) == 1
-        assert "refusing to overwrite" in capsys.readouterr().err
+        assert main(stage_argv("generate", tmp_path, conf, "--force")) == 0
+        assert "refusing to overwrite" in refused(stage_argv("generate", tmp_path, conf))
 
     def test_summary_out_and_stub_do_not_carry_over(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        prepared = generate_and_prepare(tmp_path, conf)
-        model = tmp_path / "model.json"
-        model.write_text(model_to_json(init_weights(0)))
-        stub = compare_argv(conf, prepared, model, tmp_path / "stub.csv")
-        assert main(stub + ["--summary-out", str(tmp_path / "stub.json"), "--stub-memorize"]) == 0
-        assert main(compare_argv(conf, prepared, model, tmp_path / "report.csv")) == 0
+        conf = ready_to_compare(tmp_path)
+        stub = ["--report-out", tmp_path / "stub.csv", "--summary-out", tmp_path / "stub.json"]
+        assert main(stage_argv("compare", tmp_path, conf, *stub, "--stub-memorize")) == 0
+        files = ["--prepared", tmp_path / "prepared", "--model", tmp_path / "model.json"]
+        argv = ["compare", "--config", conf, *files, "--report-out", tmp_path / "report.csv"]
+        assert main([str(a) for a in argv]) == 0
         summary = json.loads((tmp_path / "report.csv.summary.json").read_text())
         assert summary["cnn_e_rms_ns"] > 0 and summary["kf_e_rms_ns"] > 0
         assert sorted(p.name for p in tmp_path.glob("*.json")) == [
             "model.json",
             "report.csv.manifest.json",
             "report.csv.summary.json",
-            "s.csv.manifest.json",
+            "series.csv.manifest.json",
             "stub.csv.manifest.json",
             "stub.json",
         ]
@@ -1452,7 +1149,7 @@ class TestParser:
                 main(argv)
             assert exc.value.code == 2
             assert "usage: clockpred" in capsys.readouterr().err
-        generate_and_prepare(tmp_path, fast_conf(tmp_path))
+        run_stages(tmp_path, fast_conf(tmp_path), "generate", "prepare")
 
     def test_help_in_fresh_process(self):
         env = dict(os.environ)
