@@ -1008,9 +1008,9 @@ class TestSafety:
         assert json.loads((tmp_path / "out" / "s.json").read_text())["n_pred"] > 0
 
     def test_every_manifest_of_a_run_replays_its_stage(self, frozen_run, tmp_path):
-        """Run from a copy of the run's directory, each manifest's command with its
-        configuration, seed, inputs and outputs writes its outputs and itself again, byte
-        for byte.  The manifests record paths as spelled, relative to that directory."""
+        """Each manifest holds what its stage needs to write its outputs and the manifest
+        again, byte for byte: the command, configuration, seed, inputs and outputs.  It
+        replays in a copy of the run's directory, as it records paths relative to it."""
         run = tmp_path / "run"
         shutil.copytree(frozen_run, run)
         options = {"series": "--in", "series_b": "--in-b"}  # else an input's name is its option
@@ -1034,6 +1034,8 @@ class TestSafety:
                 argv.append("--stub-memorize")
             written = [path, *(run / p for p in outputs.values())]
             want = {p: p.read_bytes() for p in written}
+            for p in written:
+                p.write_text("stale\n")
             assert FrozenCli.run_stage(argv, run) is None, argv
             assert {p: p.read_bytes() for p in written} == want, command
         assert sorted(json.loads(p.read_text())["command"] for p in manifests) == sorted(STAGES)
