@@ -12,7 +12,9 @@ Only the phase is observed (H = [1, 0]) with measurement variance R.
 
 The window filter is split in two.  ``kf_gains`` runs the covariance
 recursion, which depends on the parameters, the interval and the window
-width but not on the data, and returns one gain per sample.
+width but not on the data, and returns one gain per sample.  It holds the
+square-root factor as three floats; only F S (BLAS) and the QR (LAPACK)
+go through numpy, F S because its FMA kernels round their own way.
 ``kf_one_ahead_batch`` then runs the state recursion over a whole matrix
 of windows with those gains; ``kf_one_ahead`` is its batch of one.
 The plain single-step covariance recursion that the tests check this
@@ -79,7 +81,10 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     never on the data.  The covariance is propagated in square-root form
     (Potter update, QR prediction; Bierman 1977): with a diffuse start the
     plain recursion grinds the post-collapse variances against 12+ decades
-    of dynamic range, which costs around half the mantissa.
+    of dynamic range, which costs around half the mantissa.  S = [[a, 0],
+    [b, c]] is three floats: H S = (a, 0), so numpy's sums only added exact
+    zeros and floats keep their bits.  F S stays in BLAS, whose FMA kernels
+    round ``a + tau * b`` their own way; the QR is LAPACK's, in raw mode.
 
     Raises
     ------
@@ -93,7 +98,7 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     tau = float(interval)
     if not 0.0 < tau < math.inf:
         raise ValueError(f"interval must be positive and finite, got {interval}")
-    root = np.diag([math.sqrt(params.p0), math.sqrt(params.p0)])
+    a, b, c = math.sqrt(params.p0), 0.0, math.sqrt(params.p0)
     transition = transition_matrix(tau)
     # [F S | Q^(1/2)], re-triangularized by QR at each prediction.
     stacked = np.empty((2, 5))
@@ -101,19 +106,19 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     gains = np.empty((width, 2))
     for k in range(width):
         if k:
-            stacked[:, :2] = transition @ root
-            root = np.linalg.qr(stacked.T, mode="r").T
-        # Potter measurement update on the factor (H = [1, 0]).
-        a = root[0, :]
-        innovation_var = float(a @ a) + params.r
+            stacked[:, :2] = transition @ np.array([[a, 0.0], [b, c]])
+            # Raw mode returns LAPACK's array transposed: its lower triangle is S = R'.
+            (a, _), (b, c) = np.linalg.qr(stacked.T, mode="raw")[0][:, :2].tolist()
+        # Potter measurement update on the factor (H = [1, 0]); S H' = (aa, ba).
+        aa, ba = a * a, b * a
+        innovation_var = aa + params.r
         if innovation_var <= 0.0:
             raise ValueError(
                 f"degenerate update: innovation variance {innovation_var} is not positive"
             )
-        root_a = root @ a
-        gains[k] = root_a / innovation_var
+        gains[k] = aa / innovation_var, ba / innovation_var
         shrink = 1.0 / (innovation_var + math.sqrt(innovation_var * params.r))
-        root = root - shrink * np.outer(root_a, a)
+        a, b = a - shrink * (aa * a), b - shrink * (ba * a)
     return gains
 
 

@@ -10,10 +10,12 @@ passes into the whole-dataset gradient that finite differences check.
 training never evaluates it.
 """
 
+import ctypes
 import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from clockpred.cnn import (
     forward_cached,
     init_weights,
 )
-from clockpred.kalman import KalmanParams, transition_matrix
+from clockpred.kalman import KalmanParams, _process_noise_factor, transition_matrix
 from clockpred.series import CSV_HEADER, DEFAULT_INTERVAL_DAYS, TimeSeries, _brief
 from clockpred.training import _data_gradient, rmse_loss
 
@@ -246,6 +248,58 @@ def adam_reference(param, grad, m, v, t, lr, beta1, beta2, eps):
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
     return param - lr * m_hat / (math.sqrt(v_hat) + eps), m, v, t
+
+
+def openblas_core():
+    """The kernel name of the OpenBLAS bundled with numpy, or None where none is found.
+
+    ``OPENBLAS_CORETYPE`` picks the kernel, and an unknown value falls back
+    to the default one silently, so a test run under it reads back the name.
+    """
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def kf_gains_reference(width, interval, params):
+    """``kalman.kf_gains`` as it stood with the factor held as a 2x2 array.
+
+    Every product goes through numpy: ``a @ a``, ``root @ a`` and
+    ``np.outer`` in the Potter update, and ``mode="r"`` QR in the
+    prediction.  Since ``H S = (a, 0)``, each of those sums has exact-zero
+    terms, so the library's three-float update must give these bytes.
+    """
+    if width < 2:
+        raise ValueError(f"a window needs at least two samples, got {width}")
+    tau = float(interval)
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"interval must be positive and finite, got {interval}")
+    root = np.diag([math.sqrt(params.p0), math.sqrt(params.p0)])
+    transition = transition_matrix(tau)
+    # [F S | Q^(1/2)], re-triangularized by QR at each prediction.
+    stacked = np.empty((2, 5))
+    stacked[:, 2:] = _process_noise_factor(params.q1, params.q2, tau)
+    gains = np.empty((width, 2))
+    for k in range(width):
+        if k:
+            stacked[:, :2] = transition @ root
+            root = np.linalg.qr(stacked.T, mode="r").T
+        # Potter measurement update on the factor (H = [1, 0]).
+        a = root[0, :]
+        innovation_var = float(a @ a) + params.r
+        if innovation_var <= 0.0:
+            raise ValueError(
+                f"degenerate update: innovation variance {innovation_var} is not positive"
+            )
+        root_a = root @ a
+        gains[k] = root_a / innovation_var
+        shrink = 1.0 / (innovation_var + math.sqrt(innovation_var * params.r))
+        root = root - shrink * np.outer(root_a, a)
+    return gains
 
 
 def kf_one_ahead_oracle(window, interval, params):

@@ -1,6 +1,11 @@
 """Tests for the two-state Kalman baseline."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from clockpred.kalman import (
     KalmanParams,
     _process_noise_factor,
+    kf_gains,
     kf_one_ahead,
     kf_one_ahead_batch,
     transition_matrix,
@@ -21,12 +27,16 @@ from clockpred.series import prepare
 from clockpred.synthetic import default_maser_spec, generate
 from tests.helpers import (
     KalmanModel,
+    kf_gains_reference,
     kf_one_ahead_oracle,
     kf_predict,
     kf_update,
     ols_line_extrapolation,
+    openblas_core,
     process_noise,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # The calibration grid of notebooks/05_kalman_calibration.py: 8 x 8 x 6 points.
 GRID_Q = [0.0] + [10.0**e for e in range(-7, 0)]
@@ -275,6 +285,54 @@ class TestBatch:
             kf_one_ahead_batch(np.zeros(5), 5.0)
         with pytest.raises(ValueError, match="at least two"):
             kf_one_ahead_batch(np.zeros((3, 1)), 5.0)
+
+
+def gains_byte_mismatches():
+    """The configurations whose ``kf_gains`` bytes differ from ``kf_gains_reference``'s.
+
+    The calibration grid at widths 2, 5 and 9 and four intervals, each at
+    the default p0 and at a random p0 in [1, 1e8].  Bytes, not values:
+    ``assert_array_equal`` takes -0.0 for 0.0.
+    """
+    rng = np.random.default_rng(2808)
+    mismatches = []
+    grid = itertools.product(GRID_Q, GRID_Q, GRID_R, (2, 5, 9), (1.0, 5.0, 7.5, 10.0))
+    for q1, q2, r, width, tau in grid:
+        for p0 in (KalmanParams.p0, float(10 ** rng.uniform(0, 8))):
+            params = KalmanParams(q1=q1, q2=q2, r=r, p0=p0)
+            got = kf_gains(width, tau, params).tobytes()
+            if got != kf_gains_reference(width, tau, params).tobytes():
+                mismatches.append([q1, q2, r, p0, width, tau])
+    return mismatches
+
+
+class TestGains:
+    def test_bytes_equal_matrix_form_reference(self):
+        assert gains_byte_mismatches() == []
+
+    # One FMA kernel and one without FMA.  OpenBLAS names its Prescott
+    # kernel Katmai, the first of the cores that share it.
+    @pytest.mark.parametrize("core, name", [("Haswell", "Haswell"), ("Prescott", "Katmai")])
+    def test_bytes_equal_matrix_form_reference_under_blas_kernel(self, core, name):
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        script = (
+            "import json; from tests.helpers import openblas_core; "
+            "from tests.test_kalman import gains_byte_mismatches as m; "
+            "print(json.dumps([openblas_core(), m()]))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        kernel, mismatches = json.loads(done.stdout)
+        assert kernel in (name, None)
+        assert mismatches == []
 
 
 class TestParams:
