@@ -82,9 +82,9 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     (Potter update, QR prediction; Bierman 1977): with a diffuse start the
     plain recursion grinds the post-collapse variances against 12+ decades
     of dynamic range, which costs around half the mantissa.  S = [[a, 0],
-    [b, c]] is three floats: H S = (a, 0), so numpy's sums only added exact
-    zeros and floats keep their bits.  F S stays in BLAS, whose FMA kernels
-    round ``a + tau * b`` their own way; the QR is LAPACK's, in raw mode.
+    [b, c]] is three floats: H S = (a, 0), so the matrix form's sums add
+    only exact zeros and floats give its bits.  F S stays in BLAS, whose FMA
+    kernels round ``a + tau * b`` their own way; the QR is LAPACK's, raw mode.
 
     Raises
     ------

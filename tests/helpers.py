@@ -3,7 +3,8 @@
 Everything here recomputes results through a route different from the
 library code it checks: naive loops, rational arithmetic, closed forms,
 and ``forward_reference``, the scalar forward pass that ``cnn.forward``
-replaced and must match bit for bit.
+replaced and must match bit for bit, and ``kf_gains_reference``, the
+matrix-form gains whose bytes ``kalman.kf_gains`` must give.
 The one exception, ``_loss_gradient``, composes the library's own batched
 passes into the whole-dataset gradient that finite differences check.
 ``loss_with_l2`` and ``weight_norm_sq`` state the loss that gradient is of;
@@ -260,7 +261,7 @@ def openblas_core():
         for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
             corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
             if corename is not None:
-                corename.restype = ctypes.c_char_p
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()
     return None
 

@@ -315,7 +315,8 @@ class TestGains:
     @pytest.mark.parametrize("core, name", [("Haswell", "Haswell"), ("Prescott", "Katmai")])
     def test_bytes_equal_matrix_form_reference_under_blas_kernel(self, core, name):
         env = dict(os.environ, OPENBLAS_CORETYPE=core)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
         script = (
             "import json; from tests.helpers import openblas_core; "
             "from tests.test_kalman import gains_byte_mismatches as m; "
