@@ -54,12 +54,6 @@ class KalmanParams:
             raise ValueError("initial variance must be positive")
 
 
-def transition_matrix(interval: float) -> np.ndarray:
-    """Phase/frequency propagation over one interval: [[1, tau], [0, 1]]."""
-    tau = float(interval)
-    return np.array([[1.0, tau], [0.0, 1.0]])
-
-
 def _process_noise_factor(q1: float, q2: float, tau: float) -> np.ndarray:
     """A 2x3 matrix M with M M' = Q(tau), built from the exact Cholesky pieces."""
     wfm = math.sqrt(q1 * tau)
@@ -99,7 +93,7 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     if not 0.0 < tau < math.inf:
         raise ValueError(f"interval must be positive and finite, got {interval}")
     a, b, c = math.sqrt(params.p0), 0.0, math.sqrt(params.p0)
-    transition = transition_matrix(tau)
+    transition = np.array([[1.0, tau], [0.0, 1.0]])
     # [F S | Q^(1/2)], re-triangularized by QR at each prediction.
     stacked = np.empty((2, 5))
     stacked[:, 2:] = _process_noise_factor(params.q1, params.q2, tau)

@@ -85,6 +85,7 @@ def persistence_predictor(window) -> float:
 def kalman_window_predictor(
     params: KalmanParams, interval: float
 ) -> Callable[[np.ndarray], float]:
+    """Per-window ``kf_one_ahead`` for :func:`rolling_predict`, the form kf-calibrate times."""
     return lambda window: kf_one_ahead(window, interval, params)
 
 

@@ -12,6 +12,7 @@ training never evaluates it.
 """
 
 import ctypes
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from clockpred.cnn import (
     forward_cached,
     init_weights,
 )
-from clockpred.kalman import KalmanParams, _process_noise_factor, transition_matrix
+from clockpred.kalman import KalmanParams
 from clockpred.series import CSV_HEADER, DEFAULT_INTERVAL_DAYS, TimeSeries, _brief
 from clockpred.training import _data_gradient, rmse_loss
 
@@ -49,19 +50,26 @@ def conv_oracle(x, kernel, bias):
     return out
 
 
-def forward_oracle(model, window):
-    """Layer-by-layer recomputation of the network output."""
+def preactivations_oracle(model, window):
+    """Each layer's (out_ch, width) pre-activation in turn, channel by channel
+    through :func:`conv_oracle`; the next layer reads its ReLU."""
     act = np.asarray(window, dtype=float).reshape(1, -1)
     for layer in model.layers:
         out_ch, in_ch, _ = layer.kernel.shape
-        nxt = np.zeros((out_ch, act.shape[1]))
+        pre = np.zeros((out_ch, act.shape[1]))
         for o in range(out_ch):
             total = np.zeros(act.shape[1])
             for c in range(in_ch):
                 total += conv_oracle(act[c], layer.kernel[o, c], 0.0)
-            nxt[o] = total + layer.bias[o]
-        act = np.maximum(nxt, 0.0)
-    return float(model.head_weights @ act.ravel() + model.head_bias)
+            pre[o] = total + layer.bias[o]
+        yield pre
+        act = np.maximum(pre, 0.0)
+
+
+def forward_oracle(model, window):
+    """Layer-by-layer recomputation of the network output."""
+    *_, pre = preactivations_oracle(model, window)
+    return float(model.head_weights @ np.maximum(pre, 0.0).ravel() + model.head_bias)
 
 
 def _zero_padded(x: np.ndarray, k: int) -> np.ndarray:
@@ -148,19 +156,7 @@ def batch_loops_oracle(model, windows, upstreams):
 def preactivation_margin(model, window):
     """Smallest |preactivation| across all layers; gates finite-difference
     checks away from ReLU kinks."""
-    act = np.asarray(window, dtype=float).reshape(1, -1)
-    margin = np.inf
-    for layer in model.layers:
-        out_ch, in_ch, _ = layer.kernel.shape
-        pre = np.zeros((out_ch, act.shape[1]))
-        for o in range(out_ch):
-            total = np.zeros(act.shape[1])
-            for c in range(in_ch):
-                total += conv_oracle(act[c], layer.kernel[o, c], 0.0)
-            pre[o] = total + layer.bias[o]
-        margin = min(margin, float(np.min(np.abs(pre))))
-        act = np.maximum(pre, 0.0)
-    return margin
+    return min(float(np.min(np.abs(pre))) for pre in preactivations_oracle(model, window))
 
 
 def kink_free_instance(rng, channels=1):
@@ -266,6 +262,41 @@ def openblas_core():
     return None
 
 
+# The two-state clock model, written here apart from ``clockpred.kalman``, and
+# two filters on it: the square-root form whose bytes the library must give,
+# and the plain covariance recursion one step at a time, with a Joseph-form
+# update, which the library must agree with where the dynamic range is modest.
+
+
+def clock_transition(interval: float) -> np.ndarray:
+    """Phase/frequency propagation over one interval: [[1, tau], [0, 1]]."""
+    return np.array([[1.0, float(interval)], [0.0, 1.0]])
+
+
+def process_noise(q1: float, q2: float, interval: float) -> np.ndarray:
+    """Two-state clock process covariance accumulated over one interval."""
+    tau = float(interval)
+    return np.array(
+        [
+            [q1 * tau + q2 * tau**3 / 3.0, q2 * tau**2 / 2.0],
+            [q2 * tau**2 / 2.0, q2 * tau],
+        ]
+    )
+
+
+def process_noise_factor(q1: float, q2: float, interval: float) -> np.ndarray:
+    """A 2x3 matrix M with M M' = :func:`process_noise`, from the exact Cholesky pieces."""
+    tau = float(interval)
+    s2, st = math.sqrt(q2), math.sqrt(tau)
+    return np.array(
+        [
+            [math.sqrt(q1 * tau), s2 * tau * st / math.sqrt(3.0), 0.0],
+            [0.0, s2 * st * math.sqrt(3.0) / 2.0, s2 * st / 2.0],
+        ]
+    )
+
+
+@functools.cache
 def kf_gains_reference(width, interval, params):
     """``kalman.kf_gains`` as it stood with the factor held as a 2x2 array.
 
@@ -273,6 +304,7 @@ def kf_gains_reference(width, interval, params):
     ``np.outer`` in the Potter update, and ``mode="r"`` QR in the
     prediction.  Since ``H S = (a, 0)``, each of those sums has exact-zero
     terms, so the library's three-float update must give these bytes.
+    Computed once per arguments and returned read-only.
     """
     if width < 2:
         raise ValueError(f"a window needs at least two samples, got {width}")
@@ -280,10 +312,10 @@ def kf_gains_reference(width, interval, params):
     if not 0.0 < tau < math.inf:
         raise ValueError(f"interval must be positive and finite, got {interval}")
     root = np.diag([math.sqrt(params.p0), math.sqrt(params.p0)])
-    transition = transition_matrix(tau)
+    transition = clock_transition(tau)
     # [F S | Q^(1/2)], re-triangularized by QR at each prediction.
     stacked = np.empty((2, 5))
-    stacked[:, 2:] = _process_noise_factor(params.q1, params.q2, tau)
+    stacked[:, 2:] = process_noise_factor(params.q1, params.q2, tau)
     gains = np.empty((width, 2))
     for k in range(width):
         if k:
@@ -300,56 +332,20 @@ def kf_gains_reference(width, interval, params):
         gains[k] = root_a / innovation_var
         shrink = 1.0 / (innovation_var + math.sqrt(innovation_var * params.r))
         root = root - shrink * np.outer(root_a, a)
+    gains.flags.writeable = False
     return gains
 
 
 def kf_one_ahead_oracle(window, interval, params):
-    """The per-window square-root Kalman filter, transcribed as it stood
-    before the gains were split out of the state recursion.
-
-    One window at a time: Potter measurement update and QR prediction of
-    the covariance factor interleaved with the state mean, which is
-    propagated as ``F @ state``.
-    """
+    """The per-window square-root Kalman filter: one window's state mean, updated
+    with :func:`kf_gains_reference`'s gains and propagated as ``F @ state``."""
     w = np.asarray(window, dtype=np.float64)
     tau = float(interval)
+    transition = clock_transition(tau)
     state = np.array([w[0], (w[1] - w[0]) / tau])
-    root = np.diag([math.sqrt(params.p0), math.sqrt(params.p0)])
-    transition = np.array([[1.0, tau], [0.0, 1.0]])
-    s2, st = math.sqrt(params.q2), math.sqrt(tau)
-    noise_factor = np.array(
-        [
-            [math.sqrt(params.q1 * tau), s2 * tau * st / math.sqrt(3.0), 0.0],
-            [0.0, s2 * st * math.sqrt(3.0) / 2.0, s2 * st / 2.0],
-        ]
-    )
-    for z in w:
-        a = root[0, :]
-        innovation_var = float(a @ a) + params.r
-        gain = root @ a / innovation_var
-        state = state + gain * (float(z) - state[0])
-        shrink = 1.0 / (innovation_var + math.sqrt(innovation_var * params.r))
-        root = root - shrink * np.outer(root @ a, a)
-        state = transition @ state
-        stacked = np.hstack([transition @ root, noise_factor])
-        root = np.linalg.qr(stacked.T, mode="r").T
+    for z, gain in zip(w, kf_gains_reference(w.size, tau, params)):
+        state = transition @ (state + gain * (float(z) - state[0]))
     return float(state[0])
-
-
-# The plain two-state filter: the standard covariance recursion one step at
-# a time, with a Joseph-form update.  The square-root filter in
-# ``clockpred.kalman`` must agree with it where the dynamic range is modest.
-
-
-def process_noise(q1: float, q2: float, interval: float) -> np.ndarray:
-    """Two-state clock process covariance accumulated over one interval."""
-    tau = float(interval)
-    return np.array(
-        [
-            [q1 * tau + q2 * tau**3 / 3.0, q2 * tau**2 / 2.0],
-            [q2 * tau**2 / 2.0, q2 * tau],
-        ]
-    )
 
 
 def _symmetrize(p: np.ndarray) -> np.ndarray:
@@ -405,7 +401,7 @@ class KalmanModel:
         return cls(
             state=np.array([phase, frequency]),
             P=np.diag([params.p0, params.p0]),
-            F=transition_matrix(interval),
+            F=clock_transition(interval),
             Q=process_noise(params.q1, params.q2, interval),
             R=params.r,
         )

@@ -101,3 +101,21 @@ def test_a_parent_median_of_zero_bounds_only_a_worse_change(name, value, within)
     doc = summary([{name: 0.0}] * 3, [{name: value}] * 3, {name: SPECS[name]})["metrics"][name]
     assert doc["worse_by"] is None and doc["within_bound"] is within
     assert doc["change_over_parent"] is None and doc["parent_spread"] is None
+
+
+@pytest.mark.parametrize(
+    "op_s, resolved",
+    [
+        ((2.0, 2.0, 2.1), True), ((1.0, 2.0, 2.0), True),
+        ((1.0, 2.0, 4.0), False), ((0.0, 0.0, 0.0), None),
+    ],
+    ids=["tight", "spread-at-bound", "spread-over-bound", "parent-median-zero"],
+)
+def test_resolved_when_the_parent_spread_is_within_the_bound(op_s, resolved):
+    doc = summary(
+        [dict(op_s=v, work_per_s=1.0, bytes_written=1) for v in op_s],
+        [dict(op_s=v, work_per_s=1.0, bytes_written=1) for v in op_s],
+    )["metrics"]
+    assert doc["op_s"]["resolved"] is resolved
+    assert doc["work_per_s"]["resolved"] is True  # no spread at all
+    assert "resolved" not in doc["bytes_written"]  # a metric without a bound

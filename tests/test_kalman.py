@@ -20,13 +20,13 @@ from clockpred.kalman import (
     kf_gains,
     kf_one_ahead,
     kf_one_ahead_batch,
-    transition_matrix,
 )
-from clockpred.predictor import window_matrix
+from clockpred.predictor import kalman_window_predictor, rolling_predict, window_matrix
 from clockpred.series import prepare
 from clockpred.synthetic import default_maser_spec, generate
 from tests.helpers import (
     KalmanModel,
+    clock_transition,
     kf_gains_reference,
     kf_one_ahead_oracle,
     kf_predict,
@@ -67,7 +67,7 @@ class TestPredict:
             kf = KalmanModel(
                 state=rng.normal(size=2),
                 P=P,
-                F=transition_matrix(5.0),
+                F=clock_transition(5.0),
                 Q=process_noise(float(rng.uniform(0, 0.1)), float(rng.uniform(0, 0.1)), 5.0),
                 R=1e-3,
             )
@@ -117,7 +117,7 @@ class TestUpdate:
         kf = KalmanModel(
             state=np.zeros(2),
             P=np.diag([0.0, 1.0]),
-            F=transition_matrix(5.0),
+            F=clock_transition(5.0),
             Q=np.zeros((2, 2)),
             R=0.0,
         )
@@ -203,10 +203,15 @@ class TestOneAhead:
 
 
 @pytest.fixture(scope="module")
-def frozen_windows():
+def frozen():
+    """The frozen experiment, prepared as notebooks/05_kalman_calibration.py prepares it."""
+    return prepare(generate(default_maser_spec()), fit_on_full=True)
+
+
+@pytest.fixture(scope="module")
+def frozen_windows(frozen):
     """The frozen experiment's validation and test windows, stacked, and its interval."""
-    prepared = prepare(generate(default_maser_spec()), fit_on_full=True)
-    parts = prepared.split
+    prepared, parts = frozen, frozen.split
     windows = np.concatenate(
         [window_matrix(prepared.residual_norm, r) for r in (parts.val_range, parts.test_range)]
     )
@@ -234,6 +239,15 @@ class TestBatch:
             params = KalmanParams(q1=q1, q2=q2, r=r)
             expected = [kf_one_ahead_oracle(w, interval, params) for w in windows]
             npt.assert_array_equal(kf_one_ahead_batch(windows, interval, params), expected)
+
+    def test_window_predictor_equals_batch_over_calibration_grid(self, frozen):
+        # kf-calibrate times the per-window form; the calibration notebook calls the batch
+        series, val_range = frozen.residual_norm, frozen.split.val_range
+        windows, interval = window_matrix(series, val_range), frozen.series.interval
+        for q1, q2, r in itertools.product(GRID_Q, GRID_Q, GRID_R):
+            params = KalmanParams(q1=q1, q2=q2, r=r)
+            per_window = rolling_predict(kalman_window_predictor(params, interval), series, val_range)
+            assert per_window.tobytes() == kf_one_ahead_batch(windows, interval, params).tobytes()
 
     @pytest.mark.parametrize("tau", [1.0, 5.0, 10.0])
     def test_equals_per_window_oracle_on_random_windows(self, tau):
@@ -341,7 +355,3 @@ class TestParams:
         for kw in ({"q1": -1.0}, {"q2": -0.1}, {"r": -1e-9}, {"p0": 0.0}):
             with pytest.raises(ValueError):
                 KalmanParams(**kw)
-
-    def test_transition_is_unimodular(self):
-        for tau in (1.0, 5.0, 30.0):
-            npt.assert_allclose(np.linalg.det(transition_matrix(tau)), 1.0, rtol=1e-12)

@@ -12,10 +12,13 @@ pairs the change wins (ties count for neither side).  Each end-to-end metric
 also carries its ``bound`` from ``BENCHMARK.json``, ``worse_by``, the
 change's median relative to the parent's in the metric's worse direction
 ((c - p) / p when lower is better, (p - c) / p when higher is better;
-negative when the change is better), and ``within_bound``, whether
-``worse_by`` is at most the bound.  When the parent's median is 0 the three
-ratios are null, and ``within_bound`` holds only when the change's median
-is no worse than the parent's.
+negative when the change is better), ``within_bound``, whether
+``worse_by`` is at most the bound, and ``resolved``, whether the parent's
+spread is at most the bound: where it is not, the runs cannot tell a change
+of the bound's size from noise, and the metric needs more pairs.  When the
+parent's median is 0 the three ratios and ``resolved`` are null, and
+``within_bound`` holds only when the change's median is no worse than the
+parent's.
 
     python3 tools/bench_pairs.py --workload wide-train --pairs 10 --seed 6101
     python3 tools/bench_pairs.py --workload frozen-cli --trace --pairs 5 --seed 6301
@@ -197,8 +200,12 @@ def summarize(runs: dict, specs: dict, seeds: list[int], first: list[str]) -> di
             "change_wins": f"{wins}/{len(seeds)}",
         }
         if "bound" in spec:
-            within = worse <= 0 if worse_by is None else worse_by <= spec["bound"]
-            metrics[name].update(bound=spec["bound"], worse_by=worse_by, within_bound=within)
+            bound = spec["bound"]
+            within = worse <= 0 if worse_by is None else worse_by <= bound
+            resolved = None if spread is None else spread <= bound
+            metrics[name].update(
+                bound=bound, worse_by=worse_by, within_bound=within, resolved=resolved
+            )
     return {
         "runs": len(seeds),
         "seeds": seeds,
