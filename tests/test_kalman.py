@@ -211,11 +211,11 @@ def frozen():
 @pytest.fixture(scope="module")
 def frozen_windows(frozen):
     """The frozen experiment's validation and test windows, stacked, and its interval."""
-    prepared, parts = frozen, frozen.split
+    parts = frozen.split
     windows = np.concatenate(
-        [window_matrix(prepared.residual_norm, r) for r in (parts.val_range, parts.test_range)]
+        [window_matrix(frozen.residual_norm, r) for r in (parts.val_range, parts.test_range)]
     )
-    return windows, prepared.series.interval
+    return windows, frozen.series.interval
 
 
 window_batches = st.tuples(st.integers(1, 12), st.integers(2, 8)).flatmap(
