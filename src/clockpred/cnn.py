@@ -71,10 +71,6 @@ class ConvLayer:
             raise ValueError("layer parameters must be finite")
         _freeze(self, kernel=kernel, bias=bias)
 
-    @property
-    def width(self) -> int:
-        return self.kernel.shape[2]
-
 
 @dataclass(frozen=True)
 class CnnModel:
@@ -93,9 +89,10 @@ class CnnModel:
             raise ValueError("channels must be positive")
         in_ch = 1
         for i, (layer, k) in enumerate(zip(layers, KERNEL_SIZES)):
-            if layer.width != k:
+            if layer.kernel.shape[2] != k:
                 raise ValueError(
-                    f"layers[{i}]: kernel length {layer.width} at a position requiring {k}"
+                    f"layers[{i}]: kernel length {layer.kernel.shape[2]} "
+                    f"at a position requiring {k}"
                 )
             if layer.kernel.shape[:2] != (channels, in_ch):
                 raise ValueError(

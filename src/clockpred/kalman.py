@@ -54,19 +54,6 @@ class KalmanParams:
             raise ValueError("initial variance must be positive")
 
 
-def _process_noise_factor(q1: float, q2: float, tau: float) -> np.ndarray:
-    """A 2x3 matrix M with M M' = Q(tau), built from the exact Cholesky pieces."""
-    wfm = math.sqrt(q1 * tau)
-    s2 = math.sqrt(q2)
-    st = math.sqrt(tau)
-    return np.array(
-        [
-            [wfm, s2 * tau * st / math.sqrt(3.0), 0.0],
-            [0.0, s2 * st * math.sqrt(3.0) / 2.0, s2 * st / 2.0],
-        ]
-    )
-
-
 def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams()) -> np.ndarray:
     """Measurement-update gains of the window filter, shape (width, 2).
 
@@ -96,7 +83,11 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     transition = np.array([[1.0, tau], [0.0, 1.0]])
     # [F S | Q^(1/2)], re-triangularized by QR at each prediction.
     stacked = np.empty((2, 5))
-    stacked[:, 2:] = _process_noise_factor(params.q1, params.q2, tau)
+    s2, st = math.sqrt(params.q2), math.sqrt(tau)  # Q^(1/2) from Q's exact Cholesky pieces
+    stacked[:, 2:] = [
+        [math.sqrt(params.q1 * tau), s2 * tau * st / math.sqrt(3.0), 0.0],
+        [0.0, s2 * st * math.sqrt(3.0) / 2.0, s2 * st / 2.0],
+    ]
     gains = np.empty((width, 2))
     for k in range(width):
         if k:

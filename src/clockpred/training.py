@@ -114,17 +114,6 @@ class AdamState:
             raise ValueError("step count must be nonnegative")
         _freeze(self, m=m, v=v)
 
-    @classmethod
-    def initial(
-        cls,
-        n_params: int,
-        lr: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> "AdamState":
-        return cls(np.zeros(n_params), np.zeros(n_params), 0, lr, beta1, beta2, eps)
-
 
 def _adam_update(params, grads, m, v, t: int, lr, beta1, beta2, eps) -> None:
     """Adam step number ``t``, written in place into ``params``, ``m`` and ``v``."""

@@ -13,6 +13,7 @@ training never evaluates it.
 
 import ctypes
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -262,6 +263,14 @@ def openblas_core():
     return None
 
 
+def kernel_pin_message() -> str:
+    """The failure message of a test that pins bytes recorded under OpenBLAS SkylakeX."""
+    return (
+        f"bytes recorded under the SkylakeX BLAS kernel, run under {openblas_core()}: "
+        "each kernel rounds the trend fit and the CNN head its own way (ROADMAP item 2)"
+    )
+
+
 # The two-state clock model, written here apart from ``clockpred.kalman``, and
 # two filters on it: the square-root form whose bytes the library must give,
 # and the plain covariance recursion one step at a time, with a Joseph-form
@@ -334,6 +343,33 @@ def kf_gains_reference(width, interval, params):
         root = root - shrink * np.outer(root_a, a)
     gains.flags.writeable = False
     return gains
+
+
+# The calibration grid of notebooks/05_kalman_calibration.py: 8 x 8 x 6 points.
+GRID_Q = [0.0] + [10.0**e for e in range(-7, 0)]
+GRID_R = [10.0**e for e in range(-6, 0)]
+
+
+def gains_byte_mismatches(gains):
+    """The configurations whose ``gains(width, interval, params)`` bytes differ
+    from :func:`kf_gains_reference`'s.
+
+    The calibration grid at widths 2, 5 and 9 and four intervals, each at
+    the default p0 and at a random p0 in [1, 1e8].  Bytes, not values:
+    ``assert_array_equal`` takes -0.0 for 0.0.  The tests pass in
+    ``kalman.kf_gains``, in process and in subprocesses under other BLAS
+    kernels, which import this module and no test framework.
+    """
+    rng = np.random.default_rng(2808)
+    mismatches = []
+    grid = itertools.product(GRID_Q, GRID_Q, GRID_R, (2, 5, 9), (1.0, 5.0, 7.5, 10.0))
+    for q1, q2, r, width, tau in grid:
+        for p0 in (KalmanParams.p0, float(10 ** rng.uniform(0, 8))):
+            params = KalmanParams(q1=q1, q2=q2, r=r, p0=p0)
+            got = gains(width, tau, params).tobytes()
+            if got != kf_gains_reference(width, tau, params).tobytes():
+                mismatches.append([q1, q2, r, p0, width, tau])
+    return mismatches
 
 
 def kf_one_ahead_oracle(window, interval, params):

@@ -46,6 +46,7 @@ from clockpred.series import (
 )
 from clockpred.synthetic import SyntheticClockSpec, generate
 from benchmarks.workloads import FrozenCli, load_reference
+from tests.helpers import kernel_pin_message
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -1182,7 +1183,7 @@ def test_experiment_config_end_to_end(tmp_path, monkeypatch):
         for p in tmp_path.rglob("*")
         if p.is_file()
     }
-    assert written == load_reference()["frozen_cli"]["sha256"]
+    assert written == load_reference()["frozen_cli"]["sha256"], kernel_pin_message()
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["n_pred"] == 100
     assert 0 < summary["cnn_e_rms_ns"] < 50

@@ -17,6 +17,7 @@ from clockpred.config import (
     synthetic_spec_from,
     train_config_from,
 )
+from tests.helpers import kernel_pin_message
 
 
 def write_conf(tmp_path, text):
@@ -162,4 +163,5 @@ def test_benchmark_fixture_reproduces_the_reference_scores():
     """The benchmark's in-process experiment, built through these readers, scores as recorded."""
     fx = workloads.build_fixture()
     report = compare(fx.model, KalmanParams(), fx.prepared)
-    assert workloads.scores_error(report, workloads.load_reference()["in_process"]) is None
+    expected = workloads.load_reference()["in_process"]
+    assert workloads.scores_error(report, expected) is None, kernel_pin_message()

@@ -14,33 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from clockpred.kalman import (
-    KalmanParams,
-    _process_noise_factor,
-    kf_gains,
-    kf_one_ahead,
-    kf_one_ahead_batch,
-)
+from clockpred.kalman import KalmanParams, kf_gains, kf_one_ahead, kf_one_ahead_batch
 from clockpred.predictor import kalman_window_predictor, rolling_predict, window_matrix
 from clockpred.series import prepare
 from clockpred.synthetic import default_maser_spec, generate
 from tests.helpers import (
+    GRID_Q,
+    GRID_R,
     KalmanModel,
     clock_transition,
-    kf_gains_reference,
+    gains_byte_mismatches,
     kf_one_ahead_oracle,
     kf_predict,
     kf_update,
     ols_line_extrapolation,
     openblas_core,
     process_noise,
+    process_noise_factor,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# The calibration grid of notebooks/05_kalman_calibration.py: 8 x 8 x 6 points.
-GRID_Q = [0.0] + [10.0**e for e in range(-7, 0)]
-GRID_R = [10.0**e for e in range(-6, 0)]
 
 
 def fresh_filter(phase=0.0, freq=0.0, tau=5.0, **kw):
@@ -84,9 +77,10 @@ class TestPredict:
 
     @pytest.mark.parametrize("tau", [1.0, 5.0, 10.0])
     def test_noise_factor_squares_to_process_noise(self, tau):
-        # kf_gains propagates the covariance with this factor, never with Q itself
+        # The gains propagate the covariance with this factor, never with Q itself;
+        # the gains byte test holds kf_gains's own factor to this one's bytes.
         for q1, q2 in itertools.product(GRID_Q, GRID_Q):
-            factor = _process_noise_factor(q1, q2, tau)
+            factor = process_noise_factor(q1, q2, tau)
             expected = process_noise(q1, q2, tau)
             npt.assert_allclose(
                 factor @ factor.T, expected, rtol=0, atol=1e-14 * np.abs(expected).max()
@@ -301,28 +295,9 @@ class TestBatch:
             kf_one_ahead_batch(np.zeros((3, 1)), 5.0)
 
 
-def gains_byte_mismatches():
-    """The configurations whose ``kf_gains`` bytes differ from ``kf_gains_reference``'s.
-
-    The calibration grid at widths 2, 5 and 9 and four intervals, each at
-    the default p0 and at a random p0 in [1, 1e8].  Bytes, not values:
-    ``assert_array_equal`` takes -0.0 for 0.0.
-    """
-    rng = np.random.default_rng(2808)
-    mismatches = []
-    grid = itertools.product(GRID_Q, GRID_Q, GRID_R, (2, 5, 9), (1.0, 5.0, 7.5, 10.0))
-    for q1, q2, r, width, tau in grid:
-        for p0 in (KalmanParams.p0, float(10 ** rng.uniform(0, 8))):
-            params = KalmanParams(q1=q1, q2=q2, r=r, p0=p0)
-            got = kf_gains(width, tau, params).tobytes()
-            if got != kf_gains_reference(width, tau, params).tobytes():
-                mismatches.append([q1, q2, r, p0, width, tau])
-    return mismatches
-
-
 class TestGains:
     def test_bytes_equal_matrix_form_reference(self):
-        assert gains_byte_mismatches() == []
+        assert gains_byte_mismatches(kf_gains) == []
 
     # One FMA kernel and one without FMA.  OpenBLAS names its Prescott
     # kernel Katmai, the first of the cores that share it.
@@ -332,9 +307,9 @@ class TestGains:
         paths = [str(ROOT / "src"), env.get("PYTHONPATH")]
         env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
         script = (
-            "import json; from tests.helpers import openblas_core; "
-            "from tests.test_kalman import gains_byte_mismatches as m; "
-            "print(json.dumps([openblas_core(), m()]))"
+            "import json; from clockpred.kalman import kf_gains; "
+            "from tests.helpers import gains_byte_mismatches, openblas_core; "
+            "print(json.dumps([openblas_core(), gains_byte_mismatches(kf_gains)]))"
         )
         done = subprocess.run(
             [sys.executable, "-c", script],

@@ -35,6 +35,7 @@ from clockpred.training import (
 from tests.helpers import (
     _loss_gradient,
     adam_reference,
+    kernel_pin_message,
     kink_free_instance,
     loss_with_l2,
     preactivation_margin,
@@ -139,14 +140,14 @@ class TestLossWithL2:
 
 class TestAdamStep:
     def test_zero_gradient_keeps_params(self):
-        state = AdamState.initial(4)
+        state = AdamState(np.zeros(4), np.zeros(4), 0, 0.01, 0.9, 0.999, 1e-8)
         params = np.array([1.0, -2.0, 0.5, 3.0])
         new, state2 = adam_step(params, np.zeros(4), state)
         npt.assert_array_equal(new, params)
         assert state2.t == 1
 
     def test_single_step_worked_example(self):
-        state = AdamState.initial(1, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8)
+        state = AdamState(np.zeros(1), np.zeros(1), 0, 0.001, 0.9, 0.999, 1e-8)
         new, _ = adam_step(np.array([0.0]), np.array([1.0]), state)
         expected, _, _, _ = adam_reference(0.0, 1.0, 0.0, 0.0, 0, 0.001, 0.9, 0.999, 1e-8)
         npt.assert_allclose(new[0], expected, rtol=1e-12)
@@ -178,7 +179,8 @@ class TestAdamStep:
         grads = rng.normal(size=30)
         grads[0] = 0.0
         params = rng.normal(size=30)
-        new, _ = adam_step(params, grads, AdamState.initial(30))
+        state = AdamState(np.zeros(30), np.zeros(30), 0, 0.01, 0.9, 0.999, 1e-8)
+        new, _ = adam_step(params, grads, state)
         moved = new - params
         for g, d in zip(grads, moved):
             if g > 0:
@@ -189,8 +191,9 @@ class TestAdamStep:
                 assert d == 0
 
     def test_shape_mismatch(self):
+        state = AdamState(np.zeros(3), np.zeros(3), 0, 0.01, 0.9, 0.999, 1e-8)
         with pytest.raises(ValueError, match="mismatch"):
-            adam_step(np.zeros(3), np.zeros(4), AdamState.initial(3))
+            adam_step(np.zeros(3), np.zeros(4), state)
 
 
 class TestLossGradient:
@@ -342,9 +345,8 @@ def unfused_train(model, train_ds, val_ds, cfg):
     """
     params = model.to_vector()
     mask = model.weight_mask()
-    state = AdamState.initial(
-        params.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps
-    )
+    zeros = np.zeros(params.size)
+    state = AdamState(zeros, zeros, 0, cfg.lr, cfg.beta1, cfg.beta2, cfg.eps)
     current = model
     train_curve, val_curve = [], []
     best_val, best_params, best_update, stale = math.inf, params.copy(), 0, 0
@@ -411,7 +413,7 @@ class TestFusedTrain:
         assert digests == [
             "87123b5f0af59cb66dc6a9a669ab6b9eb773c5a4d0d8e11574ae4d32cb619a4a",
             "2f57626f1ffd857ed5d2b873ba61dffe6b74a7bcf0d0dafb65a284a0f75b1d74",
-        ]
+        ], kernel_pin_message()
 
     def test_matches_unfused_loop_at_two_channels(self):
         train_ds, val_ds = frozen_windows()
