@@ -8,7 +8,9 @@ matrix-form gains whose bytes ``kalman.kf_gains`` must give.
 The one exception, ``_loss_gradient``, composes the library's own batched
 passes into the whole-dataset gradient that finite differences check.
 ``loss_with_l2`` and ``weight_norm_sq`` state the loss that gradient is of;
-training never evaluates it.
+training never evaluates it.  ``gains_byte_mismatches`` runs the gains byte
+check on whatever gains function a test passes in, and
+``kernel_pin_message`` words the failure of a test that pins BLAS bytes.
 """
 
 import ctypes

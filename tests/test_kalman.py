@@ -28,7 +28,6 @@ from tests.helpers import (
     kf_predict,
     kf_update,
     ols_line_extrapolation,
-    openblas_core,
     process_noise,
     process_noise_factor,
 )
