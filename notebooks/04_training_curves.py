@@ -59,8 +59,8 @@ from clockpred.training import WindowDataset
 windows = np.full((8, 5), 0.5)
 adversarial = train(
     init_weights(0),
-    WindowDataset(windows, np.full(8, 0.5), range(0, 13)),
-    WindowDataset(windows.copy(), np.full(8, -0.5), range(13, 26)),
+    WindowDataset(windows, np.full(8, 0.5)),
+    WindowDataset(windows.copy(), np.full(8, -0.5)),
     TrainConfig(max_updates=500, patience=5, lr=0.01),
 )[1]
 print(f"stop reason: {adversarial.stop_reason} after {len(adversarial)} updates, "

@@ -36,7 +36,6 @@ from .series import (
     denormalize,
     detrend,
     fit_quadratic,
-    normalize,
     prepare,
     read_series,
     retrend,
@@ -84,7 +83,6 @@ __all__ = [
     "kf_one_ahead",
     "load_model",
     "make_windows",
-    "normalize",
     "persistence_predictor",
     "prepare",
     "read_series",

@@ -236,28 +236,8 @@ def retrend(s: TimeSeries, trend: QuadraticTrend) -> TimeSeries:
     return s.with_values(s.values + trend(s.epochs))
 
 
-def normalize(s: TimeSeries) -> tuple[TimeSeries, NormalizationScale]:
-    """Divide by the maximum absolute value; returns the scale for inversion.
-
-    Raises
-    ------
-    ValueError
-        If every value is zero, which leaves no usable scale.
-    """
-    peak = _peak(s.values)
-    return s.with_values(s.values / peak), NormalizationScale(peak)
-
-
-def _peak(values: np.ndarray) -> float:
-    """The largest absolute value, the divisor of :func:`normalize`; refused when 0."""
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        raise ValueError("cannot normalize an all-zero series (degenerate scale)")
-    return peak
-
-
 def denormalize(s: TimeSeries, scale: NormalizationScale) -> TimeSeries:
-    """Multiply by the stored scale; inverse of :func:`normalize`."""
+    """Multiply by the stored scale; inverse of the division :func:`prepare` makes."""
     return s.with_values(s.values * scale.d_max_abs)
 
 
@@ -456,7 +436,9 @@ def prepare(
     fit_slice = range(0, len(series)) if fit_on_full else parts.train_range
     trend = fit_quadratic(series.subseries(fit_slice))
     residual = series.values - trend(series.epochs)
-    peak = _peak(residual[: fit_slice.stop])
+    peak = float(np.max(np.abs(residual[: fit_slice.stop])))
+    if peak == 0.0:
+        raise ValueError("cannot normalize an all-zero series (degenerate scale)")
     residual_norm = series.with_values(residual / peak)  # refuses a non-finite residual
     scale = NormalizationScale(peak)
     return PreparedSeries(series, residual_norm, trend, scale, parts, fit_on_full)

@@ -47,7 +47,6 @@ class WindowDataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    source_range: range
 
     def __post_init__(self):
         inputs = np.array(self.inputs, dtype=np.float64)
@@ -77,7 +76,7 @@ def make_windows(series: TimeSeries, indices: range) -> WindowDataset:
         )
     targets = np.arange(indices.start + width, indices.stop)
     inputs = series.values[np.add.outer(targets - width, np.arange(width))]
-    return WindowDataset(inputs, series.values[targets], indices)
+    return WindowDataset(inputs, series.values[targets])
 
 
 def rmse_loss(preds, targets) -> float:

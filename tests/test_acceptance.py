@@ -159,8 +159,8 @@ def test_criterion_07_early_stopping():
     start = time.perf_counter()
     model = cp.init_weights(0)
     windows = np.full((8, 5), 0.5)
-    train_ds = tr.WindowDataset(windows, np.full(8, 0.5), range(0, 13))
-    val_ds = tr.WindowDataset(windows.copy(), np.full(8, -0.5), range(13, 26))
+    train_ds = tr.WindowDataset(windows, np.full(8, 0.5))
+    val_ds = tr.WindowDataset(windows.copy(), np.full(8, -0.5))
     cfg = cp.TrainConfig(max_updates=500, patience=5, lr=0.01)
     trained, trace = cp.train(model, train_ds, val_ds, cfg)
     assert trace.stop_reason == "early-stop"

@@ -322,10 +322,3 @@ class TestGains:
         kernel, mismatches = json.loads(done.stdout)
         assert kernel in (name, None)
         assert mismatches == []
-
-
-class TestParams:
-    def test_negative_noise_rejected(self):
-        for kw in ({"q1": -1.0}, {"q2": -0.1}, {"r": -1e-9}, {"p0": 0.0}):
-            with pytest.raises(ValueError):
-                KalmanParams(**kw)

@@ -1,7 +1,9 @@
 """Value types and entry points refuse malformed input with their own message.
 
-One row per refusal that no other test reaches: the call and the message
-it must raise, matched in full.
+One row per library refusal that no other test reaches: the call and the
+message it must raise, matched in full.  A new refusal is one more row.  The
+CLI's refusals of an edited input file are the rows of ``EDITED_INPUTS`` in
+``tests/test_cli.py``.
 """
 
 import re
@@ -12,7 +14,7 @@ import pytest
 from clockpred.cnn import CnnModel, ConvLayer, backward_batch, forward_batch, init_weights
 from clockpred.kalman import KalmanParams, kf_gains, kf_one_ahead
 from clockpred.predictor import PredictionReport
-from clockpred.series import NormalizationScale, TimeSeries
+from clockpred.series import NormalizationScale, TimeSeries, prepare
 from clockpred.synthetic import SyntheticClockSpec
 from clockpred.training import AdamState, TrainConfig, TrainingTrace, WindowDataset, make_windows
 
@@ -62,6 +64,19 @@ REFUSALS = {
         lambda: kf_one_ahead(np.zeros((2, 5)), 5.0),
         "window must be one-dimensional, got shape (2, 5)",
     ),
+    "CnnModel-4-head-weights": (
+        lambda: CnnModel(MODEL.layers, np.ones(4), 0.0),
+        "head expects 5 weights, got shape (4,)",
+    ),
+    "KalmanParams-nan-q1": (lambda: KalmanParams(q1=np.nan), "Kalman parameters must be finite"),
+    **{
+        f"KalmanParams-negative-{key}": (
+            lambda key=key: KalmanParams(**{key: -1e-9}),
+            "noise parameters must be nonnegative",
+        )
+        for key in ("q1", "q2", "r")
+    },
+    "KalmanParams-p0-0": (lambda: KalmanParams(p0=0.0), "initial variance must be positive"),
     "kf_gains-degenerate": (
         lambda: kf_gains(3, 1.0, KalmanParams(q1=0.0, q2=0.0, r=0.0, p0=1e-12)),
         "degenerate update: innovation variance 0.0 is not positive",
@@ -70,6 +85,7 @@ REFUSALS = {
         lambda: PredictionReport(np.arange(2), *[np.ones(2)] * 4, np.ones(1), 2, 0.0, 0.0),
         "column kf_diff_ns must hold 2 entries",
     ),
+    "TimeSeries-empty": (lambda: TimeSeries([], [], 5), "series must contain at least one point"),
     "TimeSeries-2d": (
         lambda: TimeSeries([[56934, 56939]], [[1.0, 2.0]], 5),
         "epochs and values must be one-dimensional",
@@ -90,12 +106,27 @@ REFUSALS = {
         lambda: NormalizationScale(0.0),
         "degenerate normalization scale 0.0; the source series must contain a nonzero value",
     ),
+    "prepare-all-zero": (
+        lambda: prepare(TimeSeries(56934 + 5 * np.arange(40), np.zeros(40), 5)),
+        "cannot normalize an all-zero series (degenerate scale)",
+    ),
+    **{
+        f"SyntheticClockSpec-negative-{name}": (
+            lambda name=name: SyntheticClockSpec(**{name: -0.1}),
+            "noise amplitudes must be nonnegative",
+        )
+        for name in ("sigma_wfm", "sigma_rwfm")
+    },
+    "SyntheticClockSpec-interval-0": (
+        lambda: SyntheticClockSpec(interval=0),
+        "interval must be positive, got 0",
+    ),
     "SyntheticClockSpec-nan-x0": (
         lambda: SyntheticClockSpec(x0=np.nan),
         "spec field x0 must be finite",
     ),
     "WindowDataset-3-targets-for-2": (
-        lambda: WindowDataset(np.zeros((2, 5)), np.zeros(3), range(0, 7)),
+        lambda: WindowDataset(np.zeros((2, 5)), np.zeros(3)),
         "inputs must be (n, width) with one target per window",
     ),
     "make_windows-step-2": (

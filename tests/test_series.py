@@ -19,7 +19,6 @@ from clockpred.series import (
     denormalize,
     detrend,
     fit_quadratic,
-    normalize,
     parse_series,
     prepare,
     read_series,
@@ -62,8 +61,6 @@ class TestTimeSeries:
             make_series([1.0, np.nan, 3.0])
 
     def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ValueError):
-            TimeSeries([], [], 5)
         with pytest.raises(ValueError, match="differ in length"):
             TimeSeries([56934, 56939], [1.0], 5)
 
@@ -208,34 +205,14 @@ class TestDetrendRetrend:
 
 
 class TestNormalize:
-    def test_divides_by_max_abs(self):
-        s = make_series([-100.0, 50.0, 80.0])
-        out, scale = normalize(s)
-        npt.assert_array_equal(out.values, [-1.0, 0.5, 0.8])
-        assert scale.d_max_abs == 100.0
-
-    def test_single_value(self):
-        out, scale = normalize(make_series([3.0]))
-        npt.assert_array_equal(out.values, [1.0])
-        assert scale.d_max_abs == 3.0
-
-    def test_all_zero_is_degenerate(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            normalize(make_series([0.0, 0.0]))
-
-    def test_peak_is_exactly_one(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            out, _ = normalize(make_series(rng.normal(0, 50, 30)))
-            assert np.max(np.abs(out.values)) == 1.0
-
     def test_denormalize_inverts(self):
         s = TimeSeries([56934, 56939], [-1.0, 0.5], 5)
         npt.assert_array_equal(denormalize(s, NormalizationScale(100.0)).values, [-100.0, 50.0])
         rng = np.random.default_rng(3)
         t = make_series(rng.normal(0, 40, 50))
-        out, scale = normalize(t)
-        npt.assert_allclose(denormalize(out, scale).values, t.values, rtol=1e-12)
+        prep = prepare(t)
+        residual = detrend(t, prep.trend).values
+        npt.assert_allclose(denormalize(prep.residual_norm, prep.scale).values, residual, rtol=1e-12)
 
     def test_unit_scale_is_identity(self):
         s = make_series([1.5, -0.25])

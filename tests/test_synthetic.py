@@ -74,16 +74,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="at least 7"):
             SyntheticClockSpec(n=6)
 
-    def test_negative_amplitudes(self):
-        with pytest.raises(ValueError):
-            SyntheticClockSpec(sigma_wfm=-0.1)
-        with pytest.raises(ValueError):
-            SyntheticClockSpec(sigma_rwfm=-0.1)
-
-    def test_interval_positive(self):
-        with pytest.raises(ValueError):
-            SyntheticClockSpec(interval=0)
-
     def test_minimal_n_generates(self):
         assert len(generate(SyntheticClockSpec(n=7))) == 7
 

@@ -206,7 +206,7 @@ class TestLossGradient:
             if min(preactivation_margin(model, w) for w in windows) < 1e-3:
                 continue
             targets = rng.uniform(-1, 1, 12)
-            ds = WindowDataset(windows, targets, range(0, 17))
+            ds = WindowDataset(windows, targets)
             lam = float(rng.uniform(0, 1e-3))
             analytic = _loss_gradient(model, ds, lam)
             vec = model.to_vector()
@@ -251,7 +251,7 @@ class TestTrain:
         rng = np.random.default_rng(207)
         windows = rng.uniform(0.1, 1.0, (10, 5))
         targets = windows[:, 2].copy()
-        ds = WindowDataset(windows, targets, range(0, 15))
+        ds = WindowDataset(windows, targets)
         cfg = TrainConfig(max_updates=5, patience=5, l2_lambda=0.0)
         trained, trace = train(model, ds, ds, cfg)
         npt.assert_array_equal(trained.to_vector(), model.to_vector())
@@ -263,8 +263,8 @@ class TestTrain:
         # targets sit at -0.5, so validation RMSE rises as the fit improves
         model = init_weights(0)
         windows = np.full((8, 5), 0.5)
-        train_ds = WindowDataset(windows, np.full(8, 0.5), range(0, 13))
-        val_ds = WindowDataset(windows.copy(), np.full(8, -0.5), range(13, 26))
+        train_ds = WindowDataset(windows, np.full(8, 0.5))
+        val_ds = WindowDataset(windows.copy(), np.full(8, -0.5))
         cfg = TrainConfig(max_updates=500, patience=5, lr=0.01)
         trained, trace = train(model, train_ds, val_ds, cfg)
         assert trace.stop_reason == STOP_EARLY
@@ -334,7 +334,7 @@ class TestTrain:
         s = series_of(np.arange(12.0))
         ds = make_windows(s, range(0, 12))
         with pytest.raises(ValueError, match="nonempty"):
-            train(init_weights(0), ds, WindowDataset(np.zeros((0, 5)), np.zeros(0), range(0)), TrainConfig())
+            train(init_weights(0), ds, WindowDataset(np.zeros((0, 5)), np.zeros(0)), TrainConfig())
 
 
 def unfused_train(model, train_ds, val_ds, cfg):
@@ -463,7 +463,7 @@ class TestFailLoudly:
         train_ds, val_ds = frozen_windows()
         targets = val_ds.targets.copy()
         targets[3] = math.nan
-        bad_val = WindowDataset(val_ds.inputs, targets, val_ds.source_range)
+        bad_val = WindowDataset(val_ds.inputs, targets)
         with pytest.raises(ValueError, match="update 1: .*validation RMSE nan"):
             train(init_weights(56934), train_ds, bad_val, TrainConfig(max_updates=5))
 
@@ -507,10 +507,10 @@ FREEZING_SITES = {
     ),
     "TimeSeries.epochs": (lambda a: TimeSeries(a[:7], np.ones(7), 5), "epochs", EPOCHS),
     "WindowDataset.inputs": (
-        lambda a: WindowDataset(a[:10].reshape(2, 5), np.ones(2), range(7)), "inputs", FLOATS
+        lambda a: WindowDataset(a[:10].reshape(2, 5), np.ones(2)), "inputs", FLOATS
     ),
     "WindowDataset.targets": (
-        lambda a: WindowDataset(np.ones((2, 5)), a[:2], range(7)), "targets", FLOATS
+        lambda a: WindowDataset(np.ones((2, 5)), a[:2]), "targets", FLOATS
     ),
     "AdamState.m": (lambda a: AdamState(a[:3], np.ones(3), *ADAM), "m", FLOATS),
     "AdamState.v": (lambda a: AdamState(np.ones(3), a[:3], *ADAM), "v", FLOATS),
