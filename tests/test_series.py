@@ -211,8 +211,8 @@ class TestNormalize:
         rng = np.random.default_rng(3)
         t = make_series(rng.normal(0, 40, 50))
         prep = prepare(t)
-        residual = detrend(t, prep.trend).values
-        npt.assert_allclose(denormalize(prep.residual_norm, prep.scale).values, residual, rtol=1e-12)
+        rebuilt = denormalize(prep.residual_norm, prep.scale).values
+        npt.assert_allclose(rebuilt, detrend(t, prep.trend).values, rtol=1e-12)
 
     def test_unit_scale_is_identity(self):
         s = make_series([1.5, -0.25])
