@@ -3,8 +3,8 @@
 Each stage reads and writes plain files so the intermediate products (the
 detrended residual, the training trace, the comparison report) stay
 independently inspectable.  A stage computes all its documents first and
-then commits them: it checks every target and its JSON manifest, and
-without --force refuses before writing anything if one exists; then it
+then commits them: it checks every target and its JSON manifest, and refuses
+before writing anything if one is a directory or, without --force, exists; then it
 writes each document atomically, in order, and the manifest recording
 exactly what produced them last.  Each stage takes its configuration's path;
 an error in its computation reads ``<inputs> with <config>: <reason>``, with
@@ -52,15 +52,17 @@ def _commit(command, seed, cfg, inputs, outputs, extra, manifest_path, force) ->
     """Write a stage's documents in order, then the manifest that records them.
 
     ``outputs`` maps each manifest name to a ``(path, text)`` pair.  Every
-    target is checked before the first write, so a refused stage writes nothing,
-    and two targets that are one file once ``..`` and symlinks are resolved are
-    refused.  The manifest holds everything needed to reproduce the stage
-    bit-for-bit; it is returned as the dict that was written.
+    target is checked before the first write, so a refused stage writes nothing:
+    a directory is refused even with ``force``, and so are two targets that are
+    one file once ``..`` and symlinks are resolved.  The manifest holds everything
+    needed to reproduce the stage bit-for-bit; it is returned as the dict that was written.
     """
     targets = [Path(path) for path, _ in outputs.values()] + [Path(manifest_path)]
     if len(set(map(os.path.realpath, targets))) < len(targets):
         raise ValueError(f"two outputs of {command} share one path")
     for path in targets:
+        if path.is_dir():  # os.replace cannot put a file over it, even with --force
+            raise ValueError(f"{path} is a directory")
         if path.exists() and not force:
             raise ValueError(f"refusing to overwrite {path} (pass --force)")
     for directory in dict.fromkeys(path.parent for path in targets):

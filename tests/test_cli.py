@@ -31,20 +31,10 @@ from clockpred.cli import (
 from clockpred.cnn import init_weights, model_to_json
 from clockpred.kalman import KalmanParams, kf_one_ahead_batch
 from clockpred.predictor import (
-    PredictionReport,
-    eligible_indices,
-    reconstruct,
-    summary_to_json,
-    window_matrix,
+    PredictionReport, eligible_indices, reconstruct, summary_to_json, window_matrix
 )
 from clockpred.series import (
-    QuadraticTrend,
-    denormalize,
-    detrend,
-    prepare,
-    read_series,
-    retrend,
-    series_to_csv,
+    QuadraticTrend, denormalize, detrend, prepare, read_series, retrend, series_to_csv
 )
 from clockpred.synthetic import SyntheticClockSpec, generate
 from benchmarks.workloads import FrozenCli, load_reference
@@ -103,14 +93,11 @@ def refused(argv, *absent):
 
 
 def clear_outputs(argv):
-    """Delete each output that ``argv`` names, and its manifest; returns their paths."""
-    outputs = []
+    """Delete each output that ``argv`` names, and its manifest."""
     for option, out in zip(argv, argv[1:]):
         if option in ("--out", "--out-dir") or option.endswith("-out"):
-            outputs += [out, f"{out}.manifest.json"]
-    for out in outputs:
-        shutil.rmtree(out) if os.path.isdir(out) else Path(out).unlink(missing_ok=True)
-    return outputs
+            for path in (out, f"{out}.manifest.json"):
+                shutil.rmtree(path) if os.path.isdir(path) else Path(path).unlink(missing_ok=True)
 
 
 class TestGenerate:
@@ -383,14 +370,145 @@ def _as_list(text):
     return json.dumps(list(json.loads(text).values()))
 
 
-MODEL, (RESIDUAL, TREND, SCALE, SPLIT) = "model.json", _PREPARED_DOCS[1:]
+MODEL, CONF, (RESIDUAL, TREND, SCALE, SPLIT) = "model.json", "fast.conf", _PREPARED_DOCS[1:]
 
-# Each input file that a stage must refuse once it is edited.  A row names the stage, the
-# file under the run directory, the edit of its text, and the line after ``clockpred:
-# error: ``, in which ``{path}`` is that file, ``{model}``, ``{prepared}`` and ``{conf}``
-# are the stage's inputs, ``…`` stands for any text, and a final newline makes it the
-# whole line.  The rows are grouped under the test names that their cases have run under.
-EDITED_INPUTS = {
+
+def _append(line):
+    """An edit that adds ``line``, as a key is added to the configuration."""
+    return lambda text: f"{text}{line}\n"
+
+
+_HUGE_AT_40 = _each_row(lambda i, mjd, ns: (mjd, 1e308), [40])  # finite, but its trend is not
+_TO_ROW_3 = "mjd,ns\n56934,1.0\n56939,"
+
+# Each run that the CLI must refuse.  A row names the stage; a file under the run directory;
+# the text to write there, an edit of its text, or None to remove it; the line after
+# ``clockpred: error: ``; and any further argv, whose paths are under the run directory.  In
+# the line, ``{path}`` is the file, ``{model}``, ``{prepared}``, ``{series}`` and ``{conf}``
+# are the stage's inputs, ``…`` is any text, and a final newline makes it the whole line.
+# Rows are grouped under the test names their cases have run under; a one-case test is a row.
+CLI_REFUSALS = {
+    **{
+        test: (stage, name, "stale\n", "refusing to overwrite {path} (pass --force)\n")
+        for test, stage, name in [
+            ("test_refuses_overwrite_without_force", "generate", "series.csv"),
+            ("test_refused_prepare_writes_nothing", "prepare", "prepared/split.json"),
+            ("test_refused_train_writes_no_model", "train", "trace.csv"),
+        ]
+    },
+    "test_missing_input_is_one_line_diagnostic": (
+        "prepare", "series.csv", None, "[Errno 2] No such file or directory: '{path}'\n"
+    ),
+    "test_bad_config_reports_line": (
+        "generate", CONF, _append("not a pair"),
+        "{path}:4: expected 'key = value', got 'not a pair'\n",
+    ),
+    "test_nan_kalman_parameter_is_one_line_diagnostic": (
+        "compare", CONF, _append("kf_q1 = nan"), "{path}: Kalman parameters must be finite\n"
+    ),
+    "test_epoch_beyond_int64_is_one_line_diagnostic": (
+        "prepare", "series.csv", lambda t: t.replace("\n56959,", f"\n{10**29},"),
+        f"{{path}}:7: malformed row '{10**29},302.378'\n",
+    ),
+    "test_second_input_on_other_grid_is_one_line_diagnostic": (
+        "prepare", "b.csv", series_to_csv(generate(SyntheticClockSpec(interval=10))),
+        "{path}: cannot combine series with intervals 5 and 10\n", "--in-b", "b.csv",
+    ),
+    "test_two_outputs_on_one_path_are_refused": (
+        "compare", "report.csv", "stale\n", "two outputs of compare share one path\n",
+        "--summary-out", "report.csv", "--force",
+    ),
+    "test_first_step_not_positive_is_one_line_diagnostic": {
+        name: (
+            "prepare", "series.csv", f"mjd,ns\n56939,1.0\n{second},2.0\n56929,3.0\n",
+            f"{{path}}: epochs must increase; offending step 56939 -> {second}\n",
+        )
+        for name, second in [("zero-step", 56939), ("backward-step", 56934)]
+    },
+    # The line names the input, or both inputs when they are summed.
+    "test_huge_input_value_names_the_inputs": {
+        "in": (
+            "prepare", "series.csv", _HUGE_AT_40,
+            "{path} with {conf}: trend coefficient c0 must be finite\n",
+        ),
+        "in-b": (
+            "prepare", "b.csv", _HUGE_AT_40(series_to_csv(generate(SyntheticClockSpec()))),
+            "{series} + {path} with {conf}: trend coefficient c0 must be finite\n",
+            "--in-b", "b.csv",
+        ),
+    },
+    # A row, line, key or value of a million characters, or an integer of 4,001 digits,
+    # ends in one short line that still names the file and the line or the key.
+    "test_huge_input_text_is_echoed_cut_short": {
+        "row-fields": (
+            "prepare", "series.csv", _TO_ROW_3 + "9" * 10**6 + ",2\n",
+            "{path}:3: malformed row '56939,9…9,2'\n",
+        ),
+        "row-value": (
+            "prepare", "series.csv", _TO_ROW_3 + "x" * 10**6 + "\n",
+            "{path}:3: malformed row '56939,x…x'\n",
+        ),
+        **{
+            name: ("generate", CONF, _append(text), "{path}" + line)
+            for name, text, line in [
+                ("config-line", "x" * 10**6, ":4: expected 'key = value', got 'x…x'\n"),
+                ("config-key", "k" * 10**6 + " = 1", ":4: unknown configuration key 'k…k'\n"),
+                ("config-value", "gen_n = " + "x" * 10**6, ": configuration key 'gen_n': 'x…x'"),
+                ("config-seed", "seed = -1" + "0" * 4000,
+                 ": seed must be nonnegative, got -10…0\n"),
+                ("config-n", "gen_n = 1" + "0" * 4000, ": epochs 56934 to 50…056929 overflow"),
+                ("config-channels", "cnn_channels = 1" + "0" * 4000,
+                 ": configuration key 'cnn_channels': must be at least 1 and at most 1024, got 1"),
+            ]
+        },
+    },
+    # Every stage reads every configuration value, so even ``generate`` refuses a bad
+    # training or split value, and the line names the file.
+    "test_bad_config_value_names_the_config_file": {
+        name: ("generate", CONF, _append(f"{key} = {value}"), "{path}: " + line)
+        for name, key, value, line in [
+            ("seed-nan", "seed", "nan", "configuration key 'seed': 'nan' is not an integer\n"),
+            ("train-frac-nan", "train_frac", "nan", "fractions out of range: train=nan, "),
+            ("channels-30-digits", "cnn_channels", 10**29,
+             "configuration key 'cnn_channels': must be at least 1 and at most 1024, got 1…0\n"),
+            ("n-30-digits", "gen_n", 10**29, "epochs 56934 to 5…56929 overflow int64\n"),
+            ("step-30-digits", "gen_interval", 10**29, "epochs 56934 to 273…56934 overflow"),
+            ("n-1e17", "gen_n", 10**17, f"Unable to allocate … with shape ({10**17},) and"),
+        ]
+    },
+    # Keyed by the ids that pytest made of these cases' settings and messages.
+    "test_bad_training_is_one_line_diagnostic": {
+        f"setting{i}-{line.split(': ', 1)[1]}": ("train", CONF, _append(setting), line)
+        for i, (setting, line) in enumerate([
+            ("train_lr = -1", "{path}: lr must be positive"),
+            ("train_beta2 = 1", "{path}: beta2 must lie in"),
+            ("train_lr = 1e300", "{prepared} with {path}: training diverged at update 1:"),
+            ("train_l2_lambda = inf", "{path}: l2_lambda must be nonnegative and finite"),
+            ("train_eps = inf", "{path}: eps must be positive and finite"),
+            ("cnn_channels = -2", "{path}: configuration key 'cnn_channels': must be at least 1"),
+            ("train_l2_lambda = 1e308", "{prepared} with {path}: training diverged at update 1:"),
+        ])
+    },
+    # Keyed by the ids that pytest made of these cases' stages, options and lines.
+    "test_output_path_through_a_file_is_refused": {
+        "generate---out-[Errno 17] File exists: '{file}'": (
+            "generate", "file", "", "[Errno 17] File exists: '{path}'\n", "--out", "file/out"
+        ),
+        "prepare---out-dir-[Errno 20] Not a directory: '{file}/out'": (
+            "prepare", "file", "", "[Errno 20] Not a directory: '{path}/out'\n",
+            "--out-dir", "file/out",
+        ),
+    },
+    # A target that is a directory is refused before the first write, even with --force,
+    # so no other output of the stage is written.
+    "test_output_path_that_is_a_directory_is_refused": {
+        f"{stage}-{target}": (stage, f"{target}/file", "", f"…/{target} is a directory\n", *argv)
+        for stage, target, argv in [
+            ("generate", "series.csv.manifest.json", []),
+            ("prepare", "prepared/trend.json", ["--force"]),
+            ("compare", "summary.json", ["--force"]),
+        ]
+    },
     "test_malformed_prepared_document_is_one_line_diagnostic": {
         "split-without-val": (
             "train", SPLIT,
@@ -515,7 +633,7 @@ EDITED_INPUTS = {
     # configuration file it reads as U+FFFD, which no key, number or header accepts.
     "test_undecodable_input_names_its_path": {
         name: ("compare", name, lambda t: "\x80" + t, "{path}")
-        for name in ("fast.conf", MODEL, "prepared/series.csv")
+        for name in (CONF, MODEL, "prepared/series.csv")
     },
     # Brackets nested too deep to decode, or a value that is a list nested 100 deep.
     "test_deeply_nested_document_is_one_line_diagnostic": {
@@ -531,70 +649,47 @@ EDITED_INPUTS = {
 }
 
 
-def edited_input_test(rows):
-    """The test of one group of :data:`EDITED_INPUTS`: after ``ready_to_compare``, the
-    row's edit, then the stage, which must be refused without a warning, write none of
-    its outputs and print the row's line in under 500 bytes."""
+def _tree(root):
+    """Every path under ``root``, with its bytes if it is a file."""
+    return {p: p.is_file() and p.read_bytes() for p in root.rglob("*")}
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("stage, name, edit, line", rows.values(), ids=rows)
-    def test(self, tmp_path, stage, name, edit, line):
+
+def cli_refusal_test(rows):
+    """The test of one group of :data:`CLI_REFUSALS`: after ``ready_to_compare``, the
+    removal of the stage's outputs and the row's edit, the stage must be refused without a
+    warning, change no file and print the row's line in under 500 bytes."""
+
+    def test(self, tmp_path, row):
+        stage, name, edit, line, *extra = row
         conf = ready_to_compare(tmp_path)
+        extra = [a if a.startswith("--") else tmp_path / a for a in extra]
+        argv = stage_argv(stage, tmp_path, conf, *extra)
+        clear_outputs(argv)
         path = tmp_path / name
-        path.write_text(edit(path.read_text("latin-1")), "latin-1")  # one character a byte
-        argv = stage_argv(stage, tmp_path, conf)
-        err = refused(argv, *clear_outputs(argv))
-        inputs = {"model": tmp_path / MODEL, "prepared": tmp_path / "prepared", "conf": conf}
-        want = "clockpred: error: " + line.format(path=path, **inputs)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if edit is None:
+            path.unlink()
+        else:
+            text = edit if isinstance(edit, str) else edit(path.read_text("latin-1"))
+            path.write_text(text, "latin-1")  # one character a byte
+        before = _tree(tmp_path)
+        err = refused(argv)
+        assert _tree(tmp_path) == before
+        inputs = dict(path=name, model=MODEL, prepared="prepared", series="series.csv", conf=CONF)
+        want = "clockpred: error: " + line.format(**{k: tmp_path / v for k, v in inputs.items()})
         match = re.fullmatch if line.endswith("\n") else re.match
         assert match(".*".join(map(re.escape, want.split("…"))), err), err[:500]
         assert len(err.encode()) < 500
 
-    return test
+    def one(self, tmp_path):  # a test of one case keeps its unparametrized id
+        test(self, tmp_path, rows)
+
+    if isinstance(rows, dict):
+        one = pytest.mark.parametrize("row", rows.values(), ids=rows)(test)
+    return pytest.mark.filterwarnings("error")(one)
 
 
 class TestSafety:
-    def test_refuses_overwrite_without_force(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        run_stages(tmp_path, conf, "generate")
-        assert "refusing to overwrite" in refused(stage_argv("generate", tmp_path, conf))
-
-    def test_force_overwrites(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        main(stage_argv("generate", tmp_path, conf))
-        assert main(stage_argv("generate", tmp_path, conf, "--force")) == 0
-
-    def test_missing_input_is_one_line_diagnostic(self, tmp_path):
-        argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", tmp_path / "nope.csv")
-        refused(argv, tmp_path / "prepared")
-
-    def test_bad_config_reports_line(self, tmp_path):
-        bad = tmp_path / "bad.conf"
-        bad.write_text("gen_n = 274\nnot a pair\n")
-        assert ":2" in refused(stage_argv("generate", tmp_path, bad), tmp_path / "series.csv")
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "setting, message",
-        [
-            ({"train_lr": "-1"}, "lr must be positive"),
-            ({"train_beta2": "1"}, "beta2 must lie in"),
-            ({"train_lr": "1e300"}, "training diverged at update 1:"),
-            ({"train_l2_lambda": "inf"}, "l2_lambda must be nonnegative and finite"),
-            ({"train_eps": "inf"}, "eps must be positive and finite"),
-            ({"cnn_channels": "-2"}, "configuration key 'cnn_channels': must be at least 1"),
-            ({"train_l2_lambda": "1e308"}, "training diverged at update 1:"),
-        ],
-    )
-    def test_bad_training_is_one_line_diagnostic(self, tmp_path, setting, message):
-        run_stages(tmp_path, fast_conf(tmp_path), "generate", "prepare")
-        conf = fast_conf(tmp_path, **setting)
-        err = refused(stage_argv("train", tmp_path, conf), tmp_path / "model.json")
-        assert conf in err and message in err
-        if message.startswith("training diverged"):
-            prepared = tmp_path / "prepared"
-            assert err.startswith(f"clockpred: error: {prepared} with {conf}: {message}")
-
     def test_six_decimal_input_round_trips(self, tmp_path):
         """``prepare`` works on the series as ``series.csv`` keeps it, at 1 ps, so the
         residual of a 6-decimal input is series.csv - trend to round-off."""
@@ -610,90 +705,6 @@ class TestSafety:
         load_prepared(prepared)
         (tmp_path / "model.json").write_text(model_to_json(init_weights(0)))
         run_stages(tmp_path, conf, "compare")
-
-    @pytest.mark.parametrize("second", [56939, 56934], ids=["zero-step", "backward-step"])
-    def test_first_step_not_positive_is_one_line_diagnostic(self, tmp_path, second):
-        path = tmp_path / "back.csv"
-        path.write_text(f"mjd,ns\n56939,1.0\n{second},2.0\n56929,3.0\n")
-        argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", path)
-        assert refused(argv, tmp_path / "prepared") == (
-            f"clockpred: error: {path}: epochs must increase; offending step 56939 -> {second}\n"
-        )
-
-    def test_second_input_on_other_grid_is_one_line_diagnostic(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        a.write_text(series_to_csv(generate(SyntheticClockSpec(n=274))))
-        b.write_text(series_to_csv(generate(SyntheticClockSpec(n=274, interval=10))))
-        argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", a, "--in-b", b)
-        err = refused(argv, tmp_path / "prepared")
-        assert err.startswith(f"clockpred: error: {b}: ") and "intervals 5 and 10" in err
-
-    def test_nan_kalman_parameter_is_one_line_diagnostic(self, tmp_path):
-        ready_to_compare(tmp_path)
-        argv = stage_argv("compare", tmp_path, fast_conf(tmp_path, kf_q1="nan"))
-        refused(argv, tmp_path / "report.csv", tmp_path / "summary.json")
-
-    def test_epoch_beyond_int64_is_one_line_diagnostic(self, tmp_path):
-        lines = series_to_csv(generate(SyntheticClockSpec(n=274))).splitlines()
-        lines[6] = "123456789012345678901234567890,1.0"
-        path = tmp_path / "big.csv"
-        path.write_text("\n".join(lines) + "\n")
-        argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", path)
-        err = refused(argv, tmp_path / "prepared")
-        assert err == f"clockpred: error: {path}:7: malformed row '{lines[6]}'\n"
-
-    @pytest.mark.parametrize(
-        "target, text, where",
-        [
-            ("csv", "mjd,ns\n56934,1.0\n56939," + "9" * 1_000_000 + ",2\n", ":3: malformed row '"),
-            ("csv", "mjd,ns\n56934,1.0\n56939," + "x" * 1_000_000 + "\n", ":3: malformed row '"),
-            ("conf", "gen_n = 20\n" + "x" * 1_000_000 + "\n", ":2: expected 'key = value', got '"),
-            ("conf", "k" * 1_000_000 + " = 1\n", ":1: unknown configuration key '"),
-            ("conf", "gen_n = " + "x" * 1_000_000 + "\n", ": configuration key 'gen_n': '"),
-            ("conf", "seed = -1" + "0" * 4_000 + "\n", ": seed must be nonnegative, got -1"),
-            ("conf", "gen_n = 1" + "0" * 4_000 + "\n", ": epochs 56934 to 5"),
-            (
-                "conf",
-                "cnn_channels = 1" + "0" * 4_000 + "\n",
-                ": configuration key 'cnn_channels': must be at least 1 and at most 1024, got 1",
-            ),
-        ],
-        ids=[
-            "row-fields", "row-value", "config-line", "config-key", "config-value", "config-seed",
-            "config-n", "config-channels",
-        ],
-    )
-    def test_huge_input_text_is_echoed_cut_short(self, tmp_path, target, text, where):
-        """A row, line, key or value of a million characters, or an integer of 4,001
-        digits, ends in one short line that still names the file and the line or the key."""
-        path = tmp_path / f"huge.{target}"
-        path.write_text(text)
-        if target == "csv":
-            argv = stage_argv("prepare", tmp_path, fast_conf(tmp_path), "--in", path)
-        else:
-            argv = stage_argv("generate", tmp_path, path)
-        err = refused(argv, tmp_path / "prepared", tmp_path / "series.csv")
-        assert err.startswith(f"clockpred: error: {path}{where}") and len(err.encode()) < 500
-
-    @pytest.mark.parametrize("as_second", [False, True], ids=["in", "in-b"])
-    @pytest.mark.filterwarnings("error")
-    def test_huge_input_value_names_the_inputs(self, tmp_path, as_second):
-        """1e308 is finite, so the series reads, but its trend is not; the line names
-        the input, or both inputs when they are summed."""
-        lines = series_to_csv(generate(SyntheticClockSpec(n=274))).splitlines()
-        lines[40] = lines[40].split(",")[0] + ",1e308"
-        path = tmp_path / "huge.csv"
-        path.write_text("\n".join(lines) + "\n")
-        conf = fast_conf(tmp_path)
-        argv = stage_argv("prepare", tmp_path, conf, "--in", path)
-        source = f"{path} with {conf}"
-        if as_second:
-            other = tmp_path / "other.csv"
-            other.write_text(series_to_csv(generate(SyntheticClockSpec(n=274, seed=7))))
-            argv += ["--in", str(other), "--in-b", str(path)]
-            source = f"{other} + {path} with {conf}"
-        err = refused(argv, tmp_path / "prepared")
-        assert err == f"clockpred: error: {source}: trend coefficient c0 must be finite\n"
 
     @pytest.mark.parametrize("fit_on_full", ["true", "false"])
     def test_scale_of_another_run_names_scale_json(self, tmp_path, fit_on_full):
@@ -751,44 +762,16 @@ class TestSafety:
                     assert len(line.encode()) < 500, line[:500]
                     assert not written
 
-    @pytest.mark.parametrize(
-        "key, value, message",
-        [
-            ("seed", "nan", "configuration key 'seed': 'nan' is not an integer"),
-            ("train_frac", "nan", "fractions out of range: train=nan"),
-            ("cnn_channels", "1" + "0" * 29, "must be at least 1 and at most 1024"),
-            ("gen_n", "1" + "0" * 29, "epochs 56934 to "),
-            ("gen_interval", "1" + "0" * 29, "epochs 56934 to "),
-            ("gen_n", "1" + "0" * 17, "Unable to allocate"),
-        ],
-        ids=[
-            "seed-nan", "train-frac-nan", "channels-30-digits", "n-30-digits", "step-30-digits",
-            "n-1e17",
-        ],
-    )
-    def test_bad_config_value_names_the_config_file(self, tmp_path, key, value, message):
-        """Every stage reads every configuration value, so even ``generate`` refuses a
-        bad training or split value, and the line names the file."""
-        conf = fast_conf(tmp_path, **{key: value})
-        err = refused(stage_argv("generate", tmp_path, conf), tmp_path / "series.csv")
-        assert err.startswith(f"clockpred: error: {conf}: ") and message in err
-
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "key, value, stage",
         [
-            ("gen_y0", "1e308", "generate"),
-            ("gen_y0", "-1e308", "generate"),
-            ("gen_drift", "1e308", "generate"),
-            ("gen_drift", "-1e308", "generate"),
-            ("gen_sigma_wfm", "1e308", "generate"),
-            ("gen_sigma_rwfm", "1e308", "generate"),
-            ("gen_x0", "1e308", "prepare"),
-            ("gen_x0", "-1e308", "prepare"),
-            ("train_frac", "1e-320", "prepare"),
-            ("val_frac", "1e-320", "prepare"),
-            ("kf_q1", "1e308", "compare"),
-            ("kf_q2", "1e308", "compare"),
+            ("gen_y0", "1e308", "generate"), ("gen_y0", "-1e308", "generate"),
+            ("gen_drift", "1e308", "generate"), ("gen_drift", "-1e308", "generate"),
+            ("gen_sigma_wfm", "1e308", "generate"), ("gen_sigma_rwfm", "1e308", "generate"),
+            ("gen_x0", "1e308", "prepare"), ("gen_x0", "-1e308", "prepare"),
+            ("train_frac", "1e-320", "prepare"), ("val_frac", "1e-320", "prepare"),
+            ("kf_q1", "1e308", "compare"), ("kf_q2", "1e308", "compare"),
             ("kf_p0", "1e308", "compare"),
         ],
     )
@@ -813,26 +796,6 @@ class TestSafety:
         source = f"{inputs[stage]} with {conf}" if inputs[stage] else conf
         assert err.startswith(f"clockpred: error: {source}: ") and err.count("\n") == 1
 
-    def test_refused_prepare_writes_nothing(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        run_stages(tmp_path, conf, "generate")
-        prepared = tmp_path / "prepared"
-        prepared.mkdir()
-        (prepared / "split.json").write_text("stale\n")
-        err = refused(stage_argv("prepare", tmp_path, conf))
-        assert f"refusing to overwrite {prepared / 'split.json'}" in err
-        assert [p.name for p in prepared.iterdir()] == ["split.json"]
-        assert (prepared / "split.json").read_text() == "stale\n"
-
-    def test_refused_train_writes_no_model(self, tmp_path):
-        conf = fast_conf(tmp_path)
-        run_stages(tmp_path, conf, "generate", "prepare")
-        (tmp_path / "trace.csv").write_text("stale\n")
-        model = tmp_path / "model.json"
-        err = refused(stage_argv("train", tmp_path, conf), model, f"{model}.manifest.json")
-        assert "refusing to overwrite" in err
-        assert (tmp_path / "trace.csv").read_text() == "stale\n"
-
     def test_force_rewrites_every_output_and_manifest(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         conf = fast_conf(tmp_path)
@@ -849,29 +812,6 @@ class TestSafety:
             assert {p: p.read_bytes() for p in outputs} == fresh
             written.update(fresh)
         assert len(written) == 14
-
-    def test_two_outputs_on_one_path_are_refused(self, tmp_path):
-        conf = ready_to_compare(tmp_path)
-        report = tmp_path / "report.csv"
-        argv = stage_argv("compare", tmp_path, conf, "--summary-out", report, "--force")
-        assert "two outputs of compare share one path" in refused(argv, report)
-
-    @pytest.mark.parametrize(
-        "stage, option, line",
-        [
-            ("generate", "--out", "[Errno 17] File exists: '{file}'"),
-            ("prepare", "--out-dir", "[Errno 20] Not a directory: '{file}/out'"),
-        ],
-    )
-    def test_output_path_through_a_file_is_refused(self, tmp_path, stage, option, line):
-        conf = fast_conf(tmp_path)
-        run_stages(tmp_path, conf, "generate")
-        file = tmp_path / "file"
-        file.write_text("")
-        before = set(tmp_path.rglob("*"))
-        err = refused(stage_argv(stage, tmp_path, conf, option, file / "out"))
-        assert err == "clockpred: error: " + line.format(file=file) + "\n"
-        assert set(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("spelling", ["dotdot", "symlink"])
     def test_two_spellings_of_one_file_are_refused(self, tmp_path, spelling):
@@ -979,8 +919,8 @@ class TestSafety:
         assert list(tmp_path.iterdir()) == []
 
 
-for _name, _rows in EDITED_INPUTS.items():
-    setattr(TestSafety, _name, edited_input_test(_rows))
+for _name, _rows in CLI_REFUSALS.items():
+    setattr(TestSafety, _name, cli_refusal_test(_rows))
 
 
 class TestParser:

@@ -74,24 +74,11 @@ def test_empty_value_rejected(tmp_path):
         parse_config(path)
 
 
-def test_typed_accessor_errors():
-    cfg = effective_config({"gen_n": "many"})
-    with pytest.raises(ValueError, match="not an integer"):
-        synthetic_spec_from(cfg)
-    cfg = effective_config({"kf_r": "tiny"})
-    with pytest.raises(ValueError, match="not a number"):
-        kalman_params_from(cfg)
-    cfg = effective_config({"fit_on_full": "perhaps"})
-    with pytest.raises(ValueError, match="not a boolean"):
-        prepare_options_from(cfg)
-
-
 def test_seed_override_and_validation():
+    """The seed and its override; the refusal of a negative one is a row of ``REFUSALS``."""
     cfg = effective_config()
     assert seed_from(cfg) == 56934
     assert seed_from(cfg, 7) == 7
-    with pytest.raises(ValueError, match="nonnegative"):
-        seed_from(cfg, -1)
 
 
 def test_experiment_config_file_parses():
@@ -151,12 +138,6 @@ def test_defaults_are_the_library_defaults():
         prepare_defaults[name].default for name in ("train_frac", "val_frac", "fit_on_full")
     )
     assert channels_from(cfg) == inspect.signature(init_weights).parameters["channels"].default
-
-
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_channels_below_one_name_the_key(value):
-    with pytest.raises(ValueError, match="configuration key 'cnn_channels': must be at least 1"):
-        channels_from(effective_config({"cnn_channels": value}))
 
 
 def test_benchmark_fixture_reproduces_the_reference_scores():

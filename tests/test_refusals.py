@@ -1,9 +1,8 @@
 """Value types and entry points refuse malformed input with their own message.
 
-One row per library refusal that no other test reaches: the call and the
-message it must raise, matched in full.  A new refusal is one more row.  The
-CLI's refusals of an edited input file are the rows of ``EDITED_INPUTS`` in
-``tests/test_cli.py``.
+One row per library refusal that one call reaches: the call and the message it
+must raise, matched in full.  A new refusal is one more row.  Every refusal of
+a CLI run is a row of ``CLI_REFUSALS`` in ``tests/test_cli.py``.
 """
 
 import re
@@ -11,12 +10,18 @@ import re
 import numpy as np
 import pytest
 
+from clockpred.config import (
+    channels_from, effective_config, kalman_params_from, prepare_options_from, seed_from,
+    synthetic_spec_from,
+)
 from clockpred.cnn import CnnModel, ConvLayer, backward_batch, forward_batch, init_weights
 from clockpred.kalman import KalmanParams, kf_gains, kf_one_ahead
 from clockpred.predictor import PredictionReport
 from clockpred.series import NormalizationScale, TimeSeries, prepare
 from clockpred.synthetic import SyntheticClockSpec
-from clockpred.training import AdamState, TrainConfig, TrainingTrace, WindowDataset, make_windows
+from clockpred.training import (
+    STOP_EARLY, AdamState, TrainConfig, TrainingTrace, WindowDataset, make_windows, rmse_loss
+)
 
 MODEL = init_weights(0)
 SERIES = TimeSeries(56934 + 5 * np.arange(10), np.ones(10), 5)
@@ -148,6 +153,42 @@ REFUSALS = {
     "TrainingTrace-column-lengths": (
         lambda: TrainingTrace(np.ones(3), np.ones(2), "max-updates", 0),
         "trace columns must be congruent 1D arrays",
+    ),
+    "TrainingTrace-stop-reason": (
+        lambda: TrainingTrace(np.ones(3), np.ones(3), "whenever", 0),
+        "unknown stop reason 'whenever'",
+    ),
+    "TrainingTrace-best-update-3-of-3": (
+        lambda: TrainingTrace(np.ones(3), np.ones(3), STOP_EARLY, 3),
+        "best_update outside the recorded trace",
+    ),
+    "rmse_loss-1-for-2": (lambda: rmse_loss([1.0], [1.0, 2.0]), "shape mismatch: (1,) vs (2,)"),
+    "rmse_loss-empty": (lambda: rmse_loss([], []), "rmse of empty vectors is undefined"),
+    "make_windows-5-points": (
+        lambda: make_windows(SERIES, range(0, 5)),
+        "range of 5 points is too short for width-5 windows with a one-point-ahead target",
+    ),
+    **{
+        f"config-{key}-{value}": (
+            lambda key=key, value=value, read=read: read(effective_config({key: value})),
+            f"configuration key '{key}': '{value}' is not {kind}",
+        )
+        for read, key, value, kind in [
+            (synthetic_spec_from, "gen_n", "many", "an integer"),
+            (kalman_params_from, "kf_r", "tiny", "a number"),
+            (prepare_options_from, "fit_on_full", "perhaps", "a boolean"),
+        ]
+    },
+    **{
+        f"channels_from-{value}": (
+            lambda value=value: channels_from(effective_config({"cnn_channels": value})),
+            f"configuration key 'cnn_channels': must be at least 1 and at most 1024, got {value}",
+        )
+        for value in ("0", "-2")
+    },
+    "seed_from-negative-override": (
+        lambda: seed_from(effective_config(), -1),
+        "seed must be nonnegative, got -1",
     ),
 }
 

@@ -75,10 +75,6 @@ class TestMakeWindows:
         npt.assert_array_equal(ds.inputs[0], [0, 1, 2, 3, 4])
         assert ds.targets[0] == 5.0
 
-    def test_range_too_short(self):
-        with pytest.raises(ValueError, match="too short"):
-            make_windows(series_of(np.arange(5.0)), range(0, 5))
-
     def test_pairs_fully_inside_range(self):
         s = series_of(np.arange(30.0))
         ds = make_windows(s, range(10, 20))
@@ -102,12 +98,6 @@ class TestRmseLoss:
                 math.fsum((float(p) - float(t)) ** 2 for p, t in zip(preds, targets)) / n
             )
             npt.assert_allclose(rmse_loss(preds, targets), oracle, rtol=1e-12)
-
-    def test_shape_errors(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            rmse_loss([1.0], [1.0, 2.0])
-        with pytest.raises(ValueError, match="empty"):
-            rmse_loss([], [])
 
 
 class TestLossWithL2:
@@ -469,14 +459,6 @@ class TestFailLoudly:
 
 
 class TestTrainingTrace:
-    def test_stop_reason_validated(self):
-        with pytest.raises(ValueError, match="stop reason"):
-            TrainingTrace(np.ones(3), np.ones(3), "whenever", 0)
-
-    def test_best_update_in_range(self):
-        with pytest.raises(ValueError, match="best_update"):
-            TrainingTrace(np.ones(3), np.ones(3), STOP_EARLY, 3)
-
     def test_csv_round_trips_by_eye(self):
         from clockpred.training import trace_to_csv
 
