@@ -85,9 +85,9 @@ class TimeSeries:
             )
         if epochs.size == 0:
             raise ValueError("series must contain at least one point")
-        interval = int(self.interval)
-        if interval <= 0:
-            raise ValueError(f"interval must be a positive day count, got {self.interval}")
+        interval = self.interval
+        if not isinstance(interval, (int, np.integer)) or interval <= 0:
+            raise ValueError(f"interval must be a positive integer day count, got {interval!r}")
         steps = np.diff(epochs)
         if steps.size and not (steps == interval).all():
             bad = int(np.flatnonzero(steps != interval)[0])
@@ -97,7 +97,7 @@ class TimeSeries:
             )
         if not np.isfinite(values).all():
             raise ValueError("values must all be finite")
-        _freeze(self, epochs=epochs, values=values, interval=interval)
+        _freeze(self, epochs=epochs, values=values, interval=int(interval))
 
     def __len__(self) -> int:
         return self.epochs.size
@@ -263,11 +263,12 @@ def split(
     Raises
     ------
     ValueError
-        On fractions outside (0, 1) or fractions summing to >= 1, and when
-        the floor rule leaves any partition empty.
+        On a count that is not an integer, on fractions outside (0, 1) or
+        summing to >= 1, and when the floor rule leaves any partition empty.
     """
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"point count must be an integer, got {n!r}")
     check_fractions(train_frac, val_frac)
-    n = int(n)
     n_train = math.floor(train_frac * n)
     n_val = math.floor(val_frac * n)
     n_test = n - n_train - n_val

@@ -62,21 +62,17 @@ class WindowDataset:
 def make_windows(series: TimeSeries, indices: range) -> WindowDataset:
     """All (window, next point) pairs fully contained in ``indices``.
 
-    A range of length L yields L - 5 pairs.
+    A range of length L yields L - 5 pairs; ``series.subseries`` checks the range.
     """
     width = DEFAULT_INPUT_WIDTH
-    if indices.step != 1:
-        raise ValueError("window extraction requires a contiguous index range")
-    if indices.start < 0 or indices.stop > len(series):
-        raise ValueError(f"index range {indices} out of bounds")
-    if len(indices) < width + 1:
+    values = series.subseries(indices).values
+    if values.size < width + 1:
         raise ValueError(
-            f"range of {len(indices)} points is too short for width-{width} "
+            f"range of {values.size} points is too short for width-{width} "
             "windows with a one-point-ahead target"
         )
-    targets = np.arange(indices.start + width, indices.stop)
-    inputs = series.values[np.add.outer(targets - width, np.arange(width))]
-    return WindowDataset(inputs, series.values[targets])
+    targets = np.arange(width, values.size)
+    return WindowDataset(values[np.add.outer(targets - width, np.arange(width))], values[targets])
 
 
 def rmse_loss(preds, targets) -> float:

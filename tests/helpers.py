@@ -9,8 +9,9 @@ The one exception, ``_loss_gradient``, composes the library's own batched
 passes into the whole-dataset gradient that finite differences check.
 ``loss_with_l2`` and ``weight_norm_sq`` state the loss that gradient is of;
 training never evaluates it.  ``gains_byte_mismatches`` runs the gains byte
-check on whatever gains function a test passes in, and
-``kernel_pin_message`` words the failure of a test that pins BLAS bytes.
+check on whatever gains function a test passes in,
+``kernel_pin_message`` words the failure of a test that pins BLAS bytes, and
+``bind_groups`` binds each group of a refusal table to the test file it runs in.
 """
 
 import ctypes
@@ -562,10 +563,27 @@ def loadtxt_via_float(loadtxt):
             if not fits:
                 value = float(mjd)  # a ValueError for a non-number, as numpy gives
                 try:
-                    warnings.warn("Parsing an integer via a float is deprecated.", DeprecationWarning)
+                    warnings.warn(
+                        "Parsing an integer via a float is deprecated.", DeprecationWarning
+                    )
                 except DeprecationWarning as err:
                     raise ValueError(f"could not convert string {mjd!r} to int64") from err
                 mjd = str(int(value) if -(2.0**63) <= value < 2.0**63 else -(2**63))
             cast.append(mjd + comma + rest)
         return loadtxt(cast, dtype, **kwargs)
     return read
+
+
+def bind_groups(namespace, table, make_test):
+    """Bind ``make_test(group)`` for each group of ``table`` keyed by the id of a test in the
+    file whose module globals are ``namespace``: ``<file>::[<class>::]<name>``.  A test bound
+    in a class is a static method, so one test body serves a module and a class."""
+    here = Path(namespace["__file__"]).name
+    for key, group in table.items():
+        file, *owner, name = key.split("::")
+        if file == here:
+            test = make_test(group)
+            if owner:
+                setattr(namespace[owner[0]], name, staticmethod(test))
+            else:
+                namespace[name] = test

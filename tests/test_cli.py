@@ -38,7 +38,7 @@ from clockpred.series import (
 )
 from clockpred.synthetic import SyntheticClockSpec, generate
 from benchmarks.workloads import FrozenCli, load_reference
-from tests.helpers import kernel_pin_message
+from tests.helpers import bind_groups, kernel_pin_message
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -386,39 +386,43 @@ _TO_ROW_3 = "mjd,ns\n56934,1.0\n56939,"
 # ``clockpred: error: ``; and any further argv, whose paths are under the run directory.  In
 # the line, ``{path}`` is the file, ``{model}``, ``{prepared}``, ``{series}`` and ``{conf}``
 # are the stage's inputs, ``…`` is any text, and a final newline makes it the whole line.
-# Rows are grouped under the test names their cases have run under; a one-case test is a row.
+# Rows are grouped under the tests their cases have run under, keyed by the test's id under
+# ``tests/`` and bound there by ``bind_groups``.  A group is a row, a list of rows that one
+# test runs in turn, or a dict of rows keyed by their parametrize ids.
 CLI_REFUSALS = {
     **{
-        test: (stage, name, "stale\n", "refusing to overwrite {path} (pass --force)\n")
+        f"test_cli.py::TestSafety::{test}": (
+            stage, name, "stale\n", "refusing to overwrite {path} (pass --force)\n"
+        )
         for test, stage, name in [
             ("test_refuses_overwrite_without_force", "generate", "series.csv"),
             ("test_refused_prepare_writes_nothing", "prepare", "prepared/split.json"),
             ("test_refused_train_writes_no_model", "train", "trace.csv"),
         ]
     },
-    "test_missing_input_is_one_line_diagnostic": (
+    "test_cli.py::TestSafety::test_missing_input_is_one_line_diagnostic": (
         "prepare", "series.csv", None, "[Errno 2] No such file or directory: '{path}'\n"
     ),
-    "test_bad_config_reports_line": (
+    "test_cli.py::TestSafety::test_bad_config_reports_line": (
         "generate", CONF, _append("not a pair"),
         "{path}:4: expected 'key = value', got 'not a pair'\n",
     ),
-    "test_nan_kalman_parameter_is_one_line_diagnostic": (
+    "test_cli.py::TestSafety::test_nan_kalman_parameter_is_one_line_diagnostic": (
         "compare", CONF, _append("kf_q1 = nan"), "{path}: Kalman parameters must be finite\n"
     ),
-    "test_epoch_beyond_int64_is_one_line_diagnostic": (
+    "test_cli.py::TestSafety::test_epoch_beyond_int64_is_one_line_diagnostic": (
         "prepare", "series.csv", lambda t: t.replace("\n56959,", f"\n{10**29},"),
         f"{{path}}:7: malformed row '{10**29},302.378'\n",
     ),
-    "test_second_input_on_other_grid_is_one_line_diagnostic": (
+    "test_cli.py::TestSafety::test_second_input_on_other_grid_is_one_line_diagnostic": (
         "prepare", "b.csv", series_to_csv(generate(SyntheticClockSpec(interval=10))),
         "{path}: cannot combine series with intervals 5 and 10\n", "--in-b", "b.csv",
     ),
-    "test_two_outputs_on_one_path_are_refused": (
+    "test_cli.py::TestSafety::test_two_outputs_on_one_path_are_refused": (
         "compare", "report.csv", "stale\n", "two outputs of compare share one path\n",
         "--summary-out", "report.csv", "--force",
     ),
-    "test_first_step_not_positive_is_one_line_diagnostic": {
+    "test_cli.py::TestSafety::test_first_step_not_positive_is_one_line_diagnostic": {
         name: (
             "prepare", "series.csv", f"mjd,ns\n56939,1.0\n{second},2.0\n56929,3.0\n",
             f"{{path}}: epochs must increase; offending step 56939 -> {second}\n",
@@ -426,7 +430,7 @@ CLI_REFUSALS = {
         for name, second in [("zero-step", 56939), ("backward-step", 56934)]
     },
     # The line names the input, or both inputs when they are summed.
-    "test_huge_input_value_names_the_inputs": {
+    "test_cli.py::TestSafety::test_huge_input_value_names_the_inputs": {
         "in": (
             "prepare", "series.csv", _HUGE_AT_40,
             "{path} with {conf}: trend coefficient c0 must be finite\n",
@@ -439,7 +443,7 @@ CLI_REFUSALS = {
     },
     # A row, line, key or value of a million characters, or an integer of 4,001 digits,
     # ends in one short line that still names the file and the line or the key.
-    "test_huge_input_text_is_echoed_cut_short": {
+    "test_cli.py::TestSafety::test_huge_input_text_is_echoed_cut_short": {
         "row-fields": (
             "prepare", "series.csv", _TO_ROW_3 + "9" * 10**6 + ",2\n",
             "{path}:3: malformed row '56939,9…9,2'\n",
@@ -464,7 +468,7 @@ CLI_REFUSALS = {
     },
     # Every stage reads every configuration value, so even ``generate`` refuses a bad
     # training or split value, and the line names the file.
-    "test_bad_config_value_names_the_config_file": {
+    "test_cli.py::TestSafety::test_bad_config_value_names_the_config_file": {
         name: ("generate", CONF, _append(f"{key} = {value}"), "{path}: " + line)
         for name, key, value, line in [
             ("seed-nan", "seed", "nan", "configuration key 'seed': 'nan' is not an integer\n"),
@@ -477,7 +481,7 @@ CLI_REFUSALS = {
         ]
     },
     # Keyed by the ids that pytest made of these cases' settings and messages.
-    "test_bad_training_is_one_line_diagnostic": {
+    "test_cli.py::TestSafety::test_bad_training_is_one_line_diagnostic": {
         f"setting{i}-{line.split(': ', 1)[1]}": ("train", CONF, _append(setting), line)
         for i, (setting, line) in enumerate([
             ("train_lr = -1", "{path}: lr must be positive"),
@@ -490,7 +494,7 @@ CLI_REFUSALS = {
         ])
     },
     # Keyed by the ids that pytest made of these cases' stages, options and lines.
-    "test_output_path_through_a_file_is_refused": {
+    "test_cli.py::TestSafety::test_output_path_through_a_file_is_refused": {
         "generate---out-[Errno 17] File exists: '{file}'": (
             "generate", "file", "", "[Errno 17] File exists: '{path}'\n", "--out", "file/out"
         ),
@@ -501,7 +505,7 @@ CLI_REFUSALS = {
     },
     # A target that is a directory is refused before the first write, even with --force,
     # so no other output of the stage is written.
-    "test_output_path_that_is_a_directory_is_refused": {
+    "test_cli.py::TestSafety::test_output_path_that_is_a_directory_is_refused": {
         f"{stage}-{target}": (stage, f"{target}/file", "", f"…/{target} is a directory\n", *argv)
         for stage, target, argv in [
             ("generate", "series.csv.manifest.json", []),
@@ -509,7 +513,7 @@ CLI_REFUSALS = {
             ("compare", "summary.json", ["--force"]),
         ]
     },
-    "test_malformed_prepared_document_is_one_line_diagnostic": {
+    "test_cli.py::TestSafety::test_malformed_prepared_document_is_one_line_diagnostic": {
         "split-without-val": (
             "train", SPLIT,
             lambda t: json.dumps({k: v for k, v in json.loads(t).items() if k != "val"}),
@@ -529,7 +533,7 @@ CLI_REFUSALS = {
         "trend-string": ("train", TREND, _put('"0"', "c2"), "{path}: malformed"),
         "scale-bool": ("train", SCALE, _put("true", "d_max_abs"), "{path}: malformed"),
     },
-    "test_malformed_model_is_one_line_diagnostic": {
+    "test_cli.py::TestSafety::test_malformed_model_is_one_line_diagnostic": {
         name: ("compare", MODEL, edit, "{path}: malformed document:")
         for name, edit in {
             "model-cut": _cut,
@@ -544,7 +548,7 @@ CLI_REFUSALS = {
     },
     # A document that is not what ``prepare`` writes for series.csv is refused naming the
     # keys that differ, or the residual's first MJD that differs, never their values.
-    "test_inconsistent_prepared_directory_is_one_line_diagnostic": {
+    "test_cli.py::TestSafety::test_inconsistent_prepared_directory_is_one_line_diagnostic": {
         "residual-row-moved-5ns": (
             "compare", RESIDUAL, _each_row(lambda i, mjd, ns: (mjd, ns + 5.0), [50]),
             "{path}: residual at MJD 57179 differs from what prepare writes for series.csv",
@@ -584,7 +588,7 @@ CLI_REFUSALS = {
     },
     # The config must be exactly what the model's kernels give; the line names the key and
     # never echoes its value.
-    "test_edited_model_config_is_one_line_diagnostic": {
+    "test_cli.py::TestSafety::test_edited_model_config_is_one_line_diagnostic": {
         name: (
             "compare", MODEL, _put(raw, "config", key),
             _differ(key, "the config of its kernels") + "\n",
@@ -596,7 +600,7 @@ CLI_REFUSALS = {
             ("channels-1e400", "1e400", "channels"),
         ]
     },
-    "test_refusal_names_the_key": {
+    "test_cli.py::TestSafety::test_refusal_names_the_key": {
         "trend-string": ("compare", TREND, _put('"x"', "c1"), _differ("c1") + "\n"),
         "kernel-string": (
             "compare", MODEL, _put('"x"', "layers", 2, "kernel", 0, 0, 1),
@@ -621,7 +625,7 @@ CLI_REFUSALS = {
     # A huge head bias overflows the errors of the CNN's predictions.  A huge scale would
     # overflow the squared errors of finite predictions, but it is not what ``prepare``
     # writes, so the loader refuses it before any scoring.
-    "test_non_finite_score_is_refused_naming_method_and_mjd": {
+    "test_cli.py::TestSafety::test_non_finite_score_is_refused_naming_method_and_mjd": {
         "scale-1e308": ("compare", SCALE, _put("1e308", "d_max_abs"), _differ("d_max_abs") + "\n"),
         "head-bias-1e308": (
             "compare", MODEL, _put("1e308", "head", "bias"),
@@ -631,12 +635,12 @@ CLI_REFUSALS = {
     },
     # A byte that is not UTF-8: a JSON document does not decode, and in a CSV or
     # configuration file it reads as U+FFFD, which no key, number or header accepts.
-    "test_undecodable_input_names_its_path": {
+    "test_cli.py::TestSafety::test_undecodable_input_names_its_path": {
         name: ("compare", name, lambda t: "\x80" + t, "{path}")
         for name in (CONF, MODEL, "prepared/series.csv")
     },
     # Brackets nested too deep to decode, or a value that is a list nested 100 deep.
-    "test_deeply_nested_document_is_one_line_diagnostic": {
+    "test_cli.py::TestSafety::test_deeply_nested_document_is_one_line_diagnostic": {
         f"{name}-{nesting}": ("compare", name, edit, "{path}: ")
         for name, keys in [
             (MODEL, ("head", "bias")), (TREND, ("c2",)), (SCALE, ("d_max_abs",)), (SPLIT, ("n",))
@@ -646,6 +650,38 @@ CLI_REFUSALS = {
             ("value-100-deep", _put("[" * 100 + "0.5" + "]" * 100, *keys)),
         ]
     },
+    # The refusals of the configuration reader and the model loader, under their files' tests.
+    **{
+        f"test_config.py::{test}": ("generate", CONF, _append(text), "{path}:4: " + line)
+        for test, text, line in [
+            ("test_empty_value_rejected", "gen_n =", "empty value for 'gen_n'\n"),
+            ("test_duplicate_key_rejected_with_both_lines", "train_patience = 5",
+             "duplicate key 'train_patience' (first set on line 3)\n"),
+        ]
+    },
+    "test_config.py::test_section_seed_fields_are_not_keys": {
+        key: (
+            "generate", CONF, _append(f"{key} = 7"),
+            f"{{path}}:4: unknown configuration key '{key}'\n",
+        )
+        for key in ("gen_seed", "train_seed")
+    },
+    "test_cnn.py::TestSerialization::test_malformed_document": [
+        (
+            "compare", MODEL,
+            lambda t: json.dumps({k: v for k, v in json.loads(t).items() if k != "config"}),
+            "{path}: missing key 'config'\n",
+        ),
+        (
+            "compare", MODEL, _put("null", "config"),
+            "{path}: malformed document: a NoneType at 'config' where a JSON number belongs\n",
+        ),
+    ],
+    "test_cnn.py::TestSerialization::test_channels_must_match_the_kernels": (
+        "compare", MODEL,
+        lambda t: _put("1", "config", "channels")(model_to_json(init_weights(0, channels=2))),
+        _differ("channels", "the config of its kernels") + "\n",
+    ),
 }
 
 
@@ -657,9 +693,15 @@ def _tree(root):
 def cli_refusal_test(rows):
     """The test of one group of :data:`CLI_REFUSALS`: after ``ready_to_compare``, the
     removal of the stage's outputs and the row's edit, the stage must be refused without a
-    warning, change no file and print the row's line in under 500 bytes."""
+    warning, change no file and print the row's line in under 500 bytes.  The rows of a
+    list run in turn, each in a directory of its own."""
 
-    def test(self, tmp_path, row):
+    def test(tmp_path, row):
+        if isinstance(row, list):
+            for i, case in enumerate(row):
+                (tmp_path / str(i)).mkdir()
+                test(tmp_path / str(i), case)
+            return
         stage, name, edit, line, *extra = row
         conf = ready_to_compare(tmp_path)
         extra = [a if a.startswith("--") else tmp_path / a for a in extra]
@@ -681,8 +723,8 @@ def cli_refusal_test(rows):
         assert match(".*".join(map(re.escape, want.split("…"))), err), err[:500]
         assert len(err.encode()) < 500
 
-    def one(self, tmp_path):  # a test of one case keeps its unparametrized id
-        test(self, tmp_path, rows)
+    def one(tmp_path):  # a test of one case or one list keeps its unparametrized id
+        test(tmp_path, rows)
 
     if isinstance(rows, dict):
         one = pytest.mark.parametrize("row", rows.values(), ids=rows)(test)
@@ -919,8 +961,7 @@ class TestSafety:
         assert list(tmp_path.iterdir()) == []
 
 
-for _name, _rows in CLI_REFUSALS.items():
-    setattr(TestSafety, _name, cli_refusal_test(_rows))
+bind_groups(globals(), CLI_REFUSALS, cli_refusal_test)
 
 
 class TestParser:

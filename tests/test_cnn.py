@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import re
 
 import numpy as np
 import numpy.testing as npt
@@ -25,6 +24,7 @@ from clockpred.cnn import (
 )
 from tests.helpers import (
     batch_loops_oracle,
+    bind_groups,
     conv_oracle,
     correlate_reference,
     fd_gradient,
@@ -32,6 +32,8 @@ from tests.helpers import (
     forward_reference,
     kink_free_instance,
 )
+from tests.test_cli import CLI_REFUSALS, cli_refusal_test
+from tests.test_refusals import REFUSALS, refusal_test
 
 
 def one_position_model(first_kernel, position, first_bias=0.0):
@@ -102,15 +104,10 @@ class TestConv1dForward:
         assert first_layer_outputs(x, [0, 0, 1, 0]) == x
         assert first_layer_outputs(x, [0, 1, 0, 0]) == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_channel_mismatch(self):
-        """A layer whose inputs are not the previous layer's outputs never reaches ``forward``."""
-        wide = ConvLayer(np.zeros((1, 2, 3)), np.zeros(1))
-        with pytest.raises(ValueError, match="channel"):
-            CnnModel((ConvLayer([0.0, 0.0, 1.0, 0.0], 0.0), wide, wide), np.zeros(5), 0.0)
-
 
 def float_bits(values) -> list[bytes]:
-    """Each value's IEEE 754 bytes: equal lists are equal bit for bit, NaN and signed zeros included."""
+    """Each value's IEEE 754 bytes: equal lists are equal bit for bit, NaN and signed zeros
+    included."""
     return [np.float64(v).tobytes() for v in values]
 
 
@@ -210,10 +207,6 @@ class TestForward:
             npt.assert_allclose(
                 forward(model, window), forward_oracle(model, window), atol=1e-12
             )
-
-    def test_window_length_checked(self):
-        with pytest.raises(ValueError, match="width"):
-            forward(init_weights(0), np.zeros(6))
 
     def test_identity_kernel_composition_selects_one_coordinate(self):
         layers = (
@@ -380,7 +373,8 @@ class TestBatchPaths:
         """Training writes each update's pass into the buffers of the first one."""
         rng = np.random.default_rng(130 + channels)
         model = init_weights(channels, channels=channels)
-        earlier = forward_cached(model.param_views(model.to_vector()), rng.uniform(-1, 1, (164, 5)))
+        views = model.param_views(model.to_vector())
+        earlier = forward_cached(views, rng.uniform(-1, 1, (164, 5)))
         vec = model.to_vector() + rng.normal(0, 0.3, model.num_params)
         params = model.param_views(vec)
         windows = rng.uniform(-1, 1, (164, 5))
@@ -447,19 +441,6 @@ class TestInitWeights:
 
 
 class TestModelStructure:
-    def test_kernel_length_enforced(self):
-        bad = (
-            ConvLayer(np.zeros(3), 0.0),
-            ConvLayer(np.zeros(3), 0.0),
-            ConvLayer(np.zeros(3), 0.0),
-        )
-        with pytest.raises(ValueError, match="kernel length"):
-            CnnModel(bad, np.zeros(5), 0.0)
-
-    def test_head_size_enforced(self):
-        layers = tuple(ConvLayer(np.zeros(k), 0.0) for k in KERNEL_SIZES)
-        with pytest.raises(ValueError, match="head"):
-            CnnModel(layers, np.zeros(4), 0.0)
 
     def test_vector_round_trip(self):
         model = init_weights(7, channels=3)
@@ -521,20 +502,6 @@ class TestSerialization:
             assert restored.channels == model.channels
             assert json.loads(text)["config"]["width"] == DEFAULT_INPUT_WIDTH
 
-    def test_malformed_document(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"layers": []}')
-        with pytest.raises(ValueError, match="model.json: missing key 'config'"):
-            load_model(path)
-        path.write_text('{"layers": [], "config": null}')
-        with pytest.raises(ValueError, match="model.json: malformed document: a NoneType"):
-            load_model(path)
 
-    def test_channels_must_match_the_kernels(self, tmp_path):
-        doc = json.loads(model_to_json(init_weights(0, channels=2)))
-        doc["config"]["channels"] = 1
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        message = "malformed document: keys ['channels'] differ from the config of its kernels"
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
-            load_model(path)
+bind_groups(globals(), REFUSALS, refusal_test)
+bind_groups(globals(), CLI_REFUSALS, cli_refusal_test)

@@ -26,7 +26,10 @@ from clockpred.series import (
     series_to_csv,
     split,
 )
-from tests.helpers import fit_quadratic_oracle, loadtxt_via_float, parse_series_rowwise
+from tests.helpers import (
+    bind_groups, fit_quadratic_oracle, loadtxt_via_float, parse_series_rowwise
+)
+from tests.test_refusals import REFUSALS, refusal_test
 
 
 def make_series(values, start=56934, interval=5):
@@ -47,44 +50,6 @@ class TestTimeSeries:
         assert len(s) == 3
         assert s.interval == 5
         npt.assert_array_equal(s.epochs, [56934, 56939, 56944])
-
-    def test_rejects_gap(self):
-        with pytest.raises(ValueError, match="advance by 5"):
-            TimeSeries([56934, 56939, 56949], [1.0, 2.0, 3.0], 5)
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(ValueError, match="advance by 5"):
-            TimeSeries([56939, 56934], [1.0, 2.0], 5)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="finite"):
-            make_series([1.0, np.nan, 3.0])
-
-    def test_rejects_empty_and_mismatched(self):
-        with pytest.raises(ValueError, match="differ in length"):
-            TimeSeries([56934, 56939], [1.0], 5)
-
-    def test_rejects_fractional_epochs(self):
-        with pytest.raises(ValueError, match="whole MJD"):
-            TimeSeries([56934.5, 56939.5], [1.0, 2.0], 5)
-
-    @pytest.mark.parametrize(
-        "epochs",
-        [
-            [2**63, 2**63 + 5],
-            np.array([2**63, 2**63 + 5], dtype=np.uint64),
-            [np.inf, np.inf],
-            [-np.inf, -np.inf],
-            [1e300, 1e300],
-            [2.0**63, 2.0**63],
-            [2**64, 2**64 + 5],
-        ],
-        ids=["int-2^63", "uint64-2^63", "inf", "minus-inf", "1e300", "float-2^63", "int-2^64"],
-    )
-    def test_rejects_epochs_beyond_int64(self, epochs):
-        """Epochs that would wrap or saturate in the int64 cast are refused, not mangled."""
-        with pytest.raises(ValueError, match="within the int64 range"):
-            TimeSeries(epochs, [1.0, 1.0], 5)
 
     def test_values_are_immutable(self):
         s = make_series([1.0, 2.0])
@@ -111,21 +76,6 @@ class TestCombineSeries:
         a = make_series([4.0, -2.0, 9.0])
         b = a.with_values(np.zeros(3))
         npt.assert_array_equal(combine_series(a, b).values, a.values)
-
-    def test_alignment_error_names_first_divergent_epoch(self):
-        a = TimeSeries([56934, 56939], [1.0, 1.0], 5)
-        b = TimeSeries([56934, 56944], [1.0, 1.0], 10)
-        with pytest.raises(ValueError, match="intervals"):
-            combine_series(a, b)
-        c = TimeSeries([56939, 56944], [1.0, 1.0], 5)
-        with pytest.raises(ValueError, match="56939"):
-            combine_series(a, c)
-
-    def test_length_mismatch_reports_extra_epoch(self):
-        a = make_series([1.0, 2.0, 3.0])
-        b = make_series([1.0, 2.0])
-        with pytest.raises(ValueError, match="56944"):
-            combine_series(a, b)
 
     def test_commutative_and_associative(self):
         rng = np.random.default_rng(11)
@@ -170,10 +120,6 @@ class TestFitQuadratic:
         for basis in (np.ones_like(dt), dt, dt**2):
             # normalized inner product; raw moments reach ~1e6 at these spans
             assert abs(resid @ basis) / (np.linalg.norm(resid) * np.linalg.norm(basis)) < 1e-6
-
-    def test_needs_three_points(self):
-        with pytest.raises(ValueError, match="at least 3"):
-            fit_quadratic(make_series([1.0, 2.0]))
 
 
 class TestDetrendRetrend:
@@ -230,15 +176,6 @@ class TestSplit:
     def test_small_case(self):
         assert split(10, 0.5, 0.2).sizes == (5, 2, 3)
 
-    def test_empty_partition_rejected(self):
-        with pytest.raises(ValueError, match="empty partition"):
-            split(3, 0.51, 0.12)
-
-    def test_fraction_validation(self):
-        for args in ((0.0, 0.1), (0.5, 0.0), (0.7, 0.3), (-0.1, 0.5)):
-            with pytest.raises(ValueError, match="fractions"):
-                split(100, *args)
-
     def test_partition_properties(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
@@ -277,24 +214,6 @@ class TestCsvRoundTrip:
         path.write_text(series_to_csv(s, decimals=None))
         npt.assert_array_equal(read_series(path).values, s.values)
 
-    def test_malformed_row_reports_line(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("mjd,ns\n56934,1.0\nabc,1.0\n")
-        with pytest.raises(ValueError, match=r"bad\.csv:3"):
-            read_series(path)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time,offset\n56934,1.0\n")
-        with pytest.raises(ValueError, match="header"):
-            read_series(path)
-
-    def test_spacing_error(self, tmp_path):
-        path = tmp_path / "gap.csv"
-        path.write_text("mjd,ns\n56934,1.0\n56939,2.0\n56943,3.0\n")
-        with pytest.raises(ValueError, match="advance by 5"):
-            read_series(path)
-
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "series.csv"
         path.write_text(series_to_csv(make_series([1.0, 2.0])))
@@ -304,15 +223,6 @@ class TestCsvRoundTrip:
         path = tmp_path / "one.csv"
         path.write_text("mjd,ns\n56934,1.0\n")
         assert read_series(path).interval == DEFAULT_INTERVAL_DAYS
-
-    @pytest.mark.parametrize("row", ["56_934,1.0", "56939,1_0.5"])
-    def test_digit_group_underscore_is_a_malformed_row(self, tmp_path, row):
-        """``int`` and ``float`` read ``56_934`` as 56934 and ``1_0.5`` as 10.5."""
-        path = tmp_path / "grouped.csv"
-        path.write_text(f"mjd,ns\n56929,1.0\n{row}\n")
-        with pytest.raises(ValueError) as err:
-            read_series(path)
-        assert str(err.value) == f"{path}:3: malformed row '{row}'"
 
     @pytest.mark.parametrize("reader", ["installed-numpy", "int-via-float"])
     @pytest.mark.parametrize("mjd", ["56939.5", "5.6939e4", str(2**63), "1e400", "nan"])
@@ -346,7 +256,9 @@ ODD_FIELDS += [str(2**63), str(-(2**63) - 1)]
 def series_texts(draw):
     """A ``mjd,ns`` document at 3 decimals or ``repr``, often with one row mutated."""
     n = draw(st.integers(0, 8))
-    start = draw(st.one_of(st.sampled_from([56934, *INT64_ENDS]), st.integers(-(2**63), 2**63 - 1)))
+    start = draw(
+        st.one_of(st.sampled_from([56934, *INT64_ENDS]), st.integers(-(2**63), 2**63 - 1))
+    )
     interval = draw(st.integers(-1, 30))
     values = draw(st.lists(st.floats(width=64), min_size=n, max_size=n))
     decimals = draw(st.sampled_from(["{:.3f}", "{!r}"]))
@@ -367,7 +279,8 @@ def series_texts(draw):
     elif mutation == "spaced":
         lines[at:at + 1] = [f" {row[0]} , {row[-1]}\t"]
     elif mutation == "insert":
-        lines.insert(at, f"{draw(st.sampled_from(INT64_ENDS))},{draw(st.sampled_from(ODD_FIELDS))}")
+        mjd, ns = draw(st.sampled_from(INT64_ENDS)), draw(st.sampled_from(ODD_FIELDS))
+        lines.insert(at, f"{mjd},{ns}")
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + newline * draw(st.integers(0, 2))
 
@@ -434,3 +347,6 @@ class TestPrepare:
 def test_datasplit_sizes_property():
     parts = DataSplit(range(0, 5), range(5, 7), range(7, 10), (0.5, 0.2))
     assert parts.sizes == (5, 2, 3)
+
+
+bind_groups(globals(), REFUSALS, refusal_test)

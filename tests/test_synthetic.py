@@ -2,10 +2,11 @@
 
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from clockpred.series import detrend, fit_quadratic
 from clockpred.synthetic import SyntheticClockSpec, default_maser_spec, generate
+from tests.helpers import bind_groups
+from tests.test_refusals import REFUSALS, refusal_test
 
 
 class TestDeterminism:
@@ -70,9 +71,6 @@ class TestNoiseStatistics:
 
 
 class TestSpecValidation:
-    def test_minimum_points(self):
-        with pytest.raises(ValueError, match="at least 7"):
-            SyntheticClockSpec(n=6)
 
     def test_minimal_n_generates(self):
         assert len(generate(SyntheticClockSpec(n=7))) == 7
@@ -99,3 +97,6 @@ class TestDefaultSpec:
         s = generate(default_maser_spec())
         assert np.all(np.diff(s.epochs) == s.interval)
         assert np.all(np.isfinite(s.values))
+
+
+bind_groups(globals(), REFUSALS, refusal_test)
