@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import _check_as_written, _freeze, _json_text, _numbers_only, _read_json
+from .series import _check_as_written, _freeze, _json_text, _numbers_only, _read_json, _whole
 
 KERNEL_SIZES = (4, 3, 3)
 DEFAULT_INPUT_WIDTH = 5
@@ -394,7 +394,8 @@ def init_weights(seed: int, channels: int = DEFAULT_CHANNELS) -> CnnModel:
     Kernel and head weights are uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)];
     biases start at zero.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_whole("seed", seed, 0))
+    channels = _whole("channels", channels, 1)
     layers = []
     in_ch = 1
     for k in KERNEL_SIZES:

@@ -19,7 +19,7 @@ from typing import Mapping
 from .cnn import DEFAULT_CHANNELS
 from .kalman import KalmanParams
 from .series import (
-    DEFAULT_FIT_ON_FULL, DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC, _brief, check_fractions
+    DEFAULT_FIT_ON_FULL, DEFAULT_TRAIN_FRAC, DEFAULT_VAL_FRAC, _brief, _whole, check_fractions
 )
 from .synthetic import DEFAULT_SEED, SyntheticClockSpec
 from .training import TrainConfig
@@ -113,10 +113,7 @@ def _section(cls, cfg: Mapping[str, str], **given):
 
 
 def seed_from(cfg: Mapping[str, str], override: int | None = None) -> int:
-    seed = _value(cfg, "seed") if override is None else int(override)
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {_brief.repr(seed)}")
-    return seed
+    return _whole("seed", _value(cfg, "seed") if override is None else override, 0)
 
 
 def synthetic_spec_from(cfg: Mapping[str, str], seed: int | None = None) -> SyntheticClockSpec:

@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .series import _whole
+
 
 @dataclass(frozen=True)
 class KalmanParams:
@@ -70,12 +72,11 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     Raises
     ------
     ValueError
-        If the width is below two, the interval is not positive and finite,
-        or an innovation variance is not positive, which can only happen
-        with R = 0 and a degenerate phase variance.
+        If the width is not an integer of at least two, the interval is not
+        positive and finite, or an innovation variance is not positive, which
+        can only happen with R = 0 and a degenerate phase variance.
     """
-    if width < 2:
-        raise ValueError(f"a window needs at least two samples, got {width}")
+    width = _whole("window width", width, 2)
     tau = float(interval)
     if not 0.0 < tau < math.inf:
         raise ValueError(f"interval must be positive and finite, got {interval}")

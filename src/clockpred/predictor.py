@@ -21,9 +21,8 @@ import numpy as np
 
 from .cnn import DEFAULT_INPUT_WIDTH, CnnModel, forward
 from .kalman import KalmanParams, kf_one_ahead, kf_one_ahead_batch
-from .series import (
-    NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries, _csv_text, _freeze, _json_text
-)
+from .series import NormalizationScale, PreparedSeries, QuadraticTrend, TimeSeries
+from .series import _csv_text, _freeze, _json_text, _whole
 from .training import make_windows, rmse_loss
 
 REPORT_HEADER = "mjd,actual_ns,cnn_pred_ns,kf_pred_ns,cnn_diff_ns,kf_diff_ns"
@@ -104,11 +103,12 @@ class PredictionReport:
     kf_e_rms_ns: float
 
     def __post_init__(self):
+        n_pred = _whole("n_pred", self.n_pred, 0)
         per_epoch = {f.name: np.array(getattr(self, f.name)) for f in fields(self)[:6]}
         for name, arr in per_epoch.items():
-            if arr.ndim != 1 or arr.size != self.n_pred:
-                raise ValueError(f"column {name} must hold {self.n_pred} entries")
-        _freeze(self, **per_epoch)
+            if arr.ndim != 1 or arr.size != n_pred:
+                raise ValueError(f"column {name} must hold {n_pred} entries")
+        _freeze(self, **per_epoch, n_pred=n_pred)
 
 
 def compare(model: CnnModel, params: KalmanParams, prepared: PreparedSeries) -> PredictionReport:

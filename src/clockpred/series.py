@@ -50,6 +50,13 @@ def _freeze(record, **fields) -> None:
         object.__setattr__(record, name, value)
 
 
+def _whole(name: str, value, least: int) -> int:
+    """``value`` as an int: the one check of every count, interval, seed and width."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least:
+        return int(value)
+    raise ValueError(f"{name} must be an integer of at least {least}, got {_brief.repr(value)}")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A uniformly spaced offset series.
@@ -85,9 +92,7 @@ class TimeSeries:
             )
         if epochs.size == 0:
             raise ValueError("series must contain at least one point")
-        interval = self.interval
-        if not isinstance(interval, (int, np.integer)) or interval <= 0:
-            raise ValueError(f"interval must be a positive integer day count, got {interval!r}")
+        interval = _whole("interval", self.interval, 1)
         steps = np.diff(epochs)
         if steps.size and not (steps == interval).all():
             bad = int(np.flatnonzero(steps != interval)[0])
@@ -97,7 +102,7 @@ class TimeSeries:
             )
         if not np.isfinite(values).all():
             raise ValueError("values must all be finite")
-        _freeze(self, epochs=epochs, values=values, interval=int(interval))
+        _freeze(self, epochs=epochs, values=values, interval=interval)
 
     def __len__(self) -> int:
         return self.epochs.size
@@ -263,11 +268,10 @@ def split(
     Raises
     ------
     ValueError
-        On a count that is not an integer, on fractions outside (0, 1) or
+        On a count that is not a nonnegative integer, on fractions outside (0, 1) or
         summing to >= 1, and when the floor rule leaves any partition empty.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"point count must be an integer, got {n!r}")
+    n = _whole("point count", n, 0)
     check_fractions(train_frac, val_frac)
     n_train = math.floor(train_frac * n)
     n_val = math.floor(val_frac * n)
@@ -433,6 +437,8 @@ def prepare(
     partition.  ``fit_on_full`` instead fits both on the complete series,
     which is the presentation convention for residual plots.
     """
+    if not isinstance(fit_on_full, (bool, np.bool_)):  # "false" would fit on the full series
+        raise ValueError(f"fit_on_full must be a bool, got {_brief.repr(fit_on_full)}")
     parts = split(len(series), train_frac, val_frac)
     fit_slice = range(0, len(series)) if fit_on_full else parts.train_range
     trend = fit_quadratic(series.subseries(fit_slice))
@@ -442,4 +448,4 @@ def prepare(
         raise ValueError("cannot normalize an all-zero series (degenerate scale)")
     residual_norm = series.with_values(residual / peak)  # refuses a non-finite residual
     scale = NormalizationScale(peak)
-    return PreparedSeries(series, residual_norm, trend, scale, parts, fit_on_full)
+    return PreparedSeries(series, residual_norm, trend, scale, parts, bool(fit_on_full))

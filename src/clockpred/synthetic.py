@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import DEFAULT_INTERVAL_DAYS, TimeSeries, _brief
+from .series import DEFAULT_INTERVAL_DAYS, TimeSeries, _brief, _freeze, _whole
 
 DEFAULT_START_EPOCH = 56934
 DEFAULT_SEED = 56934
@@ -41,10 +41,8 @@ class SyntheticClockSpec:
     start_epoch: int = DEFAULT_START_EPOCH
 
     def __post_init__(self):
-        if self.n < 7:
-            raise ValueError(f"need at least 7 points, got {_brief.repr(self.n)}")
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {_brief.repr(self.interval)}")
+        for name, least in (("n", 7), ("interval", 1), ("seed", 0)):
+            _freeze(self, **{name: _whole(name, getattr(self, name), least)})
         first, last = self.start_epoch, self.start_epoch + (self.n - 1) * self.interval
         if not (-(2**63) <= first and last < 2**63):
             raise ValueError(f"epochs {_brief.repr(first)} to {_brief.repr(last)} overflow int64")

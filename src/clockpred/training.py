@@ -34,7 +34,7 @@ from .cnn import (
     forward_batch,
     forward_cached,
 )
-from .series import TimeSeries, _csv_text, _freeze
+from .series import TimeSeries, _csv_text, _freeze, _whole
 from .synthetic import DEFAULT_SEED
 
 STOP_MAX_UPDATES = "max-updates"
@@ -105,9 +105,7 @@ class AdamState:
             raise ValueError("moment vectors must be 1D and congruent")
         if np.any(v < 0.0):
             raise ValueError("second moments must be nonnegative")
-        if self.t < 0:
-            raise ValueError("step count must be nonnegative")
-        _freeze(self, m=m, v=v)
+        _freeze(self, m=m, v=v, t=_whole("t", self.t, 0))
 
 
 def _adam_update(params, grads, m, v, t: int, lr, beta1, beta2, eps) -> None:
@@ -159,12 +157,10 @@ class TrainConfig:
     eps: float = 1e-3
 
     def __post_init__(self):
-        if self.max_updates < 1:
-            raise ValueError("max_updates must be at least 1")
+        for name, least in (("max_updates", 1), ("patience", 1), ("seed", 0)):
+            _freeze(self, **{name: _whole(name, getattr(self, name), least)})
         if not 0.0 <= self.l2_lambda < math.inf:
             raise ValueError(f"l2_lambda must be nonnegative and finite, got {self.l2_lambda}")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         for name in ("beta1", "beta2"):
@@ -191,9 +187,9 @@ class TrainingTrace:
             raise ValueError("trace columns must be congruent 1D arrays")
         if self.stop_reason not in (STOP_MAX_UPDATES, STOP_EARLY):
             raise ValueError(f"unknown stop reason {self.stop_reason!r}")
-        if not (0 <= self.best_update < train.size):
+        if (best := _whole("best_update", self.best_update, 0)) >= train.size:
             raise ValueError("best_update outside the recorded trace")
-        _freeze(self, train_rmse=train, val_rmse=val)
+        _freeze(self, train_rmse=train, val_rmse=val, best_update=best)
 
     def __len__(self) -> int:
         return self.train_rmse.size

@@ -175,6 +175,21 @@ def kink_free_instance(rng, channels=1):
             return model, window
 
 
+def one_position_model(first_kernel, position, first_bias=0.0):
+    """A C=1 model whose output is ``position`` of its first layer's rectified
+    output: identity kernels after ``first_kernel``, a one-hot head."""
+    identity = ConvLayer([0.0, 1.0, 0.0], 0.0)
+    head = np.zeros(DEFAULT_INPUT_WIDTH)
+    head[position] = 1.0
+    return CnnModel((ConvLayer(first_kernel, first_bias), identity, identity), head, 0.0)
+
+
+def series_of(values) -> TimeSeries:
+    """``values`` on the MJD grid that starts at 56934 and steps by 5 days."""
+    values = np.asarray(values, dtype=float)
+    return TimeSeries(56934 + 5 * np.arange(values.size), values, 5)
+
+
 def fd_gradient(model, window, h=1e-5):
     """Central finite differences of the network output over all parameters."""
     vec = model.to_vector()

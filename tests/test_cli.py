@@ -459,7 +459,7 @@ CLI_REFUSALS = {
                 ("config-key", "k" * 10**6 + " = 1", ":4: unknown configuration key 'k…k'\n"),
                 ("config-value", "gen_n = " + "x" * 10**6, ": configuration key 'gen_n': 'x…x'"),
                 ("config-seed", "seed = -1" + "0" * 4000,
-                 ": seed must be nonnegative, got -10…0\n"),
+                 ": seed must be an integer of at least 0, got -10…0\n"),
                 ("config-n", "gen_n = 1" + "0" * 4000, ": epochs 56934 to 50…056929 overflow"),
                 ("config-channels", "cnn_channels = 1" + "0" * 4000,
                  ": configuration key 'cnn_channels': must be at least 1 and at most 1024, got 1"),

@@ -31,18 +31,10 @@ from tests.helpers import (
     forward_oracle,
     forward_reference,
     kink_free_instance,
+    one_position_model,
 )
 from tests.test_cli import CLI_REFUSALS, cli_refusal_test
 from tests.test_refusals import REFUSALS, refusal_test
-
-
-def one_position_model(first_kernel, position, first_bias=0.0):
-    """A C=1 model whose output is ``position`` of its first layer's rectified
-    output: identity kernels after ``first_kernel``, a one-hot head."""
-    identity = ConvLayer([0.0, 1.0, 0.0], 0.0)
-    head = np.zeros(DEFAULT_INPUT_WIDTH)
-    head[position] = 1.0
-    return CnnModel((ConvLayer(first_kernel, first_bias), identity, identity), head, 0.0)
 
 
 def first_layer_outputs(window, first_kernel, first_bias=0.0):
@@ -70,10 +62,6 @@ class TestRelu:
 class TestConv1dForward:
     """One layer's zero-padded cross-correlation: inside ``forward``, read position
     by position, and in ``correlate_reference``, whose bits ``forward`` must keep."""
-
-    def test_identity_kernel(self):
-        x = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert first_layer_outputs(x, [0, 0, 1, 0]) == x
 
     def test_zero_input_yields_bias(self):
         assert first_layer_outputs(np.zeros(5), [0.3, -0.1, 0.9, 0.2], 1.5) == [1.5] * 5
@@ -209,14 +197,7 @@ class TestForward:
             )
 
     def test_identity_kernel_composition_selects_one_coordinate(self):
-        layers = (
-            ConvLayer([0.0, 1.0, 0.0, 0.0], 0.0),
-            ConvLayer([0.0, 1.0, 0.0], 0.0),
-            ConvLayer([0.0, 1.0, 0.0], 0.0),
-        )
-        head = np.zeros(5)
-        head[2] = 1.0
-        model = CnnModel(layers, head, 0.0)
+        model = one_position_model([0, 1, 0, 0], 2)
         rng = np.random.default_rng(4)
         for _ in range(20):
             window = rng.normal(size=5)

@@ -16,9 +16,11 @@ NOTEBOOKS = sorted(path.name for path in (ROOT / "notebooks").glob("*.py"))
 
 @functools.cache
 def run_notebook(name):
-    """Run one script as its own process with ``src`` importable; cached per name."""
+    """Run one script as its own process with ``src`` importable and deprecations
+    raised as errors; cached per name."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::DeprecationWarning,error::PendingDeprecationWarning"
     return subprocess.run(
         [sys.executable, str(ROOT / "notebooks" / name)],
         cwd=ROOT,

@@ -21,16 +21,11 @@ from clockpred.predictor import (
     score,
     summary_to_json,
 )
-from clockpred.series import NormalizationScale, QuadraticTrend, TimeSeries, prepare
+from clockpred.series import NormalizationScale, QuadraticTrend, prepare
 from clockpred.synthetic import SyntheticClockSpec, generate
 from clockpred.training import rmse_loss
-from tests.helpers import bind_groups, kf_one_ahead_oracle, report_to_csv_rowwise
+from tests.helpers import bind_groups, kf_one_ahead_oracle, report_to_csv_rowwise, series_of
 from tests.test_refusals import REFUSALS, refusal_test
-
-
-def series_of(values, interval=5):
-    values = np.asarray(values, dtype=float)
-    return TimeSeries(56934 + interval * np.arange(values.size), values, interval)
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,9 @@ Library refusals that one row cannot state keep their own tests:
   of the prepared fixture;
 - ``test_non_finite_validation_names_the_update``: the message carries a train RMSE, whose
   digits the BLAS kernel can move;
-- ``test_degenerate_innovation_rejected``: the refusal is the test oracle's ``kf_update``.
+- ``test_degenerate_innovation_rejected``: the refusal is the test oracle's ``kf_update``;
+- ``test_json_documents_refuse_non_finite_numbers``: its message is Python's ``json``
+  wording, which the library does not own.
 """
 
 import functools
@@ -123,6 +125,20 @@ REFUSALS = {
             lambda: PredictionReport(np.arange(2), *[np.ones(2)] * 4, np.ones(1), 2, 0.0, 0.0),
             "column kf_diff_ns must hold 2 entries",
         ),
+        "PredictionReport-n_pred-2.0": (
+            lambda: PredictionReport(np.arange(2), *[np.ones(2)] * 5, 2.0, 0.0, 0.0),
+            "n_pred must be an integer of at least 0, got 2.0",
+        ),
+        "kf_gains-width-2.5": (
+            lambda: kf_gains(2.5, 5.0), "window width must be an integer of at least 2, got 2.5"
+        ),
+        **{
+            f"init_weights-{name}-{value}": (
+                lambda name=name, value=value: init_weights(**{"seed": 1, name: value}),
+                f"{name} must be an integer of at least {least}, got {value}",
+            )
+            for name, least, value in [("seed", 0, 1.5), ("channels", 1, 2.5)]
+        },
         "TimeSeries-empty": (
             lambda: TimeSeries([], [], 5), "series must contain at least one point"
         ),
@@ -133,10 +149,11 @@ REFUSALS = {
         **{
             f"TimeSeries-interval-{name}": (
                 lambda interval=interval: TimeSeries([56934], [1.0], interval),
-                f"interval must be a positive integer day count, got {interval!r}",
+                f"interval must be an integer of at least 1, got {interval!r}",
             )
             for name, interval in [
-                ("0", 0), ("5.5", 5.5), ("str-5", "5"), ("inf", math.inf), ("nan", math.nan)
+                ("0", 0), ("5.5", 5.5), ("str-5", "5"), ("inf", math.inf), ("nan", math.nan),
+                ("True", True),
             ]
         },
         "subseries-step-2": (
@@ -147,7 +164,12 @@ REFUSALS = {
             lambda: SERIES.subseries(range(5, 11)),
             "index range range(5, 11) out of bounds for series of length 10",
         ),
-        "split-10.7-points": (lambda: split(10.7), "point count must be an integer, got 10.7"),
+        **{
+            f"split-{n}-points": (
+                lambda n=n: split(n), f"point count must be an integer of at least 0, got {n}"
+            )
+            for n in (10.7, True)
+        },
         "NormalizationScale-0": (
             lambda: NormalizationScale(0.0),
             "degenerate normalization scale 0.0; the source series must contain a nonzero value",
@@ -156,6 +178,10 @@ REFUSALS = {
             lambda: prepare(TimeSeries(56934 + 5 * np.arange(40), np.zeros(40), 5)),
             "cannot normalize an all-zero series (degenerate scale)",
         ),
+        "prepare-fit_on_full-str": (
+            lambda: prepare(SERIES, 0.5, 0.2, fit_on_full="false"),
+            "fit_on_full must be a bool, got 'false'",
+        ),
         **{
             f"SyntheticClockSpec-negative-{name}": (
                 lambda name=name: SyntheticClockSpec(**{name: -0.1}),
@@ -163,10 +189,22 @@ REFUSALS = {
             )
             for name in ("sigma_wfm", "sigma_rwfm")
         },
-        "SyntheticClockSpec-interval-0": (
-            lambda: SyntheticClockSpec(interval=0),
-            "interval must be positive, got 0",
-        ),
+        # Each count, interval and seed field of a value type is a whole number.
+        **{
+            f"{cls.__name__}-{field}-{value}": (
+                lambda cls=cls, field=field, value=value: cls(**{field: value}),
+                f"{field} must be an integer of at least {least}, got {value}",
+            )
+            for cls, field, least, values in [
+                (SyntheticClockSpec, "n", 7, [7.5]),
+                (SyntheticClockSpec, "interval", 1, [0, 5.5, True]),
+                (SyntheticClockSpec, "seed", 0, [-1, 1.5]),
+                (TrainConfig, "max_updates", 1, [0, 2.5]),
+                (TrainConfig, "patience", 1, [0, 1.5]),
+                (TrainConfig, "seed", 0, [-1]),
+            ]
+            for value in values
+        },
         "SyntheticClockSpec-nan-x0": (
             lambda: SyntheticClockSpec(x0=np.nan),
             "spec field x0 must be finite",
@@ -189,12 +227,8 @@ REFUSALS = {
         ),
         "AdamState-m-v-shapes": (adam(v=np.zeros(4)), "moment vectors must be 1D and congruent"),
         "AdamState-negative-v": (adam(v=-np.ones(3)), "second moments must be nonnegative"),
-        "AdamState-t-negative": (adam(t=-1), "step count must be nonnegative"),
-        "TrainConfig-max_updates-0": (
-            lambda: TrainConfig(max_updates=0),
-            "max_updates must be at least 1",
-        ),
-        "TrainConfig-patience-0": (lambda: TrainConfig(patience=0), "patience must be at least 1"),
+        "AdamState-t-negative": (adam(t=-1), "t must be an integer of at least 0, got -1"),
+        "AdamState-t-1.5": (adam(t=1.5), "t must be an integer of at least 0, got 1.5"),
         "TrainingTrace-column-lengths": (
             lambda: TrainingTrace(np.ones(3), np.ones(2), "max-updates", 0),
             "trace columns must be congruent 1D arrays",
@@ -206,6 +240,10 @@ REFUSALS = {
         "TrainingTrace-best-update-3-of-3": (
             lambda: TrainingTrace(np.ones(3), np.ones(3), STOP_EARLY, 3),
             "best_update outside the recorded trace",
+        ),
+        "TrainingTrace-best-update-1.5": (
+            lambda: TrainingTrace(np.ones(3), np.ones(3), STOP_EARLY, 1.5),
+            "best_update must be an integer of at least 0, got 1.5",
         ),
         "rmse_loss-1-for-2": (
             lambda: rmse_loss([1.0], [1.0, 2.0]), "shape mismatch: (1,) vs (2,)"
@@ -236,7 +274,7 @@ REFUSALS = {
         },
         "seed_from-negative-override": (
             lambda: seed_from(effective_config(), -1),
-            "seed must be nonnegative, got -1",
+            "seed must be an integer of at least 0, got -1",
         ),
     },
     "test_series.py::TestTimeSeries::test_rejects_gap": (
@@ -340,7 +378,7 @@ REFUSALS = {
         "layers[0]: kernel length 3 at a position requiring 4",
     ),
     "test_kalman.py::TestOneAhead::test_window_validation": (
-        lambda: kf_one_ahead([1.0], 5.0), "a window needs at least two samples, got 1"
+        lambda: kf_one_ahead([1.0], 5.0), "window width must be an integer of at least 2, got 1"
     ),
     "test_kalman.py::TestOneAhead::test_interval_must_be_positive_and_finite": {
         str(interval): [
@@ -361,7 +399,7 @@ REFUSALS = {
         ),
         (
             lambda: kf_one_ahead_batch(np.zeros((3, 1)), 5.0),
-            "a window needs at least two samples, got 1",
+            "window width must be an integer of at least 2, got 1",
         ),
     ],
     "test_predictor.py::TestRollingPredict::test_short_test_range_rejected": (
@@ -375,7 +413,7 @@ REFUSALS = {
         "3 predictions do not match 2 epochs",
     ),
     "test_synthetic.py::TestSpecValidation::test_minimum_points": (
-        lambda: SyntheticClockSpec(n=6), "need at least 7 points, got 6"
+        lambda: SyntheticClockSpec(n=6), "n must be an integer of at least 7, got 6"
     ),
     "test_training.py::TestAdamStep::test_shape_mismatch": (
         lambda: adam_step(np.zeros(3), np.zeros(4), adam()()),

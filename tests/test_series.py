@@ -27,15 +27,9 @@ from clockpred.series import (
     split,
 )
 from tests.helpers import (
-    bind_groups, fit_quadratic_oracle, loadtxt_via_float, parse_series_rowwise
+    bind_groups, fit_quadratic_oracle, loadtxt_via_float, parse_series_rowwise, series_of
 )
 from tests.test_refusals import REFUSALS, refusal_test
-
-
-def make_series(values, start=56934, interval=5):
-    values = np.asarray(values, dtype=float)
-    epochs = start + interval * np.arange(values.size)
-    return TimeSeries(epochs, values, interval)
 
 
 def quadratic_series(c0, c1, c2, n, start=56934, interval=5):
@@ -46,21 +40,21 @@ def quadratic_series(c0, c1, c2, n, start=56934, interval=5):
 
 class TestTimeSeries:
     def test_basic_construction(self):
-        s = make_series([1.0, 2.0, 3.0])
+        s = series_of([1.0, 2.0, 3.0])
         assert len(s) == 3
         assert s.interval == 5
         npt.assert_array_equal(s.epochs, [56934, 56939, 56944])
 
     def test_values_are_immutable(self):
-        s = make_series([1.0, 2.0])
+        s = series_of([1.0, 2.0])
         with pytest.raises(ValueError):
             s.values[0] = 9.0
 
     def test_single_point_allowed(self):
-        assert len(make_series([7.0])) == 1
+        assert len(series_of([7.0])) == 1
 
     def test_subseries(self):
-        s = make_series(np.arange(10.0))
+        s = series_of(np.arange(10.0))
         sub = s.subseries(range(2, 6))
         npt.assert_array_equal(sub.values, [2.0, 3.0, 4.0, 5.0])
         assert sub.epochs[0] == 56934 + 10
@@ -73,15 +67,15 @@ class TestCombineSeries:
         npt.assert_array_equal(combine_series(a, b).values, [7.0, 13.0])
 
     def test_zero_is_identity(self):
-        a = make_series([4.0, -2.0, 9.0])
+        a = series_of([4.0, -2.0, 9.0])
         b = a.with_values(np.zeros(3))
         npt.assert_array_equal(combine_series(a, b).values, a.values)
 
     def test_commutative_and_associative(self):
         rng = np.random.default_rng(11)
-        a = make_series(rng.normal(size=20))
-        b = make_series(rng.normal(size=20))
-        c = make_series(rng.normal(size=20))
+        a = series_of(rng.normal(size=20))
+        b = series_of(rng.normal(size=20))
+        c = series_of(rng.normal(size=20))
         npt.assert_allclose(
             combine_series(a, b).values, combine_series(b, a).values, rtol=0
         )
@@ -100,7 +94,7 @@ class TestFitQuadratic:
         assert tr.t0 == s.epochs[0]
 
     def test_constant_series(self):
-        tr = fit_quadratic(make_series(np.full(12, 7.0)))
+        tr = fit_quadratic(series_of(np.full(12, 7.0)))
         npt.assert_allclose([tr.c0, tr.c1, tr.c2], [7.0, 0.0, 0.0], atol=1e-9)
 
     def test_matches_rational_normal_equation_oracle(self):
@@ -113,7 +107,7 @@ class TestFitQuadratic:
 
     def test_residual_orthogonal_to_basis(self):
         rng = np.random.default_rng(5)
-        s = make_series(rng.normal(0, 30.0, 100))
+        s = series_of(rng.normal(0, 30.0, 100))
         tr = fit_quadratic(s)
         resid = detrend(s, tr).values
         dt = s.epochs - s.epochs[0]
@@ -129,12 +123,12 @@ class TestDetrendRetrend:
         npt.assert_allclose(resid.values, 0.0, atol=1e-9)
 
     def test_zero_trend_is_identity(self):
-        s = make_series([1.0, -2.0, 3.0])
+        s = series_of([1.0, -2.0, 3.0])
         npt.assert_array_equal(detrend(s, QuadraticTrend(56934, 0, 0, 0)).values, s.values)
 
     def test_retrend_of_zero_residual_is_trend(self):
         tr = QuadraticTrend(56934.0, 4.0, 0.5, -0.001)
-        zero = make_series(np.zeros(8))
+        zero = series_of(np.zeros(8))
         npt.assert_allclose(retrend(zero, tr).values, tr(zero.epochs), rtol=0)
 
     def test_pointwise_addition(self):
@@ -145,7 +139,7 @@ class TestDetrendRetrend:
     def test_round_trip_random(self):
         rng = np.random.default_rng(77)
         for _ in range(25):
-            s = make_series(rng.normal(0, 100, rng.integers(3, 60)))
+            s = series_of(rng.normal(0, 100, rng.integers(3, 60)))
             tr = QuadraticTrend(56934.0, *rng.normal(0, [50, 1, 0.01]))
             npt.assert_allclose(retrend(detrend(s, tr), tr).values, s.values, atol=1e-9)
 
@@ -155,13 +149,13 @@ class TestNormalize:
         s = TimeSeries([56934, 56939], [-1.0, 0.5], 5)
         npt.assert_array_equal(denormalize(s, NormalizationScale(100.0)).values, [-100.0, 50.0])
         rng = np.random.default_rng(3)
-        t = make_series(rng.normal(0, 40, 50))
+        t = series_of(rng.normal(0, 40, 50))
         prep = prepare(t)
         rebuilt = denormalize(prep.residual_norm, prep.scale).values
         npt.assert_allclose(rebuilt, detrend(t, prep.trend).values, rtol=1e-12)
 
     def test_unit_scale_is_identity(self):
-        s = make_series([1.5, -0.25])
+        s = series_of([1.5, -0.25])
         npt.assert_array_equal(denormalize(s, NormalizationScale(1.0)).values, s.values)
 
 
@@ -195,7 +189,7 @@ class TestSplit:
 class TestCsvRoundTrip:
     def test_write_read(self, tmp_path):
         rng = np.random.default_rng(21)
-        s = make_series(np.round(rng.normal(0, 50, 40), 3))
+        s = series_of(np.round(rng.normal(0, 50, 40), 3))
         path = tmp_path / "series.csv"
         path.write_text(series_to_csv(s))
         back = read_series(path)
@@ -209,14 +203,14 @@ class TestCsvRoundTrip:
 
     def test_full_precision_mode(self, tmp_path):
         rng = np.random.default_rng(31)
-        s = make_series(rng.normal(0, 1, 25))
+        s = series_of(rng.normal(0, 1, 25))
         path = tmp_path / "residual.csv"
         path.write_text(series_to_csv(s, decimals=None))
         npt.assert_array_equal(read_series(path).values, s.values)
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "series.csv"
-        path.write_text(series_to_csv(make_series([1.0, 2.0])))
+        path.write_text(series_to_csv(series_of([1.0, 2.0])))
         assert b"\r" not in path.read_bytes()
 
     def test_single_row_takes_default_interval(self, tmp_path):
@@ -319,7 +313,7 @@ class TestPrepare:
 
     def test_prefix_fit_ignores_test_data(self):
         rng = np.random.default_rng(56)
-        s = make_series(rng.normal(0, 10, 274))
+        s = series_of(rng.normal(0, 10, 274))
         prep = prepare(s)
         corrupted = s.values.copy()
         corrupted[200:] += 1e6
@@ -329,7 +323,7 @@ class TestPrepare:
 
     def test_full_fit_sees_everything(self):
         rng = np.random.default_rng(57)
-        s = make_series(rng.normal(0, 10, 274))
+        s = series_of(rng.normal(0, 10, 274))
         corrupted = s.values.copy()
         corrupted[200:] += 1e4
         assert prepare(s, fit_on_full=True).trend != prepare(
@@ -338,7 +332,7 @@ class TestPrepare:
 
     def test_train_prefix_normalized_peak_is_one(self):
         rng = np.random.default_rng(58)
-        s = make_series(rng.normal(0, 10, 274))
+        s = series_of(rng.normal(0, 10, 274))
         prep = prepare(s)
         train = prep.residual_norm.values[: prep.split.train_range.stop]
         assert np.max(np.abs(train)) == 1.0

@@ -39,15 +39,12 @@ from tests.helpers import (
     kernel_pin_message,
     kink_free_instance,
     loss_with_l2,
+    one_position_model,
     preactivation_margin,
+    series_of,
     weight_norm_sq,
 )
 from tests.test_refusals import REFUSALS, refusal_test
-
-
-def series_of(values, interval=5):
-    values = np.asarray(values, dtype=float)
-    return TimeSeries(56934 + interval * np.arange(values.size), values, interval)
 
 
 class TestMakeWindows:
@@ -220,21 +217,9 @@ class TestLossGradient:
             checked += 1
 
 
-def _selector_model():
-    """Identity kernels plus a head that reads the window center."""
-    layers = (
-        ConvLayer([0.0, 0.0, 1.0, 0.0], 0.0),
-        ConvLayer([0.0, 1.0, 0.0], 0.0),
-        ConvLayer([0.0, 1.0, 0.0], 0.0),
-    )
-    head = np.zeros(5)
-    head[2] = 1.0
-    return CnnModel(layers, head, 0.0)
-
-
 class TestTrain:
     def test_exact_fit_is_a_fixed_point(self):
-        model = _selector_model()
+        model = one_position_model([0, 0, 1, 0], 2)  # reads the window center
         rng = np.random.default_rng(207)
         windows = rng.uniform(0.1, 1.0, (10, 5))
         targets = windows[:, 2].copy()
