@@ -18,16 +18,19 @@ computed with it, so its rounding is part of that report.  The batched path
 (``forward_cached``, ``backward_cached`` and their ``_batch`` wrappers) is
 channel-major: one row per channel, columns ordered by window, then
 position, so the first m windows of a pass lead each of its arrays.  Each
-layer caches its tap columns, (k, in_ch, n * width) in (tap, channel) order.
-With more than one channel, each of a layer's three contractions
-(pre-activation, kernel gradient, input gradient) is one GEMM over those
-columns.  With one, the bias and each tap's exact product are added in tap
-order and the kernel gradient sums each contiguous row pairwise, so the
-path rounds as an elementwise loop does; a GEMM's sums may round
-differently, by BLAS kernel and by batch size.  The two paths can
-differ in the last bit.  A fresh forward pass allocates its caches and a
-scratch buffer as one block, and a later pass over a batch of the same
-shape can write into that block, so a ``train`` call allocates it once.
+layer gathers and caches its tap columns, (k, in_ch, n * width) in (tap,
+channel) order, and contracts them with its kernel.  Its input gradient is
+a convolution too: the same gather of the pre-activation gradient, each
+shift negated, contracted with the kernel's channel axes swapped.  With
+more than one channel, each of a layer's three contractions
+(pre-activation, kernel gradient, input gradient) is one GEMM.  With one,
+each tap's exact product is added in tap order to the bias (or to zero)
+and the kernel gradient sums each contiguous row pairwise, so the path
+rounds as an elementwise loop does; a GEMM's sums may round differently,
+by BLAS kernel and by batch size.  The two paths can differ in the last
+bit.  A fresh forward pass allocates its caches and a scratch buffer as
+one block, and a later pass over a batch of the same shape can write into
+that block, so a ``train`` call allocates it once.
 """
 
 from __future__ import annotations
@@ -253,7 +256,9 @@ class BatchForward:
     ``cols[m, c, w * width + j]`` is channel c of window w at position
     j + m - k // 2, zero in the padding; ``pre`` is the pre-activation,
     (out_ch, n * width).  ``features`` is the head's input, (n, C * width).
-    ``scratch`` is a flat buffer that ``backward_cached`` forms input gradients in.
+    ``scratch`` is the flat buffer that ``backward_cached`` gathers a layer's
+    pre-activation gradient into, k * out_ch * n * width floats, the most of
+    any layer after the first (the layers that take an input gradient).
     A plain record: the first r windows are a leading slice of each array.
     """
 
@@ -265,13 +270,44 @@ class BatchForward:
 
 
 @functools.cache
-def _taps(k: int, width: int) -> tuple[tuple[slice, slice, slice], ...]:
-    """Per tap m, shift s = m - k // 2: columns dst, their inputs dst + s, padded positions."""
+def _taps(k: int, width: int, sign: int) -> tuple[tuple[slice, slice, slice], ...]:
+    """Per tap m, shift s = sign * (m - k // 2): columns dst, their inputs dst + s,
+    padded positions."""
     return tuple(
         (slice(max(0, -s), -max(0, s) or None), slice(max(0, s), min(0, s) or None),
          slice(width - s, None) if s > 0 else slice(0, -s))
-        for s in range(-(k // 2), k - k // 2)
+        for s in (sign * (m - k // 2) for m in range(k))
     )
+
+
+def _gather(rows: np.ndarray, cols: np.ndarray, width: int, sign: int) -> None:
+    """Write into ``cols`` (k, len(rows), n * width) each tap m's copy of ``rows``,
+    shifted in each window by ``sign`` * (m - k // 2) and zero-padded.  For an
+    even k, negated shifts are not the taps reversed."""
+    for col, (dst, src, pad) in zip(cols, _taps(len(cols), width, sign)):
+        col[:, dst] = rows[:, src]
+        col.reshape(len(rows), -1, width)[:, :, pad] = 0.0
+
+
+def _contract(taps: np.ndarray, cols: np.ndarray, start, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` ``start`` plus the sum over taps m and channels c of
+    ``taps[m, :, c, None] * cols[m, c]``; return it.
+
+    With more than one row or channel in ``taps`` (k, len(out), channels) this
+    is one GEMM over the (tap, channel) rows of ``cols``, then ``start`` added.
+    With one of each, ``out`` starts at ``start`` and each tap's exact product
+    is added in tap order, so it rounds as an elementwise loop does.
+    """
+    k, rows, channels = taps.shape
+    if rows > 1 or channels > 1:
+        matrix = taps.transpose(1, 0, 2).reshape(rows, k * channels)
+        np.matmul(matrix, cols.reshape(k * channels, -1), out=out)
+        out += start
+    else:
+        out[:] = start
+        for term in np.multiply(taps, cols):
+            out += term
+    return out
 
 
 def forward_cached(
@@ -301,28 +337,15 @@ def forward_cached(
     if out is None:
         shapes = [s for out_ch, in_ch, k in map(np.shape, params.kernels)
                   for s in ((k, in_ch, n * width), (out_ch, n * width))]
-        size = max(math.prod(s) for s in shapes[2::2])
+        size = max(k * out_ch * n * width for out_ch, _, k in map(np.shape, params.kernels[1:]))
         *arrays, scratch = _carve(np.empty(sum(map(math.prod, shapes)) + size), [*shapes, (size,)])
         all_cols, all_pre = arrays[0::2], arrays[1::2]
     else:
         all_cols, all_pre, scratch = out.cols, out.pre, out.scratch
     act = windows.reshape(1, n * width)
     for kernel, bias, cols, pre in zip(params.kernels, params.biases, all_cols, all_pre):
-        out_ch, in_ch, k = kernel.shape
-        for col, (dst, src, pad) in zip(cols, _taps(k, width)):
-            col[:, dst] = act[:, src]
-            col.reshape(in_ch, n, width)[:, :, pad] = 0.0
-        if out_ch > 1 or in_ch > 1:  # the columns are in (tap, channel) order: one GEMM
-            taps = kernel.transpose(0, 2, 1).reshape(out_ch, k * in_ch)
-            np.matmul(taps, cols.reshape(k * in_ch, n * width), out=pre)
-            pre += bias[:, None]
-        else:
-            # One term buffer per layer: a new array per tap makes malloc re-fault pages.
-            pre[:] = bias[:, None]
-            term = np.empty_like(pre)
-            for tap, col in zip(kernel.transpose(2, 0, 1).copy(), cols):
-                pre += np.multiply(tap, col, out=term)
-        act = np.maximum(pre, 0.0)
+        _gather(act, cols, width, 1)
+        act = np.maximum(_contract(kernel.transpose(2, 0, 1), cols, bias[:, None], pre), 0.0)
     features = act.reshape(len(act), n, width).transpose(1, 0, 2).reshape(n, len(act) * width)
     outputs = features @ params.head_weights + params.head_bias
     return BatchForward(tuple(all_cols), tuple(all_pre), features, outputs, scratch)
@@ -338,8 +361,10 @@ def backward_cached(
     A layer with more than one input or output channel forms its kernel
     gradient as one GEMM, tap columns (k * in_ch, n * width) times the
     transposed pre-activation gradient; a one-channel layer sums each tap's
-    products pairwise, bit for bit as the elementwise loops do.  All taps'
-    input gradients are formed at once in ``fwd.scratch``, then added shifted.
+    products pairwise, bit for bit as the elementwise loops do.  The input
+    gradient is formed as ``forward_cached`` forms a pre-activation: the
+    pre-activation gradient's taps are gathered into ``fwd.scratch``, each
+    shift negated, and contracted with the kernel's channel axes swapped.
     """
     n = upstreams.size
     head = params.head_weights.reshape(len(fwd.pre[-1]), 1, -1)
@@ -362,13 +387,10 @@ def backward_cached(
         else:
             (cols[:, 0] * d_pre).sum(axis=-1, out=grads.kernels[i][0, 0])
         if i:
-            parts = fwd.scratch[: k * in_ch * n * width].reshape(k * in_ch, n * width)
-            taps = kernel.transpose(2, 1, 0).reshape(k * in_ch, out_ch)
-            (np.matmul if out_ch > 1 or in_ch > 1 else np.multiply)(taps, d_pre, out=parts)
-            d_act = np.zeros((in_ch, n * width))
-            for part, (dst, src, pad) in zip(parts.reshape(k, in_ch, n * width), _taps(k, width)):
-                part.reshape(in_ch, n, width)[:, :, pad] = 0.0
-                d_act[:, src] += part[:, dst]
+            shifted = fwd.scratch[: k * out_ch * n * width].reshape(k, out_ch, n * width)
+            _gather(d_pre, shifted, width, -1)
+            d_act = np.empty((in_ch, n * width))
+            _contract(kernel.transpose(2, 1, 0), shifted, 0.0, d_act)
 
 
 def forward_batch(model: CnnModel, windows) -> np.ndarray:

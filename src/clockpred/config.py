@@ -96,13 +96,16 @@ def effective_config(overrides: Mapping[str, str] | None = None) -> dict[str, st
 
 
 def _value(cfg: Mapping[str, str], key: str):
-    """``cfg[key]`` parsed as the type of the key's default."""
+    """``cfg[key]`` parsed as the type of the key's default.  As in a series row, the
+    digit-group underscores and non-ASCII digits that ``int`` and ``float`` take are refused."""
     parse, noun = _PARSERS[type(_TYPED_DEFAULTS[key])]
     text = cfg[key]
     try:
-        return parse(text)
+        if text.isascii() and "_" not in text:
+            return parse(text)
     except (KeyError, ValueError):
-        raise ValueError(f"configuration key {key!r}: {_brief.repr(text)} is not {noun}") from None
+        pass
+    raise ValueError(f"configuration key {key!r}: {_brief.repr(text)} is not {noun}")
 
 
 def _section(cls, cfg: Mapping[str, str], **given):

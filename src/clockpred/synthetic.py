@@ -41,10 +41,10 @@ class SyntheticClockSpec:
     start_epoch: int = DEFAULT_START_EPOCH
 
     def __post_init__(self):
-        for name, least in (("n", 7), ("interval", 1), ("seed", 0)):
+        for name, least in (("n", 7), ("interval", 1), ("seed", 0), ("start_epoch", -(2**63))):
             _freeze(self, **{name: _whole(name, getattr(self, name), least)})
         first, last = self.start_epoch, self.start_epoch + (self.n - 1) * self.interval
-        if not (-(2**63) <= first and last < 2**63):
+        if last >= 2**63:
             raise ValueError(f"epochs {_brief.repr(first)} to {_brief.repr(last)} overflow int64")
         if self.sigma_wfm < 0.0 or self.sigma_rwfm < 0.0:
             raise ValueError("noise amplitudes must be nonnegative")

@@ -472,6 +472,14 @@ CLI_REFUSALS = {
         name: ("generate", CONF, _append(f"{key} = {value}"), "{path}: " + line)
         for name, key, value, line in [
             ("seed-nan", "seed", "nan", "configuration key 'seed': 'nan' is not an integer\n"),
+            # Digit groups and non-ASCII digits, which int() and float() take, are refused.
+            ("n-digit-groups", "gen_n", "2_74",
+             "configuration key 'gen_n': '2_74' is not an integer\n"),
+            ("r-digit-groups", "kf_r", "1_0.5",
+             "configuration key 'kf_r': '1_0.5' is not a number\n"),
+            # The run writes one character a byte: the UTF-8 bytes of full-width 274.
+            ("n-full-width", "gen_n", "\uff12\uff17\uff14".encode().decode("latin-1"),
+             "configuration key 'gen_n': '\uff12\uff17\uff14' is not an integer\n"),
             ("train-frac-nan", "train_frac", "nan", "fractions out of range: train=nan, "),
             ("channels-30-digits", "cnn_channels", 10**29,
              "configuration key 'cnn_channels': must be at least 1 and at most 1024, got 1…0\n"),

@@ -284,17 +284,19 @@ class TestBatchPaths:
     @pytest.mark.parametrize("channels", [1, 2, 3, 8])
     def test_batch_paths_match_elementwise_loops(self, channels):
         rng = np.random.default_rng(108 + channels)
-        for trial in range(5):
+        for trial in range(8):
             model = init_weights(trial, channels=channels)
             model = model.from_vector(model.to_vector() + rng.normal(0, 0.3, model.num_params))
             windows = rng.uniform(-1, 1, (int(rng.integers(1, 160)), 5))
             ups = rng.normal(size=windows.shape[0])
+            if trial >= 5:  # a third, two thirds, then all upstreams zero, of either sign
+                ups[rng.random(ups.size) < (trial - 4) / 3] *= 0.0
             outputs, grad = batch_loops_oracle(model, windows, ups)
             got_outputs = forward_batch(model, windows)
             got_grad = backward_batch(model, windows, ups)
-            if channels == 1:
-                npt.assert_array_equal(got_outputs, outputs)
-                npt.assert_array_equal(got_grad, grad)
+            if channels == 1:  # bytes, so that the sign of every zero is compared too
+                assert got_outputs.tobytes() == outputs.tobytes()
+                assert got_grad.tobytes() == grad.tobytes()
             else:
                 npt.assert_allclose(got_outputs, outputs, rtol=0, atol=1e-12)
                 npt.assert_allclose(got_grad, grad, rtol=0, atol=1e-12)

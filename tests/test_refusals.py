@@ -199,6 +199,7 @@ REFUSALS = {
                 (SyntheticClockSpec, "n", 7, [7.5]),
                 (SyntheticClockSpec, "interval", 1, [0, 5.5, True]),
                 (SyntheticClockSpec, "seed", 0, [-1, 1.5]),
+                (SyntheticClockSpec, "start_epoch", -(2**63), [0.5, True]),
                 (TrainConfig, "max_updates", 1, [0, 2.5]),
                 (TrainConfig, "patience", 1, [0, 1.5]),
                 (TrainConfig, "seed", 0, [-1]),
