@@ -15,8 +15,11 @@ recursion, which depends on the parameters, the interval and the window
 width but not on the data, and returns one gain per sample.  It holds the
 square-root factor as three floats; only F S (BLAS) and the QR (LAPACK)
 go through numpy, F S because its FMA kernels round their own way.
-``kf_one_ahead_batch`` then runs the state recursion over a whole matrix
-of windows with those gains; ``kf_one_ahead`` is its batch of one.
+The state recursion is written once, for samples that are either the
+columns of a window matrix (``kf_one_ahead_batch``, elementwise numpy) or
+one window's Python floats (``kf_one_ahead``).  Both round each ``+``,
+``-``, ``*`` and ``/`` the same way, so a window's prediction has the same
+bits on either path; only the batch warns when a window overflows.
 The plain single-step covariance recursion that the tests check this
 filter against lives with the tests, in ``tests/helpers.py``.
 """
@@ -74,7 +77,8 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
     ValueError
         If the width is not an integer of at least two, the interval is not
         positive and finite, or an innovation variance is not positive, which
-        can only happen with R = 0 and a degenerate phase variance.
+        can only happen with R = 0 and a degenerate phase variance, or not
+        finite, which a noise density, p0 or interval near overflow causes.
     """
     width = _whole("window width", width, 2)
     tau = float(interval)
@@ -98,14 +102,34 @@ def kf_gains(width: int, interval: float, params: KalmanParams = KalmanParams())
         # Potter measurement update on the factor (H = [1, 0]); S H' = (aa, ba).
         aa, ba = a * a, b * a
         innovation_var = aa + params.r
-        if innovation_var <= 0.0:
+        if not 0.0 < innovation_var < math.inf:
+            fault = "positive" if innovation_var <= 0.0 else "finite"
             raise ValueError(
-                f"degenerate update: innovation variance {innovation_var} is not positive"
+                f"degenerate update: innovation variance {innovation_var} is not {fault}"
             )
         gains[k] = aa / innovation_var, ba / innovation_var
         shrink = 1.0 / (innovation_var + math.sqrt(innovation_var * params.r))
         a, b = a - shrink * (aa * a), b - shrink * (ba * a)
     return gains
+
+
+def _one_ahead(samples, interval: float, params: KalmanParams):
+    """Filter ``samples``, a window's values in time order, and extrapolate one interval ahead.
+
+    Each sample is a column of a window matrix or one window's Python float;
+    every step rebinds ``phase`` and ``freq`` rather than updating in place,
+    so the same lines filter all rows at once or one window on floats.
+    """
+    tau = float(interval)
+    gains = kf_gains(len(samples), tau, params).tolist()
+    phase = samples[0]
+    freq = (samples[1] - samples[0]) / tau
+    for z, (g_phase, g_freq) in zip(samples, gains):
+        innovation = z - phase
+        phase = phase + g_phase * innovation
+        freq = freq + g_freq * innovation
+        phase = phase + tau * freq
+    return phase
 
 
 def kf_one_ahead_batch(
@@ -125,24 +149,18 @@ def kf_one_ahead_batch(
     w = np.asarray(windows, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"windows must form an (n, width) matrix, got shape {w.shape}")
-    tau = float(interval)
-    gains = kf_gains(w.shape[1], tau, params).tolist()
-    phase = w[:, 0].copy()
-    freq = (w[:, 1] - w[:, 0]) / tau
-    for k, (g_phase, g_freq) in enumerate(gains):
-        innovation = w[:, k] - phase
-        phase += g_phase * innovation
-        freq += g_freq * innovation
-        phase += tau * freq
-    return phase
+    return _one_ahead(w.T, interval, params)
 
 
 def kf_one_ahead(window, interval: float, params: KalmanParams = KalmanParams()) -> float:
     """Filter one window of phase samples and extrapolate one interval ahead.
 
-    A batch of one through :func:`kf_one_ahead_batch`.
+    The recursion of :func:`kf_one_ahead_batch` on the window's Python
+    floats: the same bits as that window's row of a batch, without numpy's
+    per-call cost on one-element arrays; a window that overflows gives a
+    non-finite prediction without numpy's warning.
     """
     w = np.asarray(window, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError(f"window must be one-dimensional, got shape {w.shape}")
-    return float(kf_one_ahead_batch(w.reshape(1, -1), interval, params)[0])
+    return _one_ahead(w.tolist(), interval, params)

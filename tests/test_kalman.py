@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from clockpred import predictor
 from clockpred.kalman import KalmanParams, kf_gains, kf_one_ahead, kf_one_ahead_batch
 from clockpred.predictor import kalman_window_predictor, rolling_predict, window_matrix
 from clockpred.series import prepare
@@ -216,6 +217,18 @@ grid_params = st.builds(
 intervals = st.sampled_from([1.0, 5.0, 10.0])
 
 
+def assert_each_window_equals_its_batch_row(windows, tau, params):
+    """``kf_one_ahead`` of each row is a float with the bits of the batch's entry; where
+    the batch overflows, both paths give a non-finite prediction."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        batch = kf_one_ahead_batch(windows, tau, params)
+    singles = [kf_one_ahead(w, tau, params) for w in windows]
+    assert {type(x) for x in singles} == {float}
+    single, finite = np.array(singles), np.isfinite(batch)
+    npt.assert_array_equal(np.isfinite(single), finite)
+    assert single[finite].tobytes() == batch[finite].tobytes()
+
+
 class TestBatch:
     def test_equals_per_window_oracle_over_calibration_grid(self, frozen_windows):
         windows, interval = frozen_windows
@@ -233,6 +246,35 @@ class TestBatch:
             predictor = kalman_window_predictor(params, interval)
             per_window = rolling_predict(predictor, series, val_range)
             assert per_window.tobytes() == kf_one_ahead_batch(windows, interval, params).tobytes()
+
+    def test_window_predictor_calls_the_module_kf_one_ahead_per_window(
+        self, frozen, monkeypatch
+    ):
+        """Tracers count ``kf_one_ahead`` calls where the window predictor looks it up."""
+        seen = []
+
+        def counted(window, interval, params):
+            seen.append(window)
+            return kf_one_ahead(window, interval, params)
+
+        monkeypatch.setattr(predictor, "kf_one_ahead", counted)
+        series, val_range = frozen.residual_norm, frozen.split.val_range
+        predict = kalman_window_predictor(KalmanParams(), frozen.series.interval)
+        assert len(rolling_predict(predict, series, val_range)) == len(seen) == 33
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(windows=window_batches, params=grid_params, tau=intervals)
+    def test_one_window_equals_its_batch_row(self, windows, params, tau):
+        assert_each_window_equals_its_batch_row(windows, tau, params)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(params=grid_params, tau=intervals)
+    def test_one_window_equals_its_batch_row_at_extremes(self, params, tau):
+        # 1e308 overflows the first difference: the non-finite predictions
+        signs = np.array(list(itertools.product([1.0, -1.0], repeat=5)))
+        scaled = [size * signs for size in (1e308, 1e300, 1e-300)]
+        windows = np.concatenate([*scaled, np.full((1, 5), -0.0)])
+        assert_each_window_equals_its_batch_row(windows, tau, params)
 
     @pytest.mark.parametrize("tau", [1.0, 5.0, 10.0])
     def test_equals_per_window_oracle_on_random_windows(self, tau):

@@ -65,6 +65,17 @@ def adam(m=np.zeros(3), v=np.zeros(3), t=0):
     return lambda: AdamState(m, v, t, 0.005, 0.9, 0.999, 1e-3)
 
 
+def quietly(call):
+    """``call`` with numpy's overflow warnings off, as the CLI computes: the refusal that
+    follows an overflow is under test, not the warning."""
+
+    def run():
+        with np.errstate(over="ignore", invalid="ignore"):
+            return call()
+
+    return run
+
+
 REFUSALS = {
     "test_refusals.py::test_refused_with_its_message": {
         "ConvLayer-2d-kernel": (
@@ -121,6 +132,18 @@ REFUSALS = {
             lambda: kf_gains(3, 1.0, KalmanParams(q1=0.0, q2=0.0, r=0.0, p0=1e-12)),
             "degenerate update: innovation variance 0.0 is not positive",
         ),
+        **{
+            f"kf_one_ahead-{name}-1e308": (
+                quietly(functools.partial(kf_one_ahead, np.arange(5.0), *args)),
+                "degenerate update: innovation variance inf is not finite",
+            )
+            for name, args in [
+                ("q1", (5.0, KalmanParams(q1=1e308))),
+                ("q2", (5.0, KalmanParams(q2=1e308))),
+                ("p0", (5.0, KalmanParams(p0=1e308))),
+                ("interval", (1e308,)),
+            ]
+        },
         "PredictionReport-short-column": (
             lambda: PredictionReport(np.arange(2), *[np.ones(2)] * 4, np.ones(1), 2, 0.0, 0.0),
             "column kf_diff_ns must hold 2 entries",

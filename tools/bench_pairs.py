@@ -53,7 +53,13 @@ trained C=1 CNN), best of 20 repeats of 20 calls, in process and apart from
 ``benchmarks/run.py``'s per-operation bookkeeping.  ``forward_C1_us`` and
 ``forward_C8_us`` time ``cp.forward`` over that fixture's 100 test windows,
 with its C=1 CNN and with an 8-channel ``init_weights`` model, the best of
-100 passes over the windows, per window.  Progress goes to standard error.
+100 passes over the windows, per window.  The Kalman filter, with the default
+``KalmanParams``, has the same two forms: ``kf_one_ahead_us`` times
+``kf_one_ahead`` over the fixture's 33 validation windows, one window per
+call, the best of 100 passes, per window (the kf-calibrate operation's
+calls), and ``kf_one_ahead_batch_us`` one ``kf_one_ahead_batch`` call on the
+100 test windows (``compare``'s), best of 20 repeats of 20 calls.  Progress
+goes to standard error.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ import json, resource, sys, timeit
 import numpy as np
 import clockpred as cp
 from clockpred.cnn import backward_cached, forward_cached
+from clockpred.kalman import kf_one_ahead, kf_one_ahead_batch
 
 prepared = cp.prepare(cp.generate(cp.default_maser_spec()), fit_on_full=True)
 train = cp.make_windows(prepared.residual_norm, prepared.split.train_range)
@@ -134,6 +141,14 @@ for channels, model in ((1, fx.model), (8, cp.init_weights(int(sys.argv[1]), cha
     forward_call = lambda: [cp.forward(model, w) for w in windows]
     best = min(timeit.repeat(forward_call, number=1, repeat=100)) / len(windows)
     result[f"forward_C{channels}_us"] = {"value": best * 1e6, "unit": "us"}
+interval, params = fx.prepared.series.interval, cp.KalmanParams()
+val_windows = window_matrix(fx.prepared.residual_norm, fx.prepared.split.val_range)
+kf_call = lambda: [kf_one_ahead(w, interval, params) for w in val_windows]
+best = min(timeit.repeat(kf_call, number=1, repeat=100)) / len(val_windows)
+result["kf_one_ahead_us"] = {"value": best * 1e6, "unit": "us"}
+batch_call = lambda: kf_one_ahead_batch(windows, interval, params)
+best = min(timeit.repeat(batch_call, number=20, repeat=20)) / 20
+result["kf_one_ahead_batch_us"] = {"value": best * 1e6, "unit": "us"}
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": result}))
 """
 
